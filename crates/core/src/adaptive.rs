@@ -39,17 +39,22 @@ use crate::config_gen::{json_f64, json_string};
 use crate::designs::Design;
 use crate::energy::{EnergyBreakdown, EnergyModel};
 use crate::evaluate::Evaluator;
+use crate::operating::{
+    account_layer, check_refresh_weight, check_throttle, crit_us, hedged, keeps_base, quantize,
+    throttle, ThermalPolicy,
+};
 use crate::par::ScheduleCache;
 use crate::scheduler::{LayerSchedule, NetworkSchedule, Scheduler};
 use rana_accel::exec::{execute_layer, BufferModel, Formats};
 use rana_accel::{
-    layer_refresh_words, AcceleratorConfig, ControllerKind, Fnv1a, Pattern, RefreshModel,
-    SchedLayer, Tiling,
+    layer_refresh_words, AcceleratorConfig, Fnv1a, Pattern, RefreshModel, SchedLayer, Tiling,
 };
 use rana_edram::thermal::{ThermalModel, TrajectoryPoint};
 use rana_edram::{ClockDivider, RefreshConfig, RetentionDistribution};
-use rana_policy::{LayerCtx, RefreshStrategy, Strategy};
+use rana_policy::Strategy;
 use rana_zoo::Network;
+
+pub use crate::operating::ladder_rung_us;
 
 /// What the runtime does when a layer's scheduled data lifetime exceeds
 /// the currently safe refresh interval.
@@ -455,23 +460,18 @@ impl Scenario {
 /// ```
 #[derive(Debug)]
 pub struct AdaptiveRuntime {
-    cfg: AcceleratorConfig,
-    model: EnergyModel,
-    /// Stage-2 scheduler for online rescheduling (refresh model swapped
-    /// per ladder rung).
-    scheduler: Scheduler,
+    /// The design's nominal Stage-2 scheduler; online reschedules hedge
+    /// it at each ladder rung.
+    template: Scheduler,
     cache: ScheduleCache,
     layers: Vec<SchedLayer>,
     base: NetworkSchedule,
     conservative: NetworkSchedule,
-    kind: ControllerKind,
     /// Refresh strategy for per-layer accounting; defaults to the legacy
     /// controller kind's strategy ([`Strategy::for_kind`]).
     strategy: Strategy,
     dist: RetentionDistribution,
-    /// Tolerable retention at the characterization temperature, µs.
-    base_tolerable_us: f64,
-    nominal_interval_us: f64,
+    policy: ThermalPolicy,
     thermal: ThermalModel,
     config: AdaptiveConfig,
     report: AdaptiveReport,
@@ -502,38 +502,23 @@ impl AdaptiveRuntime {
     ) -> Self {
         assert!(design.uses_edram(), "adaptive refresh needs an eDRAM design, got {design}");
         assert!(
-            config.retention_margin > 0.0 && config.retention_margin <= 1.0,
-            "retention margin must be in (0, 1], got {}",
-            config.retention_margin
-        );
-        assert!(
             config.target_rate > 0.0 && config.target_rate <= 1.0,
             "target rate must be in (0, 1], got {}",
             config.target_rate
         );
-        assert!(config.sensor_quantum_c > 0.0, "sensor quantum must be positive");
-        assert!(config.ladder_steps_per_octave >= 1, "ladder needs at least one step per octave");
-        assert!(
-            config.reschedule_refresh_weight >= 1.0,
-            "refresh weight must be at least 1, got {}",
-            config.reschedule_refresh_weight
-        );
-        assert!(
-            config.throttle_temp_c > thermal.ambient_c,
-            "throttle cap {} degC must be above ambient {} degC",
-            config.throttle_temp_c,
-            thermal.ambient_c
-        );
+        check_refresh_weight(config.reschedule_refresh_weight);
+        check_throttle(config.throttle_temp_c, &thermal);
 
-        let mut scheduler = eval.scheduler_for(design);
-        let cfg = scheduler.cfg.clone();
-        let model = scheduler.model;
-        let kind = scheduler.refresh.kind;
-        let nominal_interval_us = scheduler.refresh.interval_us;
-        // The online-reschedule search hedges against further heating by
-        // overweighting refresh energy; see `reschedule_refresh_weight`.
-        scheduler.model.costs.edram_refresh_pj *= config.reschedule_refresh_weight;
+        let template = eval.scheduler_for(design);
+        let kind = template.refresh.kind;
         let dist = eval.retention().clone();
+        let policy = ThermalPolicy::new(
+            &template,
+            dist.tolerable_retention_us(config.target_rate),
+            config.retention_margin,
+            config.sensor_quantum_c,
+            config.ladder_steps_per_octave,
+        );
         let base = eval.evaluate(net, design).schedule;
         let conservative = eval
             .evaluate_with_refresh(
@@ -543,31 +528,26 @@ impl AdaptiveRuntime {
             )
             .schedule;
         let layers = net.conv_layers().map(SchedLayer::from_conv).collect();
-        let divider = ClockDivider::for_interval(cfg.frequency_hz, nominal_interval_us);
-        let interval_us = divider.pulse_period_us(cfg.frequency_hz);
+        let (divider, interval_us) = policy.nominal();
         let report = AdaptiveReport {
             network: net.name().to_string(),
             design: design.label().to_string(),
             config: config.clone(),
             thermal,
-            nominal_interval_us,
+            nominal_interval_us: template.refresh.interval_us,
             passes: Vec::new(),
             trajectory: Vec::new(),
             idle_us: 0.0,
         };
         Self {
-            cfg,
-            model,
-            scheduler,
+            template,
             cache: ScheduleCache::new(),
             layers,
             base,
             conservative,
-            kind,
             strategy: Strategy::for_kind(kind),
-            base_tolerable_us: dist.tolerable_retention_us(config.target_rate),
             dist,
-            nominal_interval_us,
+            policy,
             thermal,
             config,
             report,
@@ -624,33 +604,13 @@ impl AdaptiveRuntime {
         self.strategy = strategy;
     }
 
-    /// Quantized sensor reading for a junction temperature: rounded *up*
-    /// to the sensor resolution (pessimistic for retention).
-    fn sense(&self, temp_c: f64) -> f64 {
-        let q = self.config.sensor_quantum_c;
-        (temp_c / q).ceil() * q
-    }
-
-    /// Largest ladder rung `nominal · 2^(−k/steps)` (integer `k ≥ 0`) that
-    /// does not exceed `safe_us`. The ladder caps the number of distinct
-    /// divider settings (and therefore online-reschedule cache entries) at
-    /// `steps` per octave of derating.
-    fn ladder_interval_us(&self, safe_us: f64) -> f64 {
-        ladder_rung_us(self.nominal_interval_us, safe_us, self.config.ladder_steps_per_octave)
-    }
-
     /// The oracle interval: the ladder rung the policy would pick if it
     /// knew the run's peak temperature in advance. A static policy fixed
     /// at this interval is safe for the whole run and is the tightest such
     /// single setting the ladder offers — the bench's upper-efficiency
     /// bracket.
     pub fn oracle_interval_us(&self) -> f64 {
-        let sensed = self.sense(self.report.peak_temp_c());
-        let tolerable = self.base_tolerable_us * scale_for_delta(self.thermal.delta_c(sensed));
-        let rung = self.ladder_interval_us(tolerable * self.config.retention_margin);
-        // Quantize to the divider exactly as the adaptive loop does.
-        ClockDivider::for_interval(self.cfg.frequency_hz, rung)
-            .pulse_period_us(self.cfg.frequency_hz)
+        self.policy.operate(&self.thermal, self.report.peak_temp_c()).interval_us
     }
 
     /// The static-oracle bracket: the same policy machinery with perfect
@@ -662,34 +622,36 @@ impl AdaptiveRuntime {
     /// run, since the oracle needs the realized peak temperature.
     pub fn oracle_static_run(&self, scenario: &Scenario) -> StaticRun {
         let interval_us = self.oracle_interval_us();
-        let mut s = self.scheduler.clone();
-        s.refresh = RefreshModel { interval_us, kind: self.kind };
-        let layers = self
-            .layers
-            .iter()
-            .enumerate()
-            .map(|(idx, l)| {
-                let base = &self.base.layers[idx];
-                if crit_us(base) < interval_us {
-                    base.clone()
-                } else {
-                    match self.config.fallback {
-                        FallbackPolicy::Conservative => self.conservative.layers[idx].clone(),
-                        FallbackPolicy::Reschedule => s.schedule_layer_memo(l, &self.cache),
-                    }
-                }
-            })
-            .collect();
+        let layers = (0..self.layers.len()).map(|idx| self.select(idx, interval_us).1).collect();
         let schedule = NetworkSchedule { network: self.base.network.clone(), layers };
         run_static_policy(
             "static-oracle",
             &schedule,
-            &self.cfg,
-            &self.model,
-            RefreshModel { interval_us, kind: self.kind },
+            &self.template.cfg,
+            &self.template.model,
+            RefreshModel { interval_us, kind: self.template.refresh.kind },
             &self.thermal,
             scenario,
         )
+    }
+
+    /// Layer `idx`'s schedule at `interval_us`: the base schedule where it
+    /// stays refresh-free, else the configured fallback (an online
+    /// reschedule hedges exactly like serving's).
+    fn select(&self, idx: usize, interval_us: f64) -> (ScheduleSource, LayerSchedule) {
+        let base = &self.base.layers[idx];
+        if keeps_base(base, interval_us) {
+            return (ScheduleSource::Base, base.clone());
+        }
+        match self.config.fallback {
+            FallbackPolicy::Conservative => {
+                (ScheduleSource::Conservative, self.conservative.layers[idx].clone())
+            }
+            FallbackPolicy::Reschedule => {
+                let s = hedged(&self.template, interval_us, self.config.reschedule_refresh_weight);
+                (ScheduleSource::Rescheduled, s.schedule_layer_memo(&self.layers[idx], &self.cache))
+            }
+        }
     }
 
     /// Idles (zero compute power) for `duration_us`, letting the die cool.
@@ -750,20 +712,12 @@ impl AdaptiveRuntime {
     /// schedule → account → heat.
     fn adapt_layer(&mut self, pass: usize, idx: usize) -> LayerAdaptation {
         // Thermal throttle: if the previous layer left the die above the
-        // throttle temperature, idle (zero power) until it cools back to
-        // the cap before launching this layer. The exact RC solution gives
-        // the required idle in closed form:
-        //   T(dt) = amb + (T0 − amb)·e^(−dt/τ)  =  throttle
-        //   dt = τ·ln((T0 − amb) / (throttle − amb))
-        // This bounds the refresh → heat → tighter-interval feedback loop
-        // the same way DVFS duty-cycling bounds a thermal runaway.
-        let mut throttle_us = 0.0;
-        if self.temp_c > self.config.throttle_temp_c {
-            let amb = self.thermal.ambient_c;
-            throttle_us = self.thermal.tau_us
-                * ((self.temp_c - amb) / (self.config.throttle_temp_c - amb)).ln();
+        // throttle temperature, idle until it cools back to the cap before
+        // launching this layer.
+        let throttle_us = throttle(&self.thermal, self.temp_c, self.config.throttle_temp_c);
+        if let Some(dt) = throttle_us {
             self.temp_c = self.config.throttle_temp_c;
-            self.now_us += throttle_us;
+            self.now_us += dt;
             self.report.trajectory.push(TrajectoryPoint {
                 t_us: self.now_us,
                 temp_c: self.temp_c,
@@ -771,41 +725,12 @@ impl AdaptiveRuntime {
             });
         }
         let start_temp_c = self.temp_c;
-        let sensed_c = self.sense(start_temp_c);
-        let tolerable_us = self.base_tolerable_us * scale_for_delta(self.thermal.delta_c(sensed_c));
-        let safe_us = tolerable_us * self.config.retention_margin;
-        let rung_us = self.ladder_interval_us(safe_us);
-
-        let divider = ClockDivider::for_interval(self.cfg.frequency_hz, rung_us);
-        let retuned = divider.ratio() != self.divider.ratio();
-        if retuned {
-            self.divider = divider;
-            self.interval_us = divider.pulse_period_us(self.cfg.frequency_hz);
-        }
-        let interval_us = self.interval_us;
-        let refresh_now = RefreshModel { interval_us, kind: self.kind };
-
-        // Decision rule (DESIGN.md): keep the base schedule iff it stays
-        // refresh-free under the current interval; otherwise fall back.
-        let base_layer = &self.base.layers[idx];
-        let base_crit = crit_us(base_layer);
-        let (source, chosen): (ScheduleSource, LayerSchedule) = if base_crit < interval_us {
-            (ScheduleSource::Base, base_layer.clone())
-        } else {
-            match self.config.fallback {
-                FallbackPolicy::Conservative => {
-                    (ScheduleSource::Conservative, self.conservative.layers[idx].clone())
-                }
-                FallbackPolicy::Reschedule => {
-                    let mut s = self.scheduler.clone();
-                    s.refresh = refresh_now;
-                    (
-                        ScheduleSource::Rescheduled,
-                        s.schedule_layer_memo(&self.layers[idx], &self.cache),
-                    )
-                }
-            }
-        };
+        let op = self.policy.operate(&self.thermal, start_temp_c);
+        let (sensed_c, tolerable_us, interval_us) = (op.sensed_c, op.tolerable_us, op.interval_us);
+        let retuned = op.divider.ratio() != self.divider.ratio();
+        self.divider = op.divider;
+        self.interval_us = interval_us;
+        let (source, chosen) = self.select(idx, interval_us);
 
         // Re-account refresh and energy at the *operating* interval (the
         // chosen schedule may have been priced at a different one); the
@@ -813,16 +738,15 @@ impl AdaptiveRuntime {
         // strategy sees the temperature-scaled retention so error budgets
         // stretch against the cells' current behavior.
         let dist_now = self.dist.at_temperature_delta(self.thermal.delta_c(sensed_c));
-        let ctx = LayerCtx { sim: &chosen.sim, cfg: &self.cfg, interval_us, retention: &dist_now };
-        let decision = if self.strategy == Strategy::for_kind(self.kind) {
-            self.strategy.decide(&ctx)
-        } else {
-            // Non-default strategies are new decision points: trace them.
-            let scope = format!("pass{}/{}", pass, chosen.sim.layer);
-            rana_policy::decide_traced(&self.strategy, &ctx, &scope)
-        };
+        let (decision, energy) = account_layer(
+            self.strategy,
+            &self.template,
+            &chosen.sim,
+            interval_us,
+            &dist_now,
+            || format!("pass{pass}"),
+        );
         let refresh_words = decision.refresh_words;
-        let energy = self.model.layer_energy(&chosen.sim, refresh_words, &self.cfg);
         let flagged_banks = decision.flagged_banks();
 
         if rana_trace::enabled() {
@@ -865,7 +789,7 @@ impl AdaptiveRuntime {
             layer: chosen.sim.layer.clone(),
             start_temp_c,
             end_temp_c: self.temp_c,
-            throttle_us,
+            throttle_us: throttle_us.unwrap_or(0.0),
             sensed_c,
             tolerable_us,
             interval_us,
@@ -881,44 +805,6 @@ impl AdaptiveRuntime {
             energy,
         }
     }
-}
-
-/// Retention scale factor for a temperature delta: `2^(−ΔT/10)` (retention
-/// roughly halves per +10 °C of junction temperature).
-pub fn scale_for_delta(delta_c: f64) -> f64 {
-    (-delta_c / 10.0).exp2()
-}
-
-/// Longest scheduled data lifetime of a layer schedule, µs: the quantity a
-/// refresh-free execution must keep below the operating interval.
-pub fn crit_us(l: &LayerSchedule) -> f64 {
-    l.sim.lifetimes.critical_intervals().into_iter().fold(0.0, f64::max)
-}
-
-/// Largest interval-ladder rung `nominal · 2^(−k/steps)` (integer `k ≥ 0`)
-/// that does not exceed `safe_us`. Shared by the adaptive runtime and the
-/// serving simulator: quantizing the operating interval onto one ladder
-/// caps the number of distinct scheduling contexts (and therefore memo
-/// cache entries) at `steps_per_octave` per octave of derating.
-///
-/// # Panics
-///
-/// Panics if `safe_us` is not positive.
-pub fn ladder_rung_us(nominal_us: f64, safe_us: f64, steps_per_octave: u32) -> f64 {
-    if safe_us >= nominal_us {
-        return nominal_us;
-    }
-    assert!(safe_us > 0.0, "safe interval must be positive, got {safe_us}");
-    let steps = f64::from(steps_per_octave);
-    let mut k = (steps * (nominal_us / safe_us).log2()).ceil();
-    let mut rung = nominal_us * (-k / steps).exp2();
-    // ceil() can land exactly on safe_us's rung and float rounding can
-    // leave it a hair above; step down once more if so.
-    while rung > safe_us {
-        k += 1.0;
-        rung = nominal_us * (-k / steps).exp2();
-    }
-    rung
 }
 
 // ---------------------------------------------------------------------------
@@ -992,8 +878,7 @@ pub fn run_static_policy(
     thermal: &ThermalModel,
     scenario: &Scenario,
 ) -> StaticRun {
-    let divider = ClockDivider::for_interval(cfg.frequency_hz, policy.interval_us);
-    let interval_us = divider.pulse_period_us(cfg.frequency_hz);
+    let interval_us = quantize(cfg.frequency_hz, policy.interval_us).1;
     let refresh = RefreshModel { interval_us, kind: policy.kind };
     let mut temp_c = thermal.ambient_c;
     let mut peak_temp_c = temp_c;
@@ -1170,6 +1055,7 @@ pub fn run_probes(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rana_accel::ControllerKind;
 
     fn runtime(fallback: FallbackPolicy) -> AdaptiveRuntime {
         let eval = Evaluator::paper_platform();
@@ -1251,22 +1137,6 @@ mod tests {
         rt.idle(200_000.0);
         assert!(rt.temp_c() < hot);
         assert!(rt.temp_c() >= ThermalModel::embedded_65nm().ambient_c - 1e-9);
-    }
-
-    #[test]
-    fn ladder_rungs_are_quantized() {
-        let rt = runtime(FallbackPolicy::Conservative);
-        let nominal = rt.nominal_interval_us;
-        let steps = f64::from(rt.config.ladder_steps_per_octave);
-        for safe in [700.0, 500.0, 300.0, 120.0, 50.0] {
-            let rung = rt.ladder_interval_us(safe);
-            assert!(rung <= safe);
-            let k = steps * (nominal / rung).log2();
-            assert!((k - k.round()).abs() < 1e-6, "rung {rung} is not on the ladder");
-            // And the next rung up would overshoot.
-            let up = nominal * (-(k.round() - 1.0) / steps).exp2();
-            assert!(up > safe);
-        }
     }
 
     #[test]

@@ -19,6 +19,9 @@
 //!
 //! [`designs`] defines the six design points of Table IV and
 //! [`evaluate::Evaluator`] reproduces the paper's energy comparisons.
+//! [`operating`] applies the three stages once per thermal rung at run
+//! time, for the adaptive runtime, the serving and fleet simulators, and
+//! the schedule-store precompiler alike.
 //!
 //! # Example
 //!
@@ -45,6 +48,7 @@ pub mod designs;
 pub mod energy;
 pub mod evaluate;
 pub mod exec_batch;
+pub mod operating;
 pub mod par;
 pub mod report;
 pub mod runtime;

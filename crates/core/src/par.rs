@@ -65,7 +65,8 @@ where
 }
 
 /// The multi-worker body of [`par_map_with`], separated so the span hook
-/// times exactly the fan-out/join.
+/// times exactly the fan-out/join. Each item's trace ledgers are held and
+/// replayed in input order, so the ledger sum matches the inline path.
 fn par_map_pooled<T, R, F>(items: &[T], workers: usize, f: F) -> Vec<R>
 where
     T: Sync,
@@ -73,11 +74,11 @@ where
     F: Fn(&T) -> R + Sync,
 {
     let next = AtomicUsize::new(0);
-    let f = &f;
+    let f = &|item: &T| rana_trace::hold_ledgers(|| f(item));
     let next = &next;
-    let mut slots: Vec<Option<R>> = Vec::with_capacity(items.len());
+    let mut slots: Vec<Option<_>> = Vec::with_capacity(items.len());
     slots.resize_with(items.len(), || None);
-    let tagged: Vec<(usize, R)> = std::thread::scope(|scope| {
+    let tagged: Vec<_> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|_| {
                 scope.spawn(move || {
@@ -98,7 +99,11 @@ where
     for (i, r) in tagged {
         slots[i] = Some(r);
     }
-    slots.into_iter().map(|s| s.expect("every index produced exactly once")).collect()
+    let replay = |(r, ledgers): (R, Vec<rana_trace::EnergyLedger>)| {
+        rana_trace::replay_ledgers(&ledgers);
+        r
+    };
+    slots.into_iter().map(|s| replay(s.expect("every index produced exactly once"))).collect()
 }
 
 /// Shards in the schedule cache. A power of two; selected by the low

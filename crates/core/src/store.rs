@@ -63,20 +63,21 @@
 //! [`Scheduler::layer_key`]: crate::scheduler::Scheduler::layer_key
 //! [`Strategy::memo_key`]: rana_policy::Strategy::memo_key
 
-use crate::adaptive::crit_us;
 use crate::config_gen::json_string;
 use crate::designs::Design;
 use crate::energy::EnergyBreakdown;
 use crate::evaluate::Evaluator;
-use crate::par::ScheduleCache;
-use crate::scheduler::LayerSchedule;
-use rana_accel::fingerprint::{Fingerprint, Fnv1a};
-use rana_accel::{
-    LayerSim, Lifetimes, Pattern, RefreshModel, SchedLayer, Storage, Tiling, Traffic,
+use crate::operating::{
+    check_ladder_steps, check_refresh_weight, hedged, quantize, rung_us, NetworkPlan,
 };
-use rana_edram::{ClockDivider, EnergyCosts};
+use crate::par::ScheduleCache;
+use crate::scheduler::{LayerSchedule, Scheduler};
+use rana_accel::fingerprint::{Fingerprint, Fnv1a};
+use rana_accel::{LayerSim, Lifetimes, Pattern, SchedLayer, Storage, Tiling, Traffic};
+use rana_edram::EnergyCosts;
 use rana_policy::Strategy;
 use rana_zoo::Network;
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt;
 use std::path::Path;
@@ -696,84 +697,71 @@ pub struct PrecompileStats {
 /// Runs the Stage-2 searches for `networks` across `spec`'s grid and
 /// inserts every finished schedule into `store`.
 ///
-/// Mirrors the serving loops exactly: for each (design, bank count) it
-/// compiles the base schedule at the design's nominal refresh, then for
-/// each divider-quantized ladder rung compiles hedged reschedules for
-/// the layers whose critical lifetime exceeds the rung — the same
-/// keep-base-iff-refresh-free rule `rana-serve` and `rana-fleet` apply
-/// online, so warm-started runs hit on every key.
+/// For each (design, bank count, network) it builds the same network walk
+/// `rana-serve` and `rana-fleet` run online, then walks every ladder rung
+/// ([`rung_us`], divider-quantized) through it. Serving only ever operates
+/// at those rungs, so the keys of a warm-started run agree with the
+/// store's by construction.
+///
+/// # Panics
+///
+/// Panics if the ladder has no step per octave or the refresh weight is
+/// below 1.
 pub fn precompile(
     eval: &Evaluator,
     networks: &[Network],
     spec: &PrecompileSpec,
     store: &mut ScheduleStore,
 ) -> PrecompileStats {
-    assert!(spec.ladder_steps_per_octave >= 1, "ladder needs at least one step per octave");
+    check_ladder_steps(spec.ladder_steps_per_octave);
+    check_refresh_weight(spec.reschedule_refresh_weight);
     let cache = ScheduleCache::new();
-    // key → (layer_fp, ctx_fp, interval, strategy) provenance, recorded
+    // key → ((layer_fp, ctx_fp, interval), strategy) provenance, recorded
     // alongside every search so the harvest below can annotate entries.
-    let mut meta: HashMap<u64, (u64, u64, f64, (u8, u64))> = HashMap::new();
-    let rungs = (spec.ladder_octaves * spec.ladder_steps_per_octave) as usize + 1;
+    let mut meta = HashMap::new();
+    let rungs = spec.ladder_octaves * spec.ladder_steps_per_octave + 1;
 
     for &design in &spec.designs {
         let template = eval.scheduler_for(design);
-        let nominal_us = template.refresh.interval_us;
-        let frequency_hz = template.cfg.frequency_hz;
-        let kind = template.refresh.kind;
-        let strategy =
-            spec.strategies.first().copied().unwrap_or(Strategy::for_kind(kind)).memo_key();
+        let strategy = spec
+            .strategies
+            .first()
+            .copied()
+            .unwrap_or(Strategy::for_kind(template.refresh.kind))
+            .memo_key();
         let full = template.cfg.buffer.num_banks;
         let banks_list: Vec<usize> =
             if spec.bank_counts.is_empty() { vec![full] } else { spec.bank_counts.clone() };
 
         for &banks in &banks_list {
-            let mut base = template.clone();
-            base.cfg.buffer.num_banks = banks;
-            let base_ctx = base.fingerprint();
             for net in networks {
-                let layers: Vec<SchedLayer> =
-                    net.conv_layers().map(SchedLayer::from_conv).collect();
-                let base_sched = base.schedule_network_with(net, Some(&cache), 1);
-                for l in &layers {
-                    meta.entry(base.layer_key(l)).or_insert((
-                        l.fingerprint(),
-                        base_ctx,
-                        nominal_us,
-                        strategy,
-                    ));
+                let plan = NetworkPlan::new(&template, banks, net, &cache);
+                let mut record = |s: &Scheduler, l: &SchedLayer| {
+                    let provenance = (l.fingerprint(), s.fingerprint(), s.refresh.interval_us);
+                    meta.entry(s.layer_key(l)).or_insert((provenance, strategy));
+                };
+                for l in &plan.layers {
+                    record(&plan.nominal, l);
                 }
-                let steps = f64::from(spec.ladder_steps_per_octave);
                 for k in 0..rungs {
-                    // The exact rung expression of `ladder_rung_us`,
-                    // then the divider quantization the serving loops
-                    // apply — bit-identical interval keys.
-                    let rung_us = nominal_us * (-(k as f64) / steps).exp2();
-                    let interval_us = ClockDivider::for_interval(frequency_hz, rung_us)
-                        .pulse_period_us(frequency_hz);
-                    let mut hedged = base.clone();
-                    hedged.refresh = RefreshModel { interval_us, kind };
-                    hedged.model.costs.edram_refresh_pj *= spec.reschedule_refresh_weight;
-                    let hedged_ctx = hedged.fingerprint();
-                    for (idx, base_layer) in base_sched.layers.iter().enumerate() {
-                        if crit_us(base_layer) < interval_us {
-                            continue;
+                    let rung =
+                        rung_us(template.refresh.interval_us, spec.ladder_steps_per_octave, k);
+                    let interval_us = quantize(template.cfg.frequency_hz, rung).1;
+                    let hedged = hedged(&plan.nominal, interval_us, spec.reschedule_refresh_weight);
+                    for (l, chosen) in plan.layers.iter().zip(plan.choose(&hedged, &cache)) {
+                        if let Cow::Owned(_) = chosen {
+                            record(&hedged, l);
                         }
-                        let _ = hedged.schedule_layer_memo(&layers[idx], &cache);
-                        meta.entry(hedged.layer_key(&layers[idx])).or_insert((
-                            layers[idx].fingerprint(),
-                            hedged_ctx,
-                            interval_us,
-                            strategy,
-                        ));
                     }
                 }
             }
         }
     }
 
+    let rungs = rungs as usize;
     let mut stats = PrecompileStats { searches: cache.misses(), entries_added: 0, rungs };
     for (key, sched) in cache.entries() {
-        let &(layer_fp, ctx_fp, interval_us, strategy) =
+        let &((layer_fp, ctx_fp, interval_us), strategy) =
             meta.get(&key).expect("every cached search was recorded");
         let added = store.insert(StoreEntry {
             key,

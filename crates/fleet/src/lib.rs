@@ -10,7 +10,9 @@
 //!
 //! * every die carries its own lumped-RC thermal state, refresh-divider
 //!   setting and warm-schedule set; batch dispatch runs the full PR 3
-//!   sense → retention-derate → ladder-rung → retune loop per die;
+//!   sense → retention-derate → ladder-rung → retune loop per die, through
+//!   the operating-point engine [`rana_core::operating`] that the serving
+//!   loop and the adaptive runtime share;
 //! * per-tenant arrival processes draw from RNG streams split off the
 //!   fleet seed ([`rana_des::Streams`]), so adding a tenant or resizing
 //!   the cluster never perturbs another tenant's arrivals;
@@ -83,13 +85,12 @@
 #![warn(missing_docs)]
 
 pub mod die;
-pub mod profile;
 pub mod report;
 pub mod router;
 pub mod sim;
 
 pub use die::{Die, DieState, FleetRequest};
-pub use profile::{FleetProfile, ProfileCache};
+pub use rana_core::operating::{Profile, ProfileCache};
 pub use report::{FleetReport, FleetTenantReport, LatencySummary};
 pub use router::RouterPolicy;
 pub use sim::{FailureEvent, FailureKind, FleetConfig, FleetSim, ROUTER_STREAM};

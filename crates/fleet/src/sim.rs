@@ -17,17 +17,15 @@
 //! another tenant's arrival sequence.
 
 use crate::die::{Die, DieState, FleetRequest, InFlight};
-use crate::profile::ProfileCache;
 use crate::report::{FleetReport, FleetTenantReport, LatencySummary};
 use crate::router::RouterPolicy;
-use rana_core::adaptive::{ladder_rung_us, scale_for_delta};
 use rana_core::designs::Design;
 use rana_core::energy::EnergyBreakdown;
 use rana_core::evaluate::Evaluator;
+use rana_core::operating::{ProfileCache, ThermalPolicy};
 use rana_core::policy::Strategy;
 use rana_des::{EventQueue, Streams};
 use rana_edram::thermal::ThermalModel;
-use rana_edram::ClockDivider;
 use rana_metrics::HistF64;
 use rana_serve::traffic::{self, TrafficModel};
 use rana_serve::TenantSpec;
@@ -213,6 +211,9 @@ struct TenantStats {
 pub struct FleetSim<'a> {
     config: FleetConfig,
     thermal: ThermalModel,
+    policy: ThermalPolicy,
+    /// Simulator memo of inference profiles; unlike the modeled per-die
+    /// warm set ([`Die::warm`]), no die pays for it.
     profiles: ProfileCache<'a>,
     dies: Vec<Die>,
     disrupted: Vec<bool>,
@@ -223,10 +224,6 @@ pub struct FleetSim<'a> {
     plan: Vec<FailureEvent>,
     router_rng: StdRng,
     rr: usize,
-    frequency_hz: f64,
-    nominal_interval_us: f64,
-    nominal_rung_us: f64,
-    base_tolerable_us: f64,
     tenants: Vec<TenantStats>,
     latency: HistF64,
     queue_wait: HistF64,
@@ -243,10 +240,7 @@ pub struct FleetSim<'a> {
     rerouted_crash: u64,
     rerouted_drain: u64,
     lost_in_flight: u64,
-    batches: u64,
-    cold_schedules: u64,
     compile_stall_us: f64,
-    retunes: u64,
 }
 
 impl<'a> FleetSim<'a> {
@@ -268,12 +262,6 @@ impl<'a> FleetSim<'a> {
         assert!(config.queue_cap >= 1, "queue cap must be at least 1");
         assert!(config.sched_penalty_us >= 0.0, "cold penalty must be non-negative");
         assert!(config.compile_penalty_us >= 0.0, "compile penalty must be non-negative");
-        assert!(
-            config.retention_margin > 0.0 && config.retention_margin <= 1.0,
-            "retention margin must be in (0, 1]"
-        );
-        assert!(config.sensor_quantum_c > 0.0, "sensor quantum must be positive");
-        assert!(config.ladder_steps_per_octave >= 1, "ladder needs at least one step per octave");
         for f in &config.failures {
             assert!(
                 f.die < config.num_dies,
@@ -289,12 +277,14 @@ impl<'a> FleetSim<'a> {
 
         let template = eval.scheduler_for(config.design);
         let thermal = ThermalModel::embedded_65nm();
-        let frequency_hz = template.cfg.frequency_hz;
-        let nominal_interval_us = template.refresh.interval_us;
-        let nominal_divider = ClockDivider::for_interval(frequency_hz, nominal_interval_us);
-        let nominal_rung_us = nominal_divider.pulse_period_us(frequency_hz);
-        let base_tolerable_us =
-            eval.retention().tolerable_retention_us(config.design.failure_rate());
+        let policy = ThermalPolicy::new(
+            &template,
+            eval.retention().tolerable_retention_us(config.design.failure_rate()),
+            config.retention_margin,
+            config.sensor_quantum_c,
+            config.ladder_steps_per_octave,
+        );
+        let (nominal_divider, nominal_rung_us) = policy.nominal();
 
         let n = config.num_dies;
         let dies = (0..n).map(|_| Die::new(thermal.ambient_c, nominal_divider.ratio())).collect();
@@ -321,12 +311,14 @@ impl<'a> FleetSim<'a> {
                 .then((a.kind as u8).cmp(&(b.kind as u8)))
         });
         let router_rng = Streams::new(config.seed).rng(ROUTER_STREAM);
-        let profiles = ProfileCache::new(eval, template, config.reschedule_refresh_weight);
+        let profiles = ProfileCache::new(eval, template, config.reschedule_refresh_weight)
+            .scoped("fleet/tenant");
         let tenants = (0..nt).map(|_| TenantStats::default()).collect();
 
         Self {
             config,
             thermal,
+            policy,
             profiles,
             dies,
             disrupted: vec![false; n],
@@ -337,10 +329,6 @@ impl<'a> FleetSim<'a> {
             plan,
             router_rng,
             rr: 0,
-            frequency_hz,
-            nominal_interval_us,
-            nominal_rung_us,
-            base_tolerable_us,
             tenants,
             latency: HistF64::new(),
             queue_wait: HistF64::new(),
@@ -357,10 +345,7 @@ impl<'a> FleetSim<'a> {
             rerouted_crash: 0,
             rerouted_drain: 0,
             lost_in_flight: 0,
-            batches: 0,
-            cold_schedules: 0,
             compile_stall_us: 0.0,
-            retunes: 0,
         }
     }
 
@@ -523,20 +508,11 @@ impl<'a> FleetSim<'a> {
         self.dies[d].last_update_us = t;
 
         // Sense → tolerable retention → ladder rung → divider (PR 3).
-        let q = self.config.sensor_quantum_c;
-        let sensed_c = (self.dies[d].temp_c / q).ceil() * q;
-        let tolerable_us = self.base_tolerable_us * scale_for_delta(self.thermal.delta_c(sensed_c));
-        let rung_us = ladder_rung_us(
-            self.nominal_interval_us,
-            tolerable_us * self.config.retention_margin,
-            self.config.ladder_steps_per_octave,
-        );
-        let divider = ClockDivider::for_interval(self.frequency_hz, rung_us);
-        let interval_us = divider.pulse_period_us(self.frequency_hz);
+        let op = self.policy.operate(&self.thermal, self.dies[d].temp_c);
+        let (divider, interval_us) = (op.divider, op.interval_us);
         if divider.ratio() != self.dies[d].divider_ratio {
             self.dies[d].divider_ratio = divider.ratio();
             self.dies[d].retunes += 1;
-            self.retunes += 1;
         }
         self.min_interval_us = self.min_interval_us.min(interval_us);
 
@@ -548,40 +524,22 @@ impl<'a> FleetSim<'a> {
         if cold {
             self.dies[d].warm.insert(warm_key);
             self.dies[d].cold_schedules += 1;
-            self.cold_schedules += 1;
             if !self.warm_dies[tn].contains(&d) {
                 self.warm_dies[tn].push(d);
             }
         }
 
         let strategy = self.config.die_strategy(d, tn);
-        let (profile, fresh) = self.profiles.profile_with_stats(
-            tn,
-            &self.config.tenants[tn].network,
-            interval_us,
-            strategy,
-        );
+        let banks = self.profiles.full_banks();
+        let network = &self.config.tenants[tn].network;
+        let (profile, fresh) = self.profiles.dispatch(tn, network, banks, interval_us, strategy);
         // Fresh Stage-2 searches behind this profile stall the dispatch
         // (a warm-started schedule cache leaves `fresh == 0`).
-        let compile_stall_us = if self.config.compile_penalty_us > 0.0 {
-            fresh as f64 * self.config.compile_penalty_us
-        } else {
-            0.0
-        };
+        let compile_stall_us = fresh as f64 * self.config.compile_penalty_us;
         self.compile_stall_us += compile_stall_us;
-        let reload_j = self.profiles.reload_j(&profile);
         let b = batch.len() as f64;
-        // Weights stay resident across the batch: requests 2..B skip the
-        // weight DRAM loads.
-        let mut energy = EnergyBreakdown {
-            computing_j: profile.energy.computing_j * b,
-            buffer_j: profile.energy.buffer_j * b,
-            refresh_j: profile.energy.refresh_j * b,
-            offchip_j: (profile.energy.offchip_j * b - (b - 1.0) * reload_j).max(0.0),
-        };
-        if energy.offchip_j < 0.0 {
-            energy.offchip_j = 0.0;
-        }
+        // Weights stay resident across the batch.
+        let energy = profile.batch_energy(batch.len());
         let time_us = profile.time_us * b
             + if cold { self.config.sched_penalty_us } else { 0.0 }
             + compile_stall_us;
@@ -598,7 +556,6 @@ impl<'a> FleetSim<'a> {
             completion,
         });
         self.dies[d].batches += 1;
-        self.batches += 1;
     }
 
     /// Finishes die `d`'s in-flight batch: thermal/energy accounting,
@@ -784,10 +741,10 @@ impl<'a> FleetSim<'a> {
             deadline_drops: tenants.iter().map(|t| t.deadline_drops).sum(),
             unroutable_drops: tenants.iter().map(|t| t.unroutable_drops).sum(),
             late_served: tenants.iter().map(|t| t.late_served).sum(),
-            batches: self.batches,
-            cold_schedules: self.cold_schedules,
+            batches: self.dies.iter().map(|d| d.batches).sum(),
+            cold_schedules: self.dies.iter().map(|d| d.cold_schedules).sum(),
             compile_stall_us: self.compile_stall_us,
-            retunes: self.retunes,
+            retunes: self.dies.iter().map(|d| d.retunes).sum(),
             die_failures: self.die_failures,
             die_drains: self.die_drains,
             rerouted_crash: self.rerouted_crash,
@@ -804,7 +761,7 @@ impl<'a> FleetSim<'a> {
                 .map(|d| d.peak_temp_c)
                 .fold(self.thermal.ambient_c, f64::max),
             min_interval_us: self.min_interval_us,
-            nominal_interval_us: self.nominal_rung_us,
+            nominal_interval_us: self.policy.nominal().1,
             makespan_us: self.makespan_us,
             die_served_min,
             die_served_max,

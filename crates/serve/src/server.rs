@@ -9,34 +9,29 @@
 //! [`ScheduleCache`](rana_core::par::ScheduleCache) and is performed at
 //! most once.
 //!
-//! Per batch the loop mirrors the PR 3 adaptive runtime: sense the die
-//! (quantized up), derate the tolerable retention by `2^(−ΔT/10)` and the
-//! safety margin, snap onto the interval ladder, retune the tenant's clock
-//! divider when the rung changed, keep each base-schedule layer iff it
-//! stays refresh-free under the operating interval and otherwise
-//! reschedule it online through the memo cache (with the same hedged
-//! refresh pricing), then re-account refresh words and Eq. 14 energy at
-//! the operating interval and integrate the dissipated power into the
+//! Per batch the loop runs the operating-point engine
+//! ([`rana_core::operating`]), as the adaptive runtime does: sense
+//! the die, derate and snap onto the interval ladder, and retune the
+//! tenant's clock divider when the rung changed. Then it looks up the
+//! tenant's whole-network [`Profile`](rana_core::operating::Profile) at
+//! its bank share and rung, and integrates the dissipated power into the
 //! lumped-RC thermal plant. Sustained load therefore heats the die, the
 //! die tightens the rungs, and the tight rungs trigger exactly the
-//! fallback path PR 3 introduced.
+//! adaptive runtime's reschedule fallback.
 
 use crate::metrics::LatencyStats;
 use crate::partition::{equal_split, greedy_split, PartitionPolicy};
 use crate::traffic::{self, ArrivalStreams, TrafficModel};
-use rana_accel::{ControllerKind, RefreshModel, SchedLayer};
-use rana_core::adaptive::{crit_us, ladder_rung_us, scale_for_delta};
 use rana_core::config_gen::{json_f64, json_string};
 use rana_core::designs::Design;
 use rana_core::energy::EnergyBreakdown;
 use rana_core::evaluate::Evaluator;
-use rana_core::policy::{LayerCtx, RefreshStrategy, Strategy};
-use rana_core::scheduler::Scheduler;
+use rana_core::operating::{check_throttle, throttle, ProfileCache, ThermalPolicy};
+use rana_core::policy::Strategy;
 use rana_des::EventQueue;
 use rana_edram::thermal::ThermalModel;
-use rana_edram::ClockDivider;
 use rana_zoo::Network;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// One tenant of the serving mix.
 #[derive(Debug, Clone)]
@@ -193,20 +188,6 @@ enum ServeEvent {
     Wake,
 }
 
-/// The per-(tenant, partition size, operating interval) execution profile:
-/// one inference's time, energy, refresh traffic and controller state
-/// under the keep-base-iff-refresh-free decision rule. Cached — the
-/// serving loop runs thousands of requests over a handful of these.
-#[derive(Debug, Clone)]
-struct OpSchedule {
-    time_us: f64,
-    energy: EnergyBreakdown,
-    refresh_words: u64,
-    weight_reload_words: u64,
-    rescheduled_layers: u64,
-    flagged_banks: usize,
-}
-
 /// Mutable per-tenant serving state.
 #[derive(Debug, Default)]
 struct TenantRuntime {
@@ -233,23 +214,14 @@ struct TenantRuntime {
 /// with [`Server::run`].
 #[derive(Debug)]
 pub struct Server<'a> {
-    eval: &'a Evaluator,
     specs: Vec<TenantSpec>,
     config: ServeConfig,
     thermal: ThermalModel,
-    template: Scheduler,
-    kind: ControllerKind,
-    frequency_hz: f64,
-    total_banks: usize,
-    nominal_interval_us: f64,
-    nominal_rung_us: f64,
-    base_tolerable_us: f64,
+    policy: ThermalPolicy,
+    /// Per-(tenant, bank share, rung) inference profiles; the serving
+    /// loop runs thousands of requests over a handful of these.
+    profiles: ProfileCache<'a>,
     tenants: Vec<TenantRuntime>,
-    op_cache: HashMap<(usize, usize, u64), OpSchedule>,
-    /// Fresh Stage-2 searches each op profile cost when it was built,
-    /// consumed (and charged as a modeled stall) at its first dispatch.
-    op_fresh: HashMap<(usize, usize, u64), u64>,
-    energy_curve: HashMap<(usize, usize), f64>,
     now_us: f64,
     temp_c: f64,
     peak_temp_c: f64,
@@ -278,18 +250,17 @@ impl<'a> Server<'a> {
         assert!(specs.iter().all(|s| s.max_batch >= 1), "max_batch must be at least 1");
         assert!(specs.iter().all(|s| s.deadline_slack > 1.0), "deadline slack must exceed 1");
         assert!(config.queue_cap >= 1, "queue cap must be at least 1");
-        assert!(
-            config.retention_margin > 0.0 && config.retention_margin <= 1.0,
-            "retention margin must be in (0, 1]"
-        );
-        assert!(config.sensor_quantum_c > 0.0, "sensor quantum must be positive");
-        assert!(config.ladder_steps_per_octave >= 1, "ladder needs at least one step per octave");
-        assert!(config.reschedule_refresh_weight >= 1.0, "refresh weight must be at least 1");
 
         let template = eval.scheduler_for(config.design);
         let thermal = ThermalModel::embedded_65nm();
-        assert!(config.throttle_temp_c > thermal.ambient_c, "throttle cap must be above ambient");
-        let frequency_hz = template.cfg.frequency_hz;
+        check_throttle(config.throttle_temp_c, &thermal);
+        let policy = ThermalPolicy::new(
+            &template,
+            eval.retention().tolerable_retention_us(config.design.failure_rate()),
+            config.retention_margin,
+            config.sensor_quantum_c,
+            config.ladder_steps_per_octave,
+        );
         let total_banks = template.cfg.buffer.num_banks;
         assert!(
             total_banks >= specs.len() * config.min_banks,
@@ -298,12 +269,7 @@ impl<'a> Server<'a> {
             specs.len(),
             config.min_banks
         );
-        let nominal_interval_us = template.refresh.interval_us;
-        let nominal_rung_us = ClockDivider::for_interval(frequency_hz, nominal_interval_us)
-            .pulse_period_us(frequency_hz);
-        let base_tolerable_us =
-            eval.retention().tolerable_retention_us(config.design.failure_rate());
-        let nominal_ratio = ClockDivider::for_interval(frequency_hz, nominal_interval_us).ratio();
+        let (nominal_divider, nominal_rung_us) = policy.nominal();
 
         let shares = equal_split(total_banks, specs.len());
         let tenants = specs
@@ -311,28 +277,20 @@ impl<'a> Server<'a> {
             .zip(&shares)
             .map(|(s, &banks)| TenantRuntime {
                 banks,
-                divider_ratio: nominal_ratio,
+                divider_ratio: nominal_divider.ratio(),
                 isolated_us: eval.evaluate(&s.network, config.design).time_us,
                 ..TenantRuntime::default()
             })
             .collect();
 
+        let profiles = ProfileCache::new(eval, template, config.reschedule_refresh_weight);
         Self {
-            eval,
             specs,
             config,
             thermal,
-            kind: template.refresh.kind,
-            frequency_hz,
-            total_banks,
-            nominal_interval_us,
-            nominal_rung_us,
-            base_tolerable_us,
-            template,
+            policy,
+            profiles,
             tenants,
-            op_cache: HashMap::new(),
-            op_fresh: HashMap::new(),
-            energy_curve: HashMap::new(),
             now_us: 0.0,
             temp_c: thermal.ambient_c,
             peak_temp_c: thermal.ambient_c,
@@ -349,83 +307,8 @@ impl<'a> Server<'a> {
     /// Per-inference total energy of tenant `t` at `banks` banks under the
     /// nominal rung — the prediction the dynamic partitioner optimizes.
     fn energy_at(&mut self, t: usize, banks: usize) -> f64 {
-        if let Some(&e) = self.energy_curve.get(&(t, banks)) {
-            return e;
-        }
-        let e = self.op_schedule(t, banks, self.nominal_rung_us).energy.total_j();
-        self.energy_curve.insert((t, banks), e);
-        e
-    }
-
-    /// The execution profile of one tenant inference at a partition size
-    /// and operating interval (memoized; the heavy lifting inside flows
-    /// through the evaluator's shared schedule cache).
-    fn op_schedule(&mut self, t: usize, banks: usize, interval_us: f64) -> OpSchedule {
-        let key = (t, banks, interval_us.to_bits());
-        if let Some(op) = self.op_cache.get(&key) {
-            return op.clone();
-        }
-        let misses_before = self.eval.cache().misses();
-        let mut nominal = self.template.clone();
-        nominal.cfg.buffer.num_banks = banks;
-        let base =
-            nominal.schedule_network_with(&self.specs[t].network, Some(self.eval.cache()), 1);
-        let refresh_now = RefreshModel { interval_us, kind: self.kind };
-        // Online reschedules hedge against further heating by overpricing
-        // refresh, exactly like the PR 3 runtime; accounting below uses
-        // the unweighted model.
-        let mut hedged = nominal.clone();
-        hedged.refresh = refresh_now;
-        hedged.model.costs.edram_refresh_pj *= self.config.reschedule_refresh_weight;
-        let layers: Vec<SchedLayer> =
-            self.specs[t].network.conv_layers().map(SchedLayer::from_conv).collect();
-
-        let mut op = OpSchedule {
-            time_us: 0.0,
-            energy: EnergyBreakdown::default(),
-            refresh_words: 0,
-            weight_reload_words: 0,
-            rescheduled_layers: 0,
-            flagged_banks: 0,
-        };
-        let strategy = self.specs[t].strategy.unwrap_or(Strategy::for_kind(self.kind));
-        let default_strategy = strategy == Strategy::for_kind(self.kind);
-        for (idx, base_layer) in base.layers.iter().enumerate() {
-            // Decision rule (PR 3): keep the base schedule iff it stays
-            // refresh-free under the operating interval.
-            let chosen = if crit_us(base_layer) < interval_us {
-                base_layer.clone()
-            } else {
-                op.rescheduled_layers += 1;
-                hedged.schedule_layer_memo(&layers[idx], self.eval.cache())
-            };
-            let ctx = LayerCtx {
-                sim: &chosen.sim,
-                cfg: &nominal.cfg,
-                interval_us,
-                retention: self.eval.retention(),
-            };
-            let decision = if default_strategy {
-                strategy.decide(&ctx)
-            } else {
-                // Non-default strategies are new decision points: trace them.
-                let scope = format!("tenant{t}/{}", chosen.sim.layer);
-                rana_core::policy::decide_traced(&strategy, &ctx, &scope)
-            };
-            let words = decision.refresh_words;
-            let energy = self.template.model.layer_energy(&chosen.sim, words, &nominal.cfg);
-            op.flagged_banks = op.flagged_banks.max(decision.flagged_banks());
-            op.time_us += chosen.sim.time_us;
-            op.energy += energy;
-            op.refresh_words += words;
-            op.weight_reload_words += chosen.sim.traffic.dram_weight_loads;
-        }
-        let fresh = self.eval.cache().misses() - misses_before;
-        if fresh > 0 {
-            self.op_fresh.insert(key, fresh);
-        }
-        self.op_cache.insert(key, op.clone());
-        op
+        let (spec, rung) = (&self.specs[t], self.policy.nominal().1);
+        self.profiles.profile_at(t, &spec.network, banks, rung, spec.strategy).energy.total_j()
     }
 
     /// Recomputes the dynamic partition from the arrival rates observed
@@ -440,7 +323,7 @@ impl<'a> Server<'a> {
             t.epoch_arrivals = 0;
         }
         let (total, min_banks, quantum) =
-            (self.total_banks, self.config.min_banks, self.config.bank_quantum);
+            (self.profiles.full_banks(), self.config.min_banks, self.config.bank_quantum);
         let shares = greedy_split(total, n, min_banks, quantum, |t, b| {
             rates[t] * (self.energy_at(t, b) - self.energy_at(t, b + quantum))
         });
@@ -521,26 +404,14 @@ impl<'a> Server<'a> {
     /// profile lookup, energy/thermal accounting, completions.
     fn execute_batch(&mut self, tenant: usize, batch: Vec<Request>) {
         // Thermal throttle (closed-form RC cooldown to the cap).
-        if self.temp_c > self.config.throttle_temp_c {
-            let amb = self.thermal.ambient_c;
-            let dt = self.thermal.tau_us
-                * ((self.temp_c - amb) / (self.config.throttle_temp_c - amb)).ln();
+        if let Some(dt) = throttle(&self.thermal, self.temp_c, self.config.throttle_temp_c) {
             self.temp_c = self.config.throttle_temp_c;
             self.now_us += dt;
             self.throttle_us += dt;
         }
 
-        // Sense → tolerable retention → ladder rung → divider.
-        let q = self.config.sensor_quantum_c;
-        let sensed_c = (self.temp_c / q).ceil() * q;
-        let tolerable_us = self.base_tolerable_us * scale_for_delta(self.thermal.delta_c(sensed_c));
-        let rung_us = ladder_rung_us(
-            self.nominal_interval_us,
-            tolerable_us * self.config.retention_margin,
-            self.config.ladder_steps_per_octave,
-        );
-        let divider = ClockDivider::for_interval(self.frequency_hz, rung_us);
-        let interval_us = divider.pulse_period_us(self.frequency_hz);
+        let op = self.policy.operate(&self.thermal, self.temp_c);
+        let (divider, interval_us) = (op.divider, op.interval_us);
         let retuned = divider.ratio() != self.tenants[tenant].divider_ratio;
         if retuned {
             self.tenants[tenant].divider_ratio = divider.ratio();
@@ -548,20 +419,19 @@ impl<'a> Server<'a> {
         }
         self.min_interval_us = self.min_interval_us.min(interval_us);
 
+        let spec = &self.specs[tenant];
         let banks = self.tenants[tenant].banks;
-        let op = self.op_schedule(tenant, banks, interval_us);
-        // First dispatch of a freshly-compiled op pays the modeled
+        let (profile, fresh) =
+            self.profiles.dispatch(tenant, &spec.network, banks, interval_us, spec.strategy);
+        // First dispatch of a freshly-compiled profile pays the modeled
         // compile stall: the die sits unpowered while Stage-2 searches
         // run. Warm-started caches leave nothing to charge.
-        if self.config.compile_penalty_us > 0.0 {
-            if let Some(fresh) = self.op_fresh.remove(&(tenant, banks, interval_us.to_bits())) {
-                let stall = fresh as f64 * self.config.compile_penalty_us;
-                self.temp_c = self.thermal.step(self.temp_c, 0.0, stall);
-                self.now_us += stall;
-                self.compile_stall_us += stall;
-            }
+        if fresh > 0 && self.config.compile_penalty_us > 0.0 {
+            let stall = fresh as f64 * self.config.compile_penalty_us;
+            self.temp_c = self.thermal.step(self.temp_c, 0.0, stall);
+            self.now_us += stall;
+            self.compile_stall_us += stall;
         }
-        let b = batch.len() as f64;
 
         if rana_trace::enabled() {
             let name = self.specs[tenant].network.name().to_string();
@@ -577,16 +447,16 @@ impl<'a> Server<'a> {
             });
             rana_trace::emit(|| rana_trace::Event::ThermalSample {
                 at: format!("serve/{name}"),
-                temp_c: sensed_c,
-                scaled_retention_us: tolerable_us,
+                temp_c: op.sensed_c,
+                scaled_retention_us: op.tolerable_us,
             });
             if retuned {
                 rana_trace::emit(|| rana_trace::Event::RefreshDecision {
                     scope: format!("serve/{name}"),
-                    banks: op.flagged_banks,
+                    banks: profile.flagged_banks,
                     divider: divider.ratio(),
                     rung_us: interval_us,
-                    refresh_words: op.refresh_words,
+                    refresh_words: profile.refresh_words,
                     reason: "retune".to_string(),
                 });
             }
@@ -598,34 +468,23 @@ impl<'a> Server<'a> {
         // the throttle cooldown and retune are done.
         let dispatch_us = self.now_us;
 
-        // Weights stay resident across the batch: requests 2..B skip the
-        // weight DRAM loads.
-        let reload_j =
-            op.weight_reload_words as f64 * self.template.model.costs.ddr_access_pj * 1e-12;
-        let mut energy = EnergyBreakdown {
-            computing_j: op.energy.computing_j * b,
-            buffer_j: op.energy.buffer_j * b,
-            refresh_j: op.energy.refresh_j * b,
-            offchip_j: op.energy.offchip_j * b - (b - 1.0) * reload_j,
-        };
-        if energy.offchip_j < 0.0 {
-            energy.offchip_j = 0.0;
-        }
-        let time_us = op.time_us * b;
+        // Weights stay resident across the batch.
+        let energy = profile.batch_energy(batch.len());
+        let time_us = profile.time_us * batch.len() as f64;
         let power_w = energy.accelerator_j() / (time_us * 1e-6);
         self.temp_c = self.thermal.step(self.temp_c, power_w, time_us);
         self.peak_temp_c = self.peak_temp_c.max(self.temp_c);
         self.now_us += time_us;
 
-        let words = op.refresh_words * batch.len() as u64;
+        let words = profile.refresh_words * batch.len() as u64;
         self.energy += energy;
         self.refresh_words += words;
         let spec = &self.specs[tenant];
         let rt = &mut self.tenants[tenant];
         rt.served += batch.len() as u64;
         rt.batches += 1;
-        rt.rescheduled_layer_execs += op.rescheduled_layers * batch.len() as u64;
-        rt.flagged_banks_peak = rt.flagged_banks_peak.max(op.flagged_banks);
+        rt.rescheduled_layer_execs += profile.rescheduled_layers * batch.len() as u64;
+        rt.flagged_banks_peak = rt.flagged_banks_peak.max(profile.flagged_banks);
         rt.energy += energy;
         let slo = rana_metrics::enabled()
             .then(|| rana_metrics::SloSpec::from_deadline(spec.deadline_slack * rt.isolated_us));
@@ -809,7 +668,7 @@ impl<'a> Server<'a> {
             refresh_words: self.refresh_words,
             peak_temp_c: self.peak_temp_c,
             min_interval_us: self.min_interval_us,
-            nominal_interval_us: self.nominal_rung_us,
+            nominal_interval_us: self.policy.nominal().1,
             tenants,
         }
     }

@@ -25,6 +25,9 @@
 //! report, and [`TelemetryReport::to_json`] can omit them for
 //! deterministic artifacts.
 //!
+//! The ledger is a float sum, so worker pools fold it in input order via
+//! [`hold_ledgers`] and [`replay_ledgers`], bit-exact at any thread count.
+//!
 //! ```
 //! use rana_trace::{Event, EnergyLedger, Session, TraceConfig};
 //!
@@ -51,9 +54,15 @@ pub use event::{json_f64, json_string, EnergyLedger, Event};
 pub use report::{Registry, SpanStats, TelemetryReport};
 pub use sink::{JsonlSink, NullSink, RingSink, SharedRing, SharedRingSink, Sink, TraceConfig};
 
+use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
+
+thread_local! {
+    /// Ledgers held by [`hold_ledgers`] on this thread (`None` outside it).
+    static HELD: RefCell<Option<Vec<EnergyLedger>>> = const { RefCell::new(None) };
+}
 
 /// Fast global "is any session active" flag; emission sites check this
 /// before doing anything else.
@@ -107,8 +116,7 @@ pub fn emit(build: impl FnOnce() -> Event) {
         let event = build();
         inner.registry.count_event(event.kind());
         if let Some(ledger) = event.ledger() {
-            let ledger = *ledger;
-            inner.registry.add_ledger(&ledger);
+            fold_ledger(&mut inner.registry, ledger);
         }
         let seq = inner.seq;
         inner.seq += 1;
@@ -135,7 +143,27 @@ pub fn ledger(l: &EnergyLedger) {
     if !enabled() {
         return;
     }
-    with_state(|inner| inner.registry.add_ledger(l));
+    with_state(|inner| fold_ledger(&mut inner.registry, l));
+}
+
+/// Folds `l` into the registry, or into this thread's [`hold_ledgers`] list.
+fn fold_ledger(registry: &mut Registry, l: &EnergyLedger) {
+    if HELD.with(|h| h.borrow_mut().as_mut().map(|held| held.push(*l))).is_none() {
+        registry.add_ledger(l);
+    }
+}
+
+/// Runs `f`, holding back the ledgers it folds on this thread; returns
+/// them in fold order for [`replay_ledgers`]. Holds nest.
+pub fn hold_ledgers<R>(f: impl FnOnce() -> R) -> (R, Vec<EnergyLedger>) {
+    let outer = HELD.with(|h| h.borrow_mut().replace(Vec::new()));
+    let out = f();
+    (out, HELD.with(|h| std::mem::replace(&mut *h.borrow_mut(), outer)).unwrap_or_default())
+}
+
+/// Folds ledgers returned by [`hold_ledgers`], in order, here.
+pub fn replay_ledgers(ledgers: &[EnergyLedger]) {
+    ledgers.iter().for_each(ledger);
 }
 
 /// Times the enclosed closure and records it as a span named `name` when
@@ -270,6 +298,24 @@ mod tests {
         let report = session.finish();
         assert_eq!(report.ledger_layers, 1);
         assert_eq!(report.ledger.computing_j, 1.0);
+    }
+
+    #[test]
+    fn held_ledgers_replay_in_caller_order() {
+        let session = Session::start(TraceConfig::CountersOnly);
+        let l = |x| EnergyLedger { computing_j: x, ..Default::default() };
+        let ((), outer) = hold_ledgers(|| {
+            ledger(&l(1.0));
+            let ((), inner) = hold_ledgers(|| ledger(&l(2.0)));
+            assert_eq!(inner, vec![l(2.0)]);
+            replay_ledgers(&inner);
+        });
+        assert_eq!(outer, vec![l(1.0), l(2.0)]);
+        assert_eq!(session.snapshot().ledger_layers, 0);
+        replay_ledgers(&outer);
+        let report = session.finish();
+        assert_eq!(report.ledger_layers, 2);
+        assert_eq!(report.ledger.computing_j, 3.0);
     }
 
     #[test]

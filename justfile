@@ -92,6 +92,11 @@ test-simd:
     cargo test -q -p rana-accel --features simd
     cargo test -q --features simd --test exec_kernel_equivalence
 
+# Benchmark smoke run: every workload at toy size with every check (~2 s).
+# The benchmark is its own package, so workspace builds never compile it.
+bench-smoke:
+    cargo run --release --offline --manifest-path examples/benchmark/Cargo.toml -- --smoke
+
 # Bench-regression gate: results/BENCH_*.json vs committed baselines/.
 bench-gate:
     ./scripts/bench_gate.sh

@@ -57,4 +57,7 @@ echo "== policy smoke test =="
 echo "== bench-regression gate =="
 ./scripts/bench_gate.sh
 
+echo "== benchmark smoke run (separate package, outside the workspace) =="
+cargo run --release --offline --manifest-path examples/benchmark/Cargo.toml -- --smoke
+
 echo "All checks passed."

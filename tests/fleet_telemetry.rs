@@ -7,6 +7,10 @@
 //! counts, and the metrics registry — the trace layer is only an
 //! observer, so any disagreement means double-counting or a dropped
 //! emission site.
+//!
+//! Trace and metrics sessions are process-global, so every test here —
+//! including the untraced run, which must not leak events into another
+//! test's session — holds [`SESSION_LOCK`] for its whole body.
 
 use rana_repro::core::evaluate::Evaluator;
 use rana_repro::core::metrics::{MetricKey, MetricsSession, TraceBridge};
@@ -14,6 +18,15 @@ use rana_repro::core::trace::Session;
 use rana_repro::fleet::{FailureEvent, FailureKind, FleetConfig, FleetSim, RouterPolicy};
 use rana_repro::serve::{TenantSpec, TrafficModel};
 use rana_repro::zoo;
+use std::sync::{Mutex, MutexGuard};
+
+/// Serializes every test here that touches the global sessions.
+static SESSION_LOCK: Mutex<()> = Mutex::new(());
+
+/// Takes [`SESSION_LOCK`], surviving a panicked holder.
+fn session_lock() -> MutexGuard<'static, ()> {
+    SESSION_LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 /// An overloaded 4-die cluster with one drain and one crash mid-run, so
 /// queues are non-empty when the disruptions land and rerouting actually
@@ -39,6 +52,7 @@ fn disruption_config() -> FleetConfig {
 
 #[test]
 fn fleet_events_reconcile_with_metrics_and_report() {
+    let _lock = session_lock();
     let eval = Evaluator::paper_platform();
 
     let metrics = MetricsSession::start();
@@ -81,6 +95,7 @@ fn fleet_events_reconcile_with_metrics_and_report() {
 /// nothing and costs no event construction.
 #[test]
 fn untraced_fleet_run_is_silent_and_identical() {
+    let _lock = session_lock();
     let eval = Evaluator::paper_platform();
     let silent = FleetSim::new(&eval, disruption_config()).run();
 

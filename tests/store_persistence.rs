@@ -1,8 +1,9 @@
 //! Persistence guarantees of the content-addressed schedule store:
 //! randomized serialize → deserialize round trips are bit-identical, a
 //! bumped energy-model version hash rejects stale stores, corruption is
-//! detected by the trailing checksum, and a serve run warm-started from
-//! a persistent store produces byte-identical reports to a cold run.
+//! detected by the trailing checksum, and serve and fleet runs
+//! warm-started from a persistent store produce byte-identical reports to
+//! cold runs.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -14,6 +15,7 @@ use rana_repro::core::scheduler::LayerSchedule;
 use rana_repro::core::store::{
     model_version_hash, precompile, PrecompileSpec, ScheduleStore, StoreEntry, StoreError,
 };
+use rana_repro::fleet::{FleetConfig, FleetSim, RouterPolicy};
 use rana_repro::serve::{ServeConfig, Server, TenantSpec, TrafficModel};
 use rana_repro::zoo;
 
@@ -243,4 +245,43 @@ fn warm_started_serve_report_is_byte_identical_to_cold() {
     let a = fresh.evaluate(&net, Design::RanaStarE5);
     let b = warm_eval.evaluate(&net, Design::RanaStarE5);
     assert_eq!(a.schedule, b.schedule, "preloaded schedules must equal fresh searches");
+}
+
+/// The fleet looks its profiles up at the same ladder rungs `precompile`
+/// enumerates, so a store built with the default spec covers every search
+/// of a small run, and the warm report matches the cold one byte for byte.
+#[test]
+fn warm_started_fleet_report_is_byte_identical_to_cold() {
+    let cfg = || {
+        let tenants =
+            vec![TenantSpec::new(zoo::alexnet(), 0.6), TenantSpec::new(zoo::googlenet(), 0.4)];
+        let mut c = FleetConfig::paper(
+            tenants,
+            TrafficModel::Poisson { rate_rps: 240.0 },
+            8,
+            RouterPolicy::PowerOfTwoChoices,
+            5,
+        );
+        c.horizon_us = 300_000.0;
+        c
+    };
+
+    let cold_eval = Evaluator::paper_platform();
+    let cold = FleetSim::new(&cold_eval, cfg()).run();
+    assert!(cold.retunes > 0, "the run must leave the nominal rung");
+
+    let mut store = ScheduleStore::new();
+    precompile(
+        &Evaluator::paper_platform(),
+        &[zoo::alexnet(), zoo::googlenet()],
+        &PrecompileSpec::default(),
+        &mut store,
+    );
+    let warm_eval = Evaluator::paper_platform();
+    store.warm_start(warm_eval.cache());
+    let warm = FleetSim::new(&warm_eval, cfg()).run();
+
+    assert_eq!(warm_eval.cache().misses(), 0, "the store must cover every search of the run");
+    assert!(warm_eval.cache().warm_hits() > 0);
+    assert_eq!(warm.to_json(), cold.to_json(), "warm-started fleet must be byte-identical to cold");
 }

@@ -3,10 +3,10 @@
 //! energy-ledger reconciliation against `Evaluator` totals on all five
 //! networks.
 //!
-//! Every test here starts a tracing [`Session`]; sessions are globally
-//! exclusive (they hold the tracer's session lock), so these tests
-//! serialize against each other automatically even when `cargo test` runs
-//! them on parallel threads.
+//! Tracing sessions are process-global: a test that opens one, or asserts
+//! that none is open, would see events from every other test running on a
+//! parallel thread. Each such test therefore holds [`SESSION_LOCK`] for
+//! its whole body.
 
 use rana_core::designs::Design;
 use rana_core::evaluate::Evaluator;
@@ -14,10 +14,20 @@ use rana_core::trace::{
     EnergyLedger, Event, RingSink, Session, SharedRing, Sink, TelemetryReport, TraceConfig,
 };
 use rana_zoo::Network;
+use std::sync::{Mutex, MutexGuard};
+
+/// Serializes every test here that touches the global trace session.
+static SESSION_LOCK: Mutex<()> = Mutex::new(());
+
+/// Takes [`SESSION_LOCK`], surviving a panicked holder.
+fn session_lock() -> MutexGuard<'static, ()> {
+    SESSION_LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 /// With no session active, emission sites must not even construct events.
 #[test]
 fn disabled_tracer_constructs_nothing() {
+    let _lock = session_lock();
     assert!(!rana_core::trace::enabled());
     rana_core::trace::emit(|| panic!("event built while tracing is disabled"));
 }
@@ -37,6 +47,7 @@ fn ring_buffer_overflow_keeps_newest_and_counts_drops() {
 /// event in its report; only the retained window shrinks.
 #[test]
 fn session_report_counts_past_ring_overflow() {
+    let _lock = session_lock();
     let shared = SharedRing::new(2);
     let session = Session::start(TraceConfig::Custom(Box::new(shared.sink())));
     for i in 0..10u64 {
@@ -57,8 +68,7 @@ fn session_report_counts_past_ring_overflow() {
 fn traced_sweep_events() -> Vec<(u64, Event)> {
     let shared = SharedRing::new(1 << 16);
     let session = Session::start(TraceConfig::Custom(Box::new(shared.sink())));
-    // Pin the pool *after* taking the session (the session lock serializes
-    // this block against every other tracing test), restore after.
+    // Pin the pool inside the caller's session lock, restore after.
     let prev = std::env::var("RANA_THREADS").ok();
     std::env::set_var("RANA_THREADS", "1");
     let eval = Evaluator::paper_platform();
@@ -79,6 +89,7 @@ fn traced_sweep_events() -> Vec<(u64, Event)> {
 /// identical sweeps produce identical sequences, event for event.
 #[test]
 fn evaluate_many_event_order_is_deterministic_single_threaded() {
+    let _lock = session_lock();
     let first = traced_sweep_events();
     let second = traced_sweep_events();
     assert!(!first.is_empty(), "a traced sweep must emit events");
@@ -93,9 +104,12 @@ fn evaluate_many_event_order_is_deterministic_single_threaded() {
 }
 
 /// Schedule-search counters are order-free, so they must agree between a
-/// single-threaded and a multi-threaded run of the same sweep.
+/// single-threaded and a multi-threaded run of the same sweep. The energy
+/// ledger is a float sum; the worker pool replays it in input order, so
+/// it must agree bit for bit too.
 #[test]
 fn counters_are_thread_count_invariant() {
+    let _lock = session_lock();
     let run = |threads: &str| -> TelemetryReport {
         let session = Session::start(TraceConfig::CountersOnly);
         let prev = std::env::var("RANA_THREADS").ok();
@@ -113,8 +127,34 @@ fn counters_are_thread_count_invariant() {
     let serial = run("1");
     let parallel = run("4");
     assert_eq!(serial.counters, parallel.counters);
+    assert_eq!(serial.ledger_layers, parallel.ledger_layers);
     assert_eq!(serial.ledger, parallel.ledger);
     assert_eq!(serial.event_counts, parallel.event_counts);
+}
+
+/// Worker completion order must not reach the ledger. Early items sleep
+/// longest, so the pool finishes them last, and their values do not
+/// associate in float arithmetic; the pooled sum still equals the inline
+/// one bit for bit.
+#[test]
+fn pooled_ledger_sum_matches_inline_order() {
+    let _lock = session_lock();
+    let values = [1e16, 1.0, -1e16, 1.0];
+    let items: Vec<usize> = (0..values.len()).collect();
+    let run = |threads: usize| -> EnergyLedger {
+        let session = Session::start(TraceConfig::CountersOnly);
+        rana_core::par::par_map_with(&items, threads, |&i| {
+            std::thread::sleep(std::time::Duration::from_millis(20 * (values.len() - i) as u64));
+            rana_core::trace::ledger(&EnergyLedger {
+                computing_j: values[i],
+                ..Default::default()
+            });
+        });
+        session.finish().ledger
+    };
+    let inline = run(1);
+    assert_eq!(inline.computing_j, 1.0);
+    assert_eq!(run(values.len()), inline);
 }
 
 /// The cross-check at the heart of the telemetry layer: the sum of the
@@ -122,6 +162,7 @@ fn counters_are_thread_count_invariant() {
 /// Eq. 14 totals to ≤ 1e-9 relative error, on every network in the zoo.
 #[test]
 fn energy_ledger_reconciles_with_evaluator_on_all_networks() {
+    let _lock = session_lock();
     let nets = [
         rana_zoo::alexnet(),
         rana_zoo::vgg16(),
@@ -158,6 +199,7 @@ fn energy_ledger_reconciles_with_evaluator_on_all_networks() {
 fn adaptive_runtime_emits_thermal_and_refresh_events() {
     use rana_core::adaptive::{AdaptiveConfig, AdaptiveRuntime, FallbackPolicy};
     use rana_edram::thermal::ThermalModel;
+    let _lock = session_lock();
     let session = Session::start(TraceConfig::Ring { capacity: 4096 });
     let eval = Evaluator::paper_platform();
     let net = rana_zoo::alexnet();
