@@ -11,8 +11,11 @@
 //!   deterministic: events are keyed by `(time, class, seq)` where `seq`
 //!   is the schedule order — never by hash-map iteration order — so a
 //!   fixed workload replays byte-identically.
-//! * [`EventId`] / [`EventQueue::cancel`] — O(log n) lazy cancellation of
+//! * [`EventId`] / [`EventQueue::cancel`] — lazy cancellation of
 //!   scheduled events (a failed die cancels its in-flight completion).
+//!   `cancel` scans the heap, O(n), so `schedule` and `pop` carry no
+//!   per-event bookkeeping; simulators keep one pending event per actor
+//!   (arrival streams are pulled lazily), which keeps n small.
 //! * [`Streams`] — seeded per-actor RNG streams: each actor draws from its
 //!   own generator derived from `(master seed, stream id)` by a documented
 //!   SplitMix64 rule, so adding an actor never perturbs the draw sequence

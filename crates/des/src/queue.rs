@@ -9,26 +9,56 @@ use std::collections::{BinaryHeap, HashSet};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct EventId(u64);
 
+/// Bits of the packed key below the class byte: schedule sequence numbers
+/// must stay under `2^SEQ_BITS`.
+const SEQ_BITS: u32 = 56;
+
+/// Maps a time's bits onto `u64` so that unsigned order is
+/// [`f64::total_cmp`] order: negatives flip every bit, everything else
+/// flips only the sign bit.
+fn fold_time(time: f64) -> u64 {
+    let bits = time.to_bits();
+    if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
+    }
+}
+
+/// Inverse of [`fold_time`].
+fn unfold_time(folded: u64) -> f64 {
+    f64::from_bits(if folded >> 63 == 1 { folded & !(1 << 63) } else { !folded })
+}
+
 /// One heap entry. Ordering is the whole determinism contract: earliest
 /// `time` first, then lowest `class`, then lowest `seq` (schedule order).
+/// All three are packed into one `u128` — folded time in the high 64
+/// bits, class in bits 56–63, seq below — so each sift step of the heap
+/// is a single integer compare.
 struct Entry<E> {
-    time: f64,
-    class: u8,
-    seq: u64,
+    key: u128,
     payload: E,
 }
 
 impl<E> Entry<E> {
-    /// The sort key. `time` is finite by the [`EventQueue::schedule`]
-    /// contract, so `total_cmp` agrees with the usual `<` on it.
-    fn key(&self) -> (f64, u8, u64) {
-        (self.time, self.class, self.seq)
+    fn new(time: f64, class: u8, seq: u64, payload: E) -> Self {
+        let key =
+            u128::from(fold_time(time)) << 64 | u128::from(class) << SEQ_BITS | u128::from(seq);
+        Self { key, payload }
+    }
+
+    fn time(&self) -> f64 {
+        unfold_time((self.key >> 64) as u64)
+    }
+
+    fn seq(&self) -> u64 {
+        self.key as u64 & ((1 << SEQ_BITS) - 1)
     }
 }
 
 impl<E> PartialEq for Entry<E> {
     fn eq(&self, other: &Self) -> bool {
-        self.seq == other.seq
+        self.key == other.key
     }
 }
 impl<E> Eq for Entry<E> {}
@@ -37,9 +67,7 @@ impl<E> Ord for Entry<E> {
     fn cmp(&self, other: &Self) -> Ordering {
         // Reversed: BinaryHeap is a max-heap, we want the earliest event
         // on top.
-        let (ta, ca, sa) = self.key();
-        let (tb, cb, sb) = other.key();
-        tb.total_cmp(&ta).then_with(|| cb.cmp(&ca)).then_with(|| sb.cmp(&sa))
+        other.key.cmp(&self.key)
     }
 }
 impl<E> PartialOrd for Entry<E> {
@@ -58,13 +86,18 @@ impl<E> PartialOrd for Entry<E> {
 ///
 /// The clock ([`EventQueue::now`]) advances only when an event is popped
 /// and never moves backwards; scheduling into the past panics.
+///
+/// `schedule` and `pop` cost O(log n) in the heap size n and touch no
+/// hash set unless an event was cancelled; [`EventQueue::cancel`] costs
+/// O(n). Simulators that keep one pending event per actor (one arrival
+/// per stream, one completion per die) keep n small.
 #[derive(Default)]
 pub struct EventQueue<E> {
     heap: BinaryHeap<Entry<E>>,
-    /// Ids scheduled and not yet delivered or cancelled.
-    pending: HashSet<u64>,
     /// Ids cancelled but still buried in the heap (lazy deletion).
     cancelled: HashSet<u64>,
+    /// Scheduled events not yet delivered or cancelled.
+    live: usize,
     next_seq: u64,
     now: f64,
 }
@@ -72,13 +105,7 @@ pub struct EventQueue<E> {
 impl<E> EventQueue<E> {
     /// An empty queue with the clock at `0.0`.
     pub fn new() -> Self {
-        Self {
-            heap: BinaryHeap::new(),
-            pending: HashSet::new(),
-            cancelled: HashSet::new(),
-            next_seq: 0,
-            now: 0.0,
-        }
+        Self { heap: BinaryHeap::new(), cancelled: HashSet::new(), live: 0, next_seq: 0, now: 0.0 }
     }
 
     /// Current simulated time: the timestamp of the most recently popped
@@ -89,12 +116,12 @@ impl<E> EventQueue<E> {
 
     /// Live (scheduled, not yet delivered or cancelled) events.
     pub fn len(&self) -> usize {
-        self.pending.len()
+        self.live
     }
 
     /// Whether no live events remain.
     pub fn is_empty(&self) -> bool {
-        self.pending.is_empty()
+        self.live == 0
     }
 
     /// Schedules `payload` at absolute time `time` in priority class
@@ -103,14 +130,16 @@ impl<E> EventQueue<E> {
     ///
     /// # Panics
     ///
-    /// Panics if `time` is not finite or lies before [`EventQueue::now`].
+    /// Panics if `time` is not finite or lies before [`EventQueue::now`],
+    /// or after `2^56` schedules on one queue.
     pub fn schedule(&mut self, time: f64, class: u8, payload: E) -> EventId {
         assert!(time.is_finite(), "event time must be finite, got {time}");
         assert!(time >= self.now, "cannot schedule into the past ({time} < {})", self.now);
         let seq = self.next_seq;
+        assert!(seq < 1 << SEQ_BITS, "event sequence space exhausted");
         self.next_seq += 1;
-        self.pending.insert(seq);
-        self.heap.push(Entry { time, class, seq, payload });
+        self.live += 1;
+        self.heap.push(Entry::new(time, class, seq, payload));
         EventId(seq)
     }
 
@@ -127,13 +156,23 @@ impl<E> EventQueue<E> {
     /// Cancels a scheduled event. Returns `true` if the event was still
     /// pending (it will never be delivered), `false` if it was already
     /// delivered or cancelled.
+    ///
+    /// O(n) in the heap size: the heap is scanned to confirm the event is
+    /// still queued, which keeps `schedule` and `pop` free of per-event
+    /// bookkeeping.
     pub fn cancel(&mut self, id: EventId) -> bool {
-        if self.pending.remove(&id.0) {
+        let queued = !self.cancelled.contains(&id.0) && self.heap.iter().any(|e| e.seq() == id.0);
+        if queued {
             self.cancelled.insert(id.0);
-            true
-        } else {
-            false
+            self.live -= 1;
         }
+        queued
+    }
+
+    /// Whether event `seq` was cancelled; forgets the id, since its entry
+    /// is leaving the heap.
+    fn take_cancelled(&mut self, seq: u64) -> bool {
+        !self.cancelled.is_empty() && self.cancelled.remove(&seq)
     }
 
     /// Delivers the next event, advancing the clock to its timestamp.
@@ -141,27 +180,28 @@ impl<E> EventQueue<E> {
     pub fn pop(&mut self) -> Option<(f64, E)> {
         loop {
             let entry = self.heap.pop()?;
-            if self.cancelled.remove(&entry.seq) {
+            if self.take_cancelled(entry.seq()) {
                 continue;
             }
-            self.pending.remove(&entry.seq);
-            debug_assert!(entry.time >= self.now, "heap delivered an event out of order");
-            self.now = entry.time;
-            return Some((entry.time, entry.payload));
+            self.live -= 1;
+            let time = entry.time();
+            debug_assert!(time >= self.now, "heap delivered an event out of order");
+            self.now = time;
+            return Some((time, entry.payload));
         }
     }
 
     /// Timestamp of the next live event without delivering it (cancelled
     /// entries at the top are discarded on the way).
     pub fn peek_time(&mut self) -> Option<f64> {
-        while let Some(top) = self.heap.peek() {
-            if self.cancelled.remove(&top.seq) {
-                self.heap.pop();
-            } else {
-                return Some(top.time);
+        loop {
+            let top = self.heap.peek()?;
+            let (seq, time) = (top.seq(), top.time());
+            if !self.take_cancelled(seq) {
+                return Some(time);
             }
+            self.heap.pop();
         }
-        None
     }
 }
 
@@ -169,7 +209,7 @@ impl<E> std::fmt::Debug for EventQueue<E> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EventQueue")
             .field("now", &self.now)
-            .field("pending", &self.pending.len())
+            .field("pending", &self.live)
             .field("scheduled_total", &self.next_seq)
             .finish()
     }
@@ -231,6 +271,17 @@ mod tests {
         q.cancel(a);
         assert_eq!(q.peek_time(), Some(2.0));
         assert_eq!(q.pop(), Some((2.0, "b")));
+    }
+
+    #[test]
+    fn folded_times_sort_like_total_cmp_and_round_trip() {
+        let times = [f64::MIN, -1e9, -1.5, -f64::MIN_POSITIVE, -0.0, 0.0, 5e-324, 1.0, 3.0, 1e300];
+        for (i, &a) in times.iter().enumerate() {
+            assert_eq!(unfold_time(fold_time(a)).to_bits(), a.to_bits());
+            for &b in &times[i..] {
+                assert_eq!(fold_time(a).cmp(&fold_time(b)), a.total_cmp(&b), "{a} vs {b}");
+            }
+        }
     }
 
     #[test]

@@ -9,7 +9,7 @@
 
 use rana_core::energy::EnergyBreakdown;
 use rana_des::EventId;
-use std::collections::{HashSet, VecDeque};
+use std::collections::VecDeque;
 
 /// One request in flight through the fleet.
 #[derive(Debug, Clone, Copy)]
@@ -69,12 +69,16 @@ pub struct Die {
     pub last_update_us: f64,
     /// Currently programmed refresh clock-divider ratio.
     pub divider_ratio: u64,
-    /// The modeled on-die schedule cache: `(tenant, divider ratio)` pairs
-    /// this die has already scheduled. A miss costs the cold-schedule
-    /// penalty; a crash clears the set, a drain keeps it.
-    pub warm: HashSet<(usize, u64)>,
+    /// The modeled on-die schedule cache: the distinct `(tenant, divider
+    /// ratio)` pairs this die has already scheduled, in first-use order (a
+    /// handful per tenant, so a scan beats hashing). A miss costs the
+    /// cold-schedule penalty; a crash clears the set, a drain keeps it.
+    pub warm: Vec<(usize, u64)>,
     /// The executing batch, if any.
     pub in_flight: Option<InFlight>,
+    /// The last completed batch's request buffer, emptied and kept for
+    /// the next dispatch so steady-state batching allocates nothing.
+    pub(crate) spare_batch: Vec<FleetRequest>,
     /// Requests served to completion.
     pub served: u64,
     /// Batches completed.
@@ -98,8 +102,9 @@ impl Die {
             temp_c: ambient_c,
             last_update_us: 0.0,
             divider_ratio: nominal_ratio,
-            warm: HashSet::new(),
+            warm: Vec::new(),
             in_flight: None,
+            spare_batch: Vec::new(),
             served: 0,
             batches: 0,
             retunes: 0,

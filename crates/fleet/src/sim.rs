@@ -9,9 +9,12 @@
 //! events. Same-timestamp ordering is fixed by DES priority classes —
 //! control first, then completions, then arrivals — never by map
 //! iteration, so a fixed configuration and seed replays byte-identically.
+//! Arrivals are pulled lazily from the merged stream, one pending event
+//! at a time, so the heap holds at most one completion per die, the
+//! failure plan and one arrival — never the whole horizon.
 //!
 //! Randomness budget: tenant `i`'s arrival process draws from DES stream
-//! `i` (inside [`rana_serve::traffic::generate_per_tenant`]); the router
+//! `i` (inside [`rana_serve::traffic::Arrivals`]); the router
 //! draws from stream [`ROUTER_STREAM`], far outside the tenant range.
 //! Adding a tenant or switching router policy therefore cannot perturb
 //! another tenant's arrival sequence.
@@ -27,7 +30,7 @@ use rana_core::policy::Strategy;
 use rana_des::{EventQueue, Streams};
 use rana_edram::thermal::ThermalModel;
 use rana_metrics::HistF64;
-use rana_serve::traffic::{self, TrafficModel};
+use rana_serve::traffic::{ArrivalStreams, Arrivals, TrafficModel};
 use rana_serve::TenantSpec;
 use rand::rngs::StdRng;
 use rand::RngExt;
@@ -193,7 +196,8 @@ enum FleetEvent {
     Arrival { tenant: usize },
 }
 
-/// Per-tenant accounting.
+/// Per-tenant accounting. The fleet-wide latency histogram is the merge
+/// of the per-tenant ones, built at report time.
 #[derive(Debug, Default)]
 struct TenantStats {
     offered: u64,
@@ -225,7 +229,6 @@ pub struct FleetSim<'a> {
     router_rng: StdRng,
     rr: usize,
     tenants: Vec<TenantStats>,
-    latency: HistF64,
     queue_wait: HistF64,
     energy: EnergyBreakdown,
     wasted_j: f64,
@@ -330,7 +333,6 @@ impl<'a> FleetSim<'a> {
             router_rng,
             rr: 0,
             tenants,
-            latency: HistF64::new(),
             queue_wait: HistF64::new(),
             energy: EnergyBreakdown::default(),
             wasted_j: 0.0,
@@ -354,20 +356,24 @@ impl<'a> FleetSim<'a> {
     /// every queue drains, and returns the report.
     pub fn run(mut self) -> FleetReport {
         let weights: Vec<f64> = self.config.tenants.iter().map(|s| s.weight).collect();
-        let arrivals = traffic::generate_per_tenant(
-            &weights,
-            self.config.traffic,
-            self.config.horizon_us,
-            self.config.seed,
-        );
-        for a in &arrivals {
-            self.events.schedule(
-                a.arrival_us,
-                CLASS_ARRIVAL,
-                FleetEvent::Arrival { tenant: a.tenant },
-            );
-        }
-        for (i, f) in self.plan.clone().iter().enumerate() {
+        let c = &self.config;
+        let mut arrivals =
+            Arrivals::new(ArrivalStreams::PerTenant, &weights, c.traffic, c.horizon_us, c.seed);
+        // Delivering an arrival schedules the next. The merged stream is
+        // in (time, tenant) order and at most one arrival event is queued,
+        // so arrivals fire in stream order and the next is never in the
+        // past.
+        let mut schedule_next_arrival = |events: &mut EventQueue<FleetEvent>| {
+            if let Some(a) = arrivals.next() {
+                events.schedule(
+                    a.arrival_us,
+                    CLASS_ARRIVAL,
+                    FleetEvent::Arrival { tenant: a.tenant },
+                );
+            }
+        };
+        schedule_next_arrival(&mut self.events);
+        for (i, f) in self.plan.iter().enumerate() {
             self.events.schedule(f.at_us, CLASS_CONTROL, FleetEvent::Control { index: i });
         }
         while let Some((t, event)) = self.events.pop() {
@@ -381,7 +387,10 @@ impl<'a> FleetSim<'a> {
                     }
                 }
                 FleetEvent::Completion { die } => self.complete(die, t),
-                FleetEvent::Arrival { tenant } => self.arrive(tenant, t),
+                FleetEvent::Arrival { tenant } => {
+                    schedule_next_arrival(&mut self.events);
+                    self.arrive(tenant, t);
+                }
             }
         }
         self.report()
@@ -492,7 +501,7 @@ impl<'a> FleetSim<'a> {
         let Some(front) = self.dies[d].queue.front() else { return };
         let tn = front.tenant;
         let cap = self.config.tenants[tn].max_batch;
-        let mut batch = Vec::with_capacity(cap);
+        let mut batch = std::mem::take(&mut self.dies[d].spare_batch);
         let mut i = 0;
         while i < self.dies[d].queue.len() && batch.len() < cap {
             if self.dies[d].queue[i].tenant == tn {
@@ -522,11 +531,13 @@ impl<'a> FleetSim<'a> {
         let warm_key = (tn, divider.ratio());
         let cold = !self.dies[d].warm.contains(&warm_key);
         if cold {
-            self.dies[d].warm.insert(warm_key);
-            self.dies[d].cold_schedules += 1;
-            if !self.warm_dies[tn].contains(&d) {
+            // The die's first pair for this tenant puts it in the
+            // tenant's warm set (crashes clear both together).
+            if !self.dies[d].warm.iter().any(|&(t, _)| t == tn) {
                 self.warm_dies[tn].push(d);
             }
+            self.dies[d].warm.push(warm_key);
+            self.dies[d].cold_schedules += 1;
         }
 
         let strategy = self.config.die_strategy(d, tn);
@@ -573,7 +584,6 @@ impl<'a> FleetSim<'a> {
         self.makespan_us = self.makespan_us.max(t);
         for r in &batch.requests {
             let latency_us = t - r.arrival_us;
-            self.latency.record(latency_us);
             self.queue_wait.record(batch.dispatch_us - r.arrival_us);
             let ts = &mut self.tenants[r.tenant];
             ts.served += 1;
@@ -585,6 +595,9 @@ impl<'a> FleetSim<'a> {
                 self.note_miss();
             }
         }
+        let mut requests = batch.requests;
+        requests.clear();
+        self.dies[d].spare_batch = requests;
         match self.dies[d].state {
             DieState::Draining => self.dies[d].state = DieState::Down,
             DieState::Up => self.try_dispatch(d, t),
@@ -700,6 +713,10 @@ impl<'a> FleetSim<'a> {
 
     /// Assembles the final report.
     fn report(self) -> FleetReport {
+        let mut latency = HistF64::new();
+        for ts in &self.tenants {
+            latency.merge(&ts.latency);
+        }
         let tenants: Vec<FleetTenantReport> = self
             .tenants
             .iter()
@@ -751,7 +768,7 @@ impl<'a> FleetSim<'a> {
             rerouted_drain: self.rerouted_drain,
             lost_in_flight: self.lost_in_flight,
             wasted_j: self.wasted_j,
-            latency: LatencySummary::of(&self.latency),
+            latency: LatencySummary::of(&latency),
             queue_wait: LatencySummary::of(&self.queue_wait),
             energy: self.energy,
             refresh_words: self.refresh_words,

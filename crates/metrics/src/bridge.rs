@@ -314,6 +314,7 @@ mod tests {
 
     #[test]
     fn bridge_without_session_is_inert() {
+        let _lock = crate::test_lock();
         assert!(!crate::enabled());
         let mut bridge = TraceBridge::new();
         bridge.record(0, &Event::CacheLookup { cache: "c".into(), fingerprint: 0, hit: true });

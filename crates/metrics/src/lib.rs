@@ -183,12 +183,23 @@ impl Drop for MetricsSession {
     }
 }
 
+/// Serializes this crate's unit tests that start a session or check the
+/// disabled state: sessions are process-global, so they would otherwise
+/// see each other, including a session started the instant a `finish`
+/// released the session lock.
+#[cfg(test)]
+fn test_lock() -> MutexGuard<'static, ()> {
+    static TEST_LOCK: Mutex<()> = Mutex::new(());
+    TEST_LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn disabled_recording_is_a_noop() {
+        let _lock = test_lock();
         assert!(!enabled());
         counter_add(|| panic!("key built while metrics disabled"), 1);
         observe_f64(|| panic!("key built while metrics disabled"), 1.0);
@@ -197,6 +208,7 @@ mod tests {
 
     #[test]
     fn session_collects_and_finishes() {
+        let _lock = test_lock();
         let session = MetricsSession::start();
         assert!(enabled());
         counter_add(|| MetricKey::new("hits"), 2);
@@ -215,6 +227,7 @@ mod tests {
 
     #[test]
     fn sessions_are_exclusive_and_sequential() {
+        let _lock = test_lock();
         let a = MetricsSession::start();
         counter_add(|| MetricKey::new("a"), 1);
         let reg_a = a.finish();

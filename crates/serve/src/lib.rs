@@ -42,4 +42,4 @@ pub mod traffic;
 pub use metrics::LatencyStats;
 pub use partition::PartitionPolicy;
 pub use server::{QueuePolicy, ServeConfig, ServeReport, Server, TenantReport, TenantSpec};
-pub use traffic::{Arrival, ArrivalStreams, TrafficModel};
+pub use traffic::{Arrival, ArrivalStreams, Arrivals, TrafficModel};

@@ -21,7 +21,7 @@
 
 use crate::metrics::LatencyStats;
 use crate::partition::{equal_split, greedy_split, PartitionPolicy};
-use crate::traffic::{self, ArrivalStreams, TrafficModel};
+use crate::traffic::{ArrivalStreams, Arrivals, TrafficModel};
 use rana_core::config_gen::{json_f64, json_string};
 use rana_core::designs::Design;
 use rana_core::energy::EnergyBreakdown;
@@ -524,8 +524,8 @@ impl<'a> Server<'a> {
         }
     }
 
-    /// Runs the whole scenario — generate arrivals, serve until the
-    /// stream and the queues are empty — and returns the report.
+    /// Runs the whole scenario — draw arrivals, serve until the stream
+    /// and the queues are empty — and returns the report.
     ///
     /// The loop is a discrete-event simulation over [`rana_des`]: every
     /// arrival is an `Arrival` event (class 0), and the engine
@@ -535,26 +535,26 @@ impl<'a> Server<'a> {
     /// are admitted before the engine picks the next batch — exactly the
     /// admit-then-dispatch order of the pre-DES polling loop, which is why
     /// the ported server reproduces `BENCH_serve.json` byte for byte.
+    /// Arrivals are pulled lazily: delivering one schedules the next.
+    /// The stream is in time order and at most one arrival event is
+    /// queued, so arrivals fire in stream order and the next one is never
+    /// in the past.
     pub fn run(mut self) -> ServeReport {
         let weights: Vec<f64> = self.specs.iter().map(|s| s.weight).collect();
-        let arrivals = match self.config.arrival_streams {
-            ArrivalStreams::Shared => traffic::generate(
-                &weights,
-                self.config.traffic,
-                self.config.horizon_us,
-                self.config.seed,
-            ),
-            ArrivalStreams::PerTenant => traffic::generate_per_tenant(
-                &weights,
-                self.config.traffic,
-                self.config.horizon_us,
-                self.config.seed,
-            ),
-        };
+        let c = &self.config;
+        let mut arrivals =
+            Arrivals::new(c.arrival_streams, &weights, c.traffic, c.horizon_us, c.seed);
         let mut queue: EventQueue<ServeEvent> = EventQueue::new();
-        for a in &arrivals {
-            queue.schedule(a.arrival_us, CLASS_ARRIVAL, ServeEvent::Arrival { tenant: a.tenant });
-        }
+        let mut schedule_next_arrival = |queue: &mut EventQueue<ServeEvent>| {
+            if let Some(a) = arrivals.next() {
+                queue.schedule(
+                    a.arrival_us,
+                    CLASS_ARRIVAL,
+                    ServeEvent::Arrival { tenant: a.tenant },
+                );
+            }
+        };
+        schedule_next_arrival(&mut queue);
         let mut next_rebalance = self.config.rebalance_us;
         if self.config.partition_policy == PartitionPolicy::Dynamic {
             self.rebalance();
@@ -567,6 +567,7 @@ impl<'a> Server<'a> {
         while let Some((t, event)) = queue.pop() {
             match event {
                 ServeEvent::Arrival { tenant } => {
+                    schedule_next_arrival(&mut queue);
                     if idle {
                         // The die cooled, unpowered, since the queues
                         // drained.
@@ -928,6 +929,17 @@ impl ServeReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{Mutex, MutexGuard};
+
+    /// Serializes every test here that runs the server. The metrics
+    /// session is process-global, so a metered test would otherwise count
+    /// the observations of servers running in parallel tests.
+    static SESSION_LOCK: Mutex<()> = Mutex::new(());
+
+    /// Takes [`SESSION_LOCK`], surviving a panicked holder.
+    fn session_lock() -> MutexGuard<'static, ()> {
+        SESSION_LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
 
     fn alexnet_mix() -> Vec<TenantSpec> {
         vec![TenantSpec::new(rana_zoo::alexnet(), 1.0)]
@@ -941,6 +953,7 @@ mod tests {
 
     #[test]
     fn single_tenant_run_serves_and_accounts() {
+        let _lock = session_lock();
         let eval = Evaluator::paper_platform();
         let r = Server::new(&eval, alexnet_mix(), quick_config(5)).run();
         assert!(r.served > 0, "nothing served");
@@ -955,6 +968,7 @@ mod tests {
 
     #[test]
     fn report_is_byte_deterministic() {
+        let _lock = session_lock();
         let eval = Evaluator::paper_platform();
         let a = Server::new(&eval, alexnet_mix(), quick_config(9)).run().to_json();
         let b = Server::new(&eval, alexnet_mix(), quick_config(9)).run().to_json();
@@ -965,6 +979,7 @@ mod tests {
 
     #[test]
     fn dynamic_partition_respects_floor_and_capacity() {
+        let _lock = session_lock();
         let eval = Evaluator::paper_platform();
         let specs = vec![
             TenantSpec::new(rana_zoo::alexnet(), 0.7),
@@ -983,6 +998,7 @@ mod tests {
 
     #[test]
     fn overload_drops_instead_of_unbounded_queueing() {
+        let _lock = session_lock();
         let eval = Evaluator::paper_platform();
         let mut cfg = quick_config(7);
         // Far beyond one accelerator's AlexNet capacity: must shed load.
@@ -998,6 +1014,7 @@ mod tests {
 
     #[test]
     fn queue_wait_is_tracked_and_bounded_by_latency() {
+        let _lock = session_lock();
         let eval = Evaluator::paper_platform();
         let r = Server::new(&eval, alexnet_mix(), quick_config(5)).run();
         let t = &r.tenants[0];
@@ -1013,6 +1030,7 @@ mod tests {
 
     #[test]
     fn metered_run_tracks_per_tenant_slo() {
+        let _lock = session_lock();
         let eval = Evaluator::paper_platform();
         let session = rana_metrics::MetricsSession::start();
         let r = Server::new(&eval, alexnet_mix(), quick_config(5)).run();
@@ -1035,6 +1053,7 @@ mod tests {
 
     #[test]
     fn compile_penalty_charges_cold_runs_only() {
+        let _lock = session_lock();
         let eval = Evaluator::paper_platform();
         // Two tenants split the buffer 22/22, so the first run must
         // compile fresh schedules at a partition size nothing warmed.
@@ -1055,6 +1074,7 @@ mod tests {
 
     #[test]
     fn batching_amortizes_weight_reloads() {
+        let _lock = session_lock();
         let eval = Evaluator::paper_platform();
         let mut batched = quick_config(21);
         batched.traffic = TrafficModel::Bursty {

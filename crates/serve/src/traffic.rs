@@ -1,16 +1,20 @@
 //! Deterministic request-stream generation: Poisson and Markov-modulated
 //! bursty arrivals over a weighted tenant mix.
 //!
-//! Streams are generated up front from a seeded PRNG — the serving loop
-//! never draws randomness itself, so two runs with the same seed see the
-//! same arrivals in the same order (the byte-determinism contract of
-//! `results/BENCH_serve.json`).
+//! Streams are drawn lazily from a seeded PRNG: the simulators pull one
+//! arrival at a time from an [`Arrivals`] iterator and keep a single
+//! pending arrival event, so the event heap never holds the whole
+//! horizon. [`generate`] and [`generate_per_tenant`] collect the same
+//! iterator into a `Vec`. The
+//! serving loop never draws randomness itself, so two runs with the same
+//! seed see the same arrivals in the same order (the byte-determinism
+//! contract of `results/BENCH_serve.json`).
 //!
 //! Two stream modes exist ([`ArrivalStreams`]):
 //!
 //! * [`ArrivalStreams::Shared`] — one generator draws inter-arrival times
-//!   and tenant picks alternately ([`generate`]). This is the legacy mode
-//!   and stays the [`ServeConfig::paper`](crate::ServeConfig::paper)
+//!   and tenant picks alternately ([`generate`]). This is the
+//!   legacy mode and stays the [`ServeConfig::paper`](crate::ServeConfig::paper)
 //!   default because the committed `baselines/BENCH_serve.json` was
 //!   recorded under it. Its flaw: adding a tenant re-deals every draw, so
 //!   *every* tenant's arrival sequence shifts.
@@ -125,122 +129,204 @@ fn pick_tenant(rng: &mut StdRng, weights: &[f64], total_weight: f64) -> usize {
     weights.len() - 1
 }
 
-/// Generates the full arrival stream over `[0, horizon_us)`, in time order.
+/// Panics on an empty or non-positive weight mix, a non-positive rate or
+/// horizon, or bursty parameters outside their documented ranges.
+fn validate(weights: &[f64], model: TrafficModel, horizon_us: f64) {
+    assert!(!weights.is_empty(), "tenant mix must not be empty");
+    assert!(weights.iter().all(|&w| w > 0.0), "tenant weights must be positive");
+    assert!(model.rate_rps() > 0.0, "offered load must be positive");
+    assert!(horizon_us > 0.0, "horizon must be positive");
+    if let TrafficModel::Bursty { burst_factor, burst_fraction, mean_burst_us, .. } = model {
+        assert!(burst_factor > 1.0, "burst factor must exceed 1, got {burst_factor}");
+        assert!(
+            burst_fraction > 0.0 && burst_fraction < 1.0,
+            "burst fraction must be in (0, 1), got {burst_fraction}"
+        );
+        assert!(
+            burst_fraction * burst_factor < 1.0,
+            "burst fraction x factor must stay under 1 so the calm rate is positive"
+        );
+        assert!(mean_burst_us > 0.0, "mean burst dwell must be positive");
+    }
+}
+
+/// The shape-specific state of a [`Process`].
+#[derive(Debug, Clone)]
+enum Shape {
+    Poisson {
+        gap_us: f64,
+    },
+    /// Two-state MMPP; index 0 is the calm phase, 1 the burst phase.
+    Bursty {
+        gap_us: [f64; 2],
+        dwell_us: [f64; 2],
+        bursting: bool,
+        phase_end: f64,
+    },
+}
+
+/// Whose request each arrival of a [`Process`] is.
+#[derive(Debug, Clone)]
+enum Assign {
+    /// Every arrival is this tenant's (per-tenant streams).
+    Fixed(usize),
+    /// Each arrival draws its tenant by cumulative weight right after its
+    /// gap (the shared stream).
+    Pick { weights: Vec<f64>, total_weight: f64 },
+}
+
+/// One arrival process over `[0, horizon_us)`, drawn lazily from its own
+/// generator — the single Poisson / MMPP-2 loop behind both stream modes.
+///
+/// The draw order is part of the determinism contract: a bursty process
+/// draws its first calm dwell when built, then one exponential gap per
+/// step and one dwell per phase switch; a shared stream draws each
+/// arrival's tenant pick right after its gap.
+#[derive(Debug, Clone)]
+struct Process {
+    rng: StdRng,
+    horizon_us: f64,
+    t: f64,
+    shape: Shape,
+    assign: Assign,
+}
+
+impl Process {
+    fn new(model: TrafficModel, horizon_us: f64, mut rng: StdRng, assign: Assign) -> Self {
+        let shape = match model {
+            TrafficModel::Poisson { rate_rps } => Shape::Poisson { gap_us: 1e6 / rate_rps },
+            TrafficModel::Bursty { rate_rps, burst_factor, burst_fraction, mean_burst_us } => {
+                let burst_rate = rate_rps * burst_factor;
+                let calm_rate =
+                    rate_rps * (1.0 - burst_fraction * burst_factor) / (1.0 - burst_fraction);
+                let mean_calm_us = mean_burst_us * (1.0 - burst_fraction) / burst_fraction;
+                Shape::Bursty {
+                    gap_us: [1e6 / calm_rate, 1e6 / burst_rate],
+                    dwell_us: [mean_calm_us, mean_burst_us],
+                    bursting: false,
+                    phase_end: exp_draw(&mut rng, mean_calm_us),
+                }
+            }
+        };
+        Self { rng, horizon_us, t: 0.0, shape, assign }
+    }
+
+    /// The next arrival, or `None` once the horizon is reached.
+    fn next_arrival(&mut self) -> Option<Arrival> {
+        match &mut self.shape {
+            Shape::Poisson { gap_us } => self.t += exp_draw(&mut self.rng, *gap_us),
+            Shape::Bursty { gap_us, dwell_us, bursting, phase_end } => loop {
+                let dt = exp_draw(&mut self.rng, gap_us[usize::from(*bursting)]);
+                if self.t + dt < *phase_end {
+                    self.t += dt;
+                    break;
+                }
+                // No arrival in the rest of this phase (memorylessness:
+                // restart the inter-arrival clock in the next phase).
+                self.t = *phase_end;
+                if self.t >= self.horizon_us {
+                    return None;
+                }
+                *bursting = !*bursting;
+                *phase_end = self.t + exp_draw(&mut self.rng, dwell_us[usize::from(*bursting)]);
+            },
+        }
+        if self.t >= self.horizon_us {
+            return None;
+        }
+        let tenant = match &self.assign {
+            Assign::Fixed(tenant) => *tenant,
+            Assign::Pick { weights, total_weight } => {
+                pick_tenant(&mut self.rng, weights, *total_weight)
+            }
+        };
+        Some(Arrival { tenant, arrival_us: self.t })
+    }
+}
+
+/// A lazy arrival stream over `[0, horizon_us)`, in time order with ties
+/// broken by tenant index. It holds one pending arrival per generator,
+/// never the horizon: the simulators pull one arrival at a time, and
+/// [`generate`] / [`generate_per_tenant`] collect it.
+#[derive(Debug, Clone)]
+pub struct Arrivals {
+    /// Each generator's process and its next arrival (`None` once past the
+    /// horizon): one tenant-picking process for
+    /// [`ArrivalStreams::Shared`], one per tenant for
+    /// [`ArrivalStreams::PerTenant`], merged by `(time, tenant)`.
+    streams: Vec<(Process, Option<Arrival>)>,
+}
+
+impl Arrivals {
+    /// The `mode` stream under `seed` (the master seed of per-tenant
+    /// streams); [`generate`] and [`generate_per_tenant`] document what
+    /// each mode draws.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an empty or non-positive weight mix, a non-positive rate
+    /// or horizon, or bursty parameters outside their documented ranges.
+    pub fn new(
+        mode: ArrivalStreams,
+        weights: &[f64],
+        model: TrafficModel,
+        horizon_us: f64,
+        seed: u64,
+    ) -> Self {
+        validate(weights, model, horizon_us);
+        let with_head = |mut process: Process| {
+            let head = process.next_arrival();
+            (process, head)
+        };
+        let streams = match mode {
+            ArrivalStreams::Shared => {
+                let assign =
+                    Assign::Pick { weights: weights.to_vec(), total_weight: weights.iter().sum() };
+                vec![with_head(Process::new(
+                    model,
+                    horizon_us,
+                    StdRng::seed_from_u64(seed),
+                    assign,
+                ))]
+            }
+            ArrivalStreams::PerTenant => {
+                let seeds = Streams::new(seed);
+                (weights.iter().enumerate())
+                    .map(|(i, &w)| {
+                        let tenant_model = model.with_rate(model.rate_rps() * w);
+                        let rng = seeds.rng(i as u64);
+                        with_head(Process::new(tenant_model, horizon_us, rng, Assign::Fixed(i)))
+                    })
+                    .collect()
+            }
+        };
+        Self { streams }
+    }
+}
+
+impl Iterator for Arrivals {
+    type Item = Arrival;
+
+    fn next(&mut self) -> Option<Arrival> {
+        // `min_by` keeps the first of equal minima: the lowest tenant.
+        let (i, _) = (self.streams.iter().enumerate())
+            .filter_map(|(i, (_, head))| head.map(|a| (i, a.arrival_us)))
+            .min_by(|a, b| a.1.total_cmp(&b.1))?;
+        let (process, head) = &mut self.streams[i];
+        std::mem::replace(head, process.next_arrival())
+    }
+}
+
+/// Generates the full shared-generator arrival stream over
+/// `[0, horizon_us)`, in time order: one generator draws each
+/// inter-arrival gap, then that arrival's tenant pick.
 ///
 /// # Panics
 ///
 /// Panics on an empty or non-positive weight mix, a non-positive rate or
 /// horizon, or bursty parameters outside their documented ranges.
 pub fn generate(weights: &[f64], model: TrafficModel, horizon_us: f64, seed: u64) -> Vec<Arrival> {
-    assert!(!weights.is_empty(), "tenant mix must not be empty");
-    assert!(weights.iter().all(|&w| w > 0.0), "tenant weights must be positive");
-    assert!(model.rate_rps() > 0.0, "offered load must be positive");
-    assert!(horizon_us > 0.0, "horizon must be positive");
-    let total_weight: f64 = weights.iter().sum();
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut out = Vec::new();
-    let mut t = 0.0f64;
-    match model {
-        TrafficModel::Poisson { rate_rps } => {
-            let mean_us = 1e6 / rate_rps;
-            loop {
-                t += exp_draw(&mut rng, mean_us);
-                if t >= horizon_us {
-                    break;
-                }
-                out.push(Arrival {
-                    tenant: pick_tenant(&mut rng, weights, total_weight),
-                    arrival_us: t,
-                });
-            }
-        }
-        TrafficModel::Bursty { rate_rps, burst_factor, burst_fraction, mean_burst_us } => {
-            assert!(burst_factor > 1.0, "burst factor must exceed 1, got {burst_factor}");
-            assert!(
-                burst_fraction > 0.0 && burst_fraction < 1.0,
-                "burst fraction must be in (0, 1), got {burst_fraction}"
-            );
-            assert!(
-                burst_fraction * burst_factor < 1.0,
-                "burst fraction x factor must stay under 1 so the calm rate is positive"
-            );
-            assert!(mean_burst_us > 0.0, "mean burst dwell must be positive");
-            let burst_rate = rate_rps * burst_factor;
-            let calm_rate =
-                rate_rps * (1.0 - burst_fraction * burst_factor) / (1.0 - burst_fraction);
-            let mean_calm_us = mean_burst_us * (1.0 - burst_fraction) / burst_fraction;
-            let mut bursting = false;
-            let mut phase_end = exp_draw(&mut rng, mean_calm_us);
-            loop {
-                let rate = if bursting { burst_rate } else { calm_rate };
-                let dt = exp_draw(&mut rng, 1e6 / rate);
-                if t + dt >= phase_end {
-                    // No arrival in the rest of this phase (memorylessness:
-                    // restart the inter-arrival clock in the next phase).
-                    t = phase_end;
-                    bursting = !bursting;
-                    phase_end =
-                        t + exp_draw(&mut rng, if bursting { mean_burst_us } else { mean_calm_us });
-                } else {
-                    t += dt;
-                    out.push(Arrival {
-                        tenant: pick_tenant(&mut rng, weights, total_weight),
-                        arrival_us: t,
-                    });
-                }
-                if t >= horizon_us {
-                    break;
-                }
-            }
-            out.retain(|a| a.arrival_us < horizon_us);
-        }
-    }
-    out
-}
-
-/// One tenant's arrival times over `[0, horizon_us)` from its own
-/// generator (no tenant picks — the caller owns the tenant identity).
-fn single_stream_times(model: TrafficModel, horizon_us: f64, rng: &mut StdRng) -> Vec<f64> {
-    let mut out = Vec::new();
-    let mut t = 0.0f64;
-    match model {
-        TrafficModel::Poisson { rate_rps } => {
-            let mean_us = 1e6 / rate_rps;
-            loop {
-                t += exp_draw(rng, mean_us);
-                if t >= horizon_us {
-                    break;
-                }
-                out.push(t);
-            }
-        }
-        TrafficModel::Bursty { rate_rps, burst_factor, burst_fraction, mean_burst_us } => {
-            let burst_rate = rate_rps * burst_factor;
-            let calm_rate =
-                rate_rps * (1.0 - burst_fraction * burst_factor) / (1.0 - burst_fraction);
-            let mean_calm_us = mean_burst_us * (1.0 - burst_fraction) / burst_fraction;
-            let mut bursting = false;
-            let mut phase_end = exp_draw(rng, mean_calm_us);
-            loop {
-                let rate = if bursting { burst_rate } else { calm_rate };
-                let dt = exp_draw(rng, 1e6 / rate);
-                if t + dt >= phase_end {
-                    t = phase_end;
-                    bursting = !bursting;
-                    phase_end =
-                        t + exp_draw(rng, if bursting { mean_burst_us } else { mean_calm_us });
-                } else {
-                    t += dt;
-                    out.push(t);
-                }
-                if t >= horizon_us {
-                    break;
-                }
-            }
-            out.retain(|&a| a < horizon_us);
-        }
-    }
-    out
+    Arrivals::new(ArrivalStreams::Shared, weights, model, horizon_us, seed).collect()
 }
 
 /// Generates the arrival stream with independent per-tenant RNG streams,
@@ -264,35 +350,7 @@ pub fn generate_per_tenant(
     horizon_us: f64,
     master_seed: u64,
 ) -> Vec<Arrival> {
-    assert!(!weights.is_empty(), "tenant mix must not be empty");
-    assert!(weights.iter().all(|&w| w > 0.0), "tenant weights must be positive");
-    assert!(model.rate_rps() > 0.0, "offered load must be positive");
-    assert!(horizon_us > 0.0, "horizon must be positive");
-    if let TrafficModel::Bursty { burst_factor, burst_fraction, mean_burst_us, .. } = model {
-        assert!(burst_factor > 1.0, "burst factor must exceed 1, got {burst_factor}");
-        assert!(
-            burst_fraction > 0.0 && burst_fraction < 1.0,
-            "burst fraction must be in (0, 1), got {burst_fraction}"
-        );
-        assert!(
-            burst_fraction * burst_factor < 1.0,
-            "burst fraction x factor must stay under 1 so the calm rate is positive"
-        );
-        assert!(mean_burst_us > 0.0, "mean burst dwell must be positive");
-    }
-    let streams = Streams::new(master_seed);
-    let mut out = Vec::new();
-    for (i, &w) in weights.iter().enumerate() {
-        let mut rng = streams.rng(i as u64);
-        let tenant_model = model.with_rate(model.rate_rps() * w);
-        out.extend(
-            single_stream_times(tenant_model, horizon_us, &mut rng)
-                .into_iter()
-                .map(|t| Arrival { tenant: i, arrival_us: t }),
-        );
-    }
-    out.sort_by(|a, b| a.arrival_us.total_cmp(&b.arrival_us).then(a.tenant.cmp(&b.tenant)));
-    out
+    Arrivals::new(ArrivalStreams::PerTenant, weights, model, horizon_us, master_seed).collect()
 }
 
 #[cfg(test)]

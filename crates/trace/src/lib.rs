@@ -253,8 +253,20 @@ impl Drop for Session {
 mod tests {
     use super::*;
 
+    /// Serializes every test here. Sessions are process-global, so a test
+    /// that checks the disabled state would otherwise see another test's
+    /// session, including one started the instant a `finish` released
+    /// the session lock.
+    static TEST_LOCK: Mutex<()> = Mutex::new(());
+
+    /// Takes [`TEST_LOCK`], surviving a panicked holder.
+    fn test_lock() -> MutexGuard<'static, ()> {
+        TEST_LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
+
     #[test]
     fn disabled_emit_is_a_noop() {
+        let _lock = test_lock();
         assert!(!enabled());
         emit(|| panic!("event constructed while tracing disabled"));
         count("never", 1);
@@ -265,6 +277,7 @@ mod tests {
 
     #[test]
     fn session_collects_events_counters_and_ledger() {
+        let _lock = test_lock();
         let session = Session::start(TraceConfig::Ring { capacity: 4 });
         emit(|| Event::CacheLookup { cache: "schedule".into(), fingerprint: 1, hit: true });
         emit(|| Event::CacheLookup { cache: "schedule".into(), fingerprint: 2, hit: false });
@@ -282,6 +295,7 @@ mod tests {
 
     #[test]
     fn schedule_chosen_feeds_ledger_automatically() {
+        let _lock = test_lock();
         let session = Session::start(TraceConfig::CountersOnly);
         emit(|| Event::ScheduleChosen {
             network: "alexnet".into(),
@@ -302,6 +316,7 @@ mod tests {
 
     #[test]
     fn held_ledgers_replay_in_caller_order() {
+        let _lock = test_lock();
         let session = Session::start(TraceConfig::CountersOnly);
         let l = |x| EnergyLedger { computing_j: x, ..Default::default() };
         let ((), outer) = hold_ledgers(|| {
@@ -320,6 +335,7 @@ mod tests {
 
     #[test]
     fn ring_overflow_surfaces_in_report() {
+        let _lock = test_lock();
         let session = Session::start(TraceConfig::Ring { capacity: 2 });
         for k in 0..5 {
             emit(|| Event::CacheLookup { cache: "c".into(), fingerprint: k, hit: false });
@@ -333,6 +349,7 @@ mod tests {
 
     #[test]
     fn spans_recorded_only_inside_session() {
+        let _lock = test_lock();
         let session = Session::start(TraceConfig::CountersOnly);
         let out = span("work", || 7);
         assert_eq!(out, 7);

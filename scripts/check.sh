@@ -15,6 +15,9 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== tier-1 tests =="
 cargo test -q
 
+echo "== workspace tests (every crate's unit and doc tests) =="
+cargo test -q --workspace
+
 echo "== simd feature leg (build + engine tests) =="
 cargo clippy -p rana-accel --features simd --all-targets -- -D warnings
 cargo test -q -p rana-accel --features simd
