@@ -27,6 +27,15 @@
 //!   at the same timestamp and resolution is pure, so hoisting them is
 //!   observationally equivalent.
 //!
+//! Both engines resolve decay through `EdramArray`. Its weakest-cell
+//! filter returns a word as stored whenever the failure rate of the word's
+//! age is at or below a power-of-two floor under its weakest cell's
+//! retention quantile. That is exact, since no bit of such a word can
+//! fail, so only the rare words with a failing cell pay for the 16 per-bit
+//! retention hashes. Each word computes its floor once, on its first
+//! decayed resolution. Refresh pulses resolve a bank in runs of words
+//! that share a write timestamp.
+//!
 //! Scope: the resident sets must fit the buffer (no spill modeling here —
 //! use small layers or a big buffer; the analytic engines cover spills).
 
@@ -66,7 +75,7 @@ pub struct FunctionalResult {
     /// Bit faults injected over the run — on buffer reads, and on late
     /// refreshes that lock corrupted bits in (each decayed bit counted
     /// once, at the access that first resolves it).
-    pub faults: u32,
+    pub faults: u64,
     /// Buffer words read by the compute (refresh resolutions excluded).
     /// `faults / (reads × 16)` is the realized per-bit failure rate the
     /// thermal-adaptive validation path checks against the Stage-1 target.

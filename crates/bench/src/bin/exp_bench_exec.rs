@@ -172,7 +172,7 @@ fn bench_network(net: &Network, seed: u64, batch: usize) -> NetReport {
         layers += 1;
         macs += ly.total_macs();
         reads += scalar.reads;
-        faults += u64::from(scalar.faults);
+        faults += scalar.faults;
         for &w in &scalar.outputs {
             fnv.write_u64(w as u16 as u64);
         }

@@ -1040,10 +1040,10 @@ pub fn run_probes(
             &model,
         );
         let bits = r.reads * 16;
-        let rate = if bits == 0 { 0.0 } else { f64::from(r.faults) / bits as f64 };
+        let rate = if bits == 0 { 0.0 } else { r.faults as f64 / bits as f64 };
         summary.probes += 1;
         summary.bits_read += bits;
-        summary.faulted_bits += u64::from(r.faults);
+        summary.faulted_bits += r.faults;
         if rate > summary.worst_rate {
             summary.worst_rate = rate;
             summary.worst_probe = spec.label.clone();

@@ -37,7 +37,7 @@ impl BatchSummary {
         self.images += 1;
         self.cycles += r.cycles;
         self.refresh_words += r.refresh_words;
-        self.faults += u64::from(r.faults);
+        self.faults += r.faults;
         self.reads += r.reads;
     }
 }

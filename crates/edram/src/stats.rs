@@ -12,7 +12,7 @@ pub struct MemoryStats {
     /// Words refreshed.
     pub refresh_words: u64,
     /// Bits corrupted by retention failures (observed on reads/refreshes).
-    pub faults: u32,
+    pub faults: u64,
 }
 
 impl MemoryStats {
@@ -44,7 +44,7 @@ impl MemoryStats {
         rana_trace::count(&format!("{prefix}.reads"), self.reads);
         rana_trace::count(&format!("{prefix}.writes"), self.writes);
         rana_trace::count(&format!("{prefix}.refresh_words"), self.refresh_words);
-        rana_trace::count(&format!("{prefix}.faults"), self.faults as u64);
+        rana_trace::count(&format!("{prefix}.faults"), self.faults);
     }
 
     /// Folds these counters into the active metrics session (if any) as
@@ -73,10 +73,7 @@ impl MemoryStats {
             || MetricKey::new(format!("{prefix}.refresh_words")),
             self.refresh_words,
         );
-        rana_metrics::counter_add(
-            || MetricKey::new(format!("{prefix}.faults")),
-            u64::from(self.faults),
-        );
+        rana_metrics::counter_add(|| MetricKey::new(format!("{prefix}.faults")), self.faults);
     }
 }
 

@@ -69,7 +69,7 @@ pub fn apply_event(reg: &mut Registry, event: &Event) {
             reg.observe_i64("exec.layer_cycles", *cycles as i64);
             reg.counter_add("exec.reads", *reads);
             reg.counter_add("exec.refresh_words", *refresh_words);
-            reg.counter_add("exec.faults", u64::from(*faults));
+            reg.counter_add("exec.faults", *faults);
         }
         Event::DieFailed { queued, in_flight, .. } => {
             reg.counter_add("fleet.die_failures", 1);

@@ -142,7 +142,7 @@ pub enum Event {
         /// Words refreshed during execution.
         refresh_words: u64,
         /// Bit faults observed.
-        faults: u32,
+        faults: u64,
     },
     /// A fleet die crashed: its queue and any in-flight batch are lost to
     /// the die and must be re-dispatched (or dropped) by the router.

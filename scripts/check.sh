@@ -57,6 +57,9 @@ echo "== fleet smoke test =="
 echo "== policy smoke test =="
 ./target/release/exp_policies --smoke
 
+echo "== thermal-adaptive experiment (regenerates BENCH_thermal.json for the gate) =="
+./target/release/exp_thermal
+
 echo "== bench-regression gate =="
 ./scripts/bench_gate.sh
 
