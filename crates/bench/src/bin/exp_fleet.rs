@@ -26,12 +26,12 @@
 //! single-threaded by construction.
 
 use rana_bench::{banner, seed_from_env, threads_from_env, write_csv};
-use rana_core::config_gen::json_f64;
 use rana_core::designs::Design;
 use rana_core::evaluate::Evaluator;
 use rana_core::store::{precompile, PrecompileSpec, ScheduleStore};
 use rana_fleet::{FailureEvent, FailureKind, FleetConfig, FleetReport, FleetSim, RouterPolicy};
 use rana_serve::{TenantSpec, TrafficModel};
+use rana_trace::json_f64;
 use std::time::Instant;
 
 /// Default master seed (override with `RANA_SEED`).
@@ -234,16 +234,14 @@ fn main() {
 
     let json = format!(
         "{{\"experiment\":\"fleet\",\"seed\":{seed},\"per_die_capacity_rps\":{},\"load\":{},\"scenarios\":[{}],\"disruption\":{},\"cold_warm\":{}}}\n",
-        rana_core::config_gen::json_f64(cap),
-        rana_core::config_gen::json_f64(LOAD),
+        json_f64(cap),
+        json_f64(LOAD),
         results.iter().map(ScenarioResult::to_json).collect::<Vec<_>>().join(","),
         failure.to_json(),
         cold_warm_json
     );
-    let timing_entries: Vec<String> = all
-        .iter()
-        .map(|r| format!("\"{}\": {}", r.name, rana_core::config_gen::json_f64(r.wall_ms)))
-        .collect();
+    let timing_entries: Vec<String> =
+        all.iter().map(|r| format!("\"{}\": {}", r.name, json_f64(r.wall_ms))).collect();
     let timing = format!("{{\n{}\n}}\n", timing_entries.join(",\n"));
     let dir = std::path::Path::new("results");
     if let Err(e) = std::fs::create_dir_all(dir) {

@@ -1,8 +1,7 @@
-//! Metrics experiment — the `rana-metrics` layer end to end.
+//! Metrics experiment — the `rana_trace::metrics` layer end to end.
 //!
-//! Runs two workloads inside one global metrics session, with a
-//! [`TraceBridge`] sink attached so every trace event is folded into the
-//! registry as it is emitted:
+//! Runs two workloads inside one `TraceConfig::Metrics` session, which
+//! folds every trace event into its registry as it is emitted:
 //!
 //! 1. an AlexNet design sweep (all six Table IV designs through one
 //!    `Evaluator`), populating the `sched.*` and `cache.*` families;
@@ -25,8 +24,8 @@
 use rana_bench::{banner, seed_from_env, write_csv};
 use rana_core::designs::Design;
 use rana_core::evaluate::Evaluator;
-use rana_core::metrics::{MetricKey, MetricsSession, Registry, SloReport, TraceBridge};
-use rana_core::trace::Session;
+use rana_core::metrics::{MetricKey, Registry, SloReport};
+use rana_core::trace::{Session, TraceConfig};
 use rana_serve::{ServeConfig, Server, TenantSpec, TrafficModel};
 use std::path::PathBuf;
 
@@ -46,7 +45,6 @@ fn results_path(name: &str) -> PathBuf {
 fn run_sweep() {
     let eval = Evaluator::paper_platform();
     let net = rana_zoo::alexnet();
-    let trace = Session::start(TraceBridge::new().into_config());
     for design in Design::ALL {
         let result = eval.evaluate(&net, design);
         println!(
@@ -56,14 +54,14 @@ fn run_sweep() {
             result.schedule.layers.len(),
         );
     }
-    trace.finish();
 }
 
-/// The metered serving run: a two-tenant Poisson mix at 0.75x the
+/// The serving run's set-up: a two-tenant Poisson mix at 0.75x the
 /// mix's back-to-back capacity over `horizon_us` of simulated traffic
 /// (loaded but not drowning, so both tenants complete requests *and*
-/// miss some deadlines), SLO trackers fed by the dispatch loop.
-fn run_serve(seed: u64, horizon_us: f64) {
+/// miss some deadlines). Sizing the load runs searches of its own, so
+/// call this before the metered session starts.
+fn serve_setup(seed: u64, horizon_us: f64) -> (Evaluator, Vec<TenantSpec>, ServeConfig) {
     let eval = Evaluator::paper_platform();
     let specs = vec![
         TenantSpec::new(rana_zoo::alexnet(), 0.6),
@@ -78,8 +76,12 @@ fn run_serve(seed: u64, horizon_us: f64) {
     let rate_rps = 0.75 * 1e6 / mean_us;
     let mut cfg = ServeConfig::paper(TrafficModel::Poisson { rate_rps }, seed);
     cfg.horizon_us = horizon_us;
-    let trace = Session::start(TraceBridge::new().into_config());
-    let report = Server::new(&eval, specs, cfg).run();
+    (eval, specs, cfg)
+}
+
+/// The metered serving run, SLO trackers fed by the dispatch loop.
+fn run_serve(eval: &Evaluator, specs: Vec<TenantSpec>, cfg: ServeConfig) {
+    let report = Server::new(eval, specs, cfg).run();
     println!(
         "  serve: {} served / {} offered, {} batches, deadline miss rate {:.4}",
         report.served,
@@ -87,7 +89,6 @@ fn run_serve(seed: u64, horizon_us: f64) {
         report.batches,
         report.deadline_miss_rate(),
     );
-    trace.finish();
 }
 
 /// Sanity-checks the snapshot before it becomes a committed baseline.
@@ -112,18 +113,19 @@ fn validate(reg: &Registry) {
 fn main() {
     banner("BENCH metrics", "Metrics layer: metered AlexNet sweep + serve run, SLO per tenant");
     let smoke = std::env::args().any(|a| a == "--smoke");
-    // The trace bridge sees cache-lookup events, whose order is only
+    // The registry sees cache-lookup events, whose order is only
     // deterministic with one worker: pin the pool width.
     std::env::set_var("RANA_THREADS", "1");
     let seed = seed_from_env(DEFAULT_SEED);
     println!("seed: {seed}  worker threads: 1 (pinned for metric determinism)\n");
 
-    let session = MetricsSession::start();
+    let (eval, specs, cfg) = serve_setup(seed, if smoke { 300_000.0 } else { 2_000_000.0 });
+    let session = Session::start(TraceConfig::Metrics);
     println!("AlexNet sweep ({} designs):", Design::ALL.len());
     run_sweep();
     println!("\nServe run:");
-    run_serve(seed, if smoke { 300_000.0 } else { 2_000_000.0 });
-    let reg = session.finish();
+    run_serve(&eval, specs, cfg);
+    let reg = session.finish().metrics.expect("a metered session keeps a registry");
     validate(&reg);
 
     println!("\nPer-tenant SLO:");

@@ -27,7 +27,6 @@
 use rana_accel::dram::{Ddr3Model, DdrMapping};
 use rana_accel::{layer_refresh_words, ControllerKind, RefreshModel};
 use rana_bench::{banner, seed_from_env, threads_from_env, write_csv};
-use rana_core::config_gen::json_f64;
 use rana_core::designs::Design;
 use rana_core::energy::EnergyBreakdown;
 use rana_core::evaluate::Evaluator;
@@ -35,6 +34,7 @@ use rana_core::policy::{ErrorBudget, LayerCtx, RefreshStrategy, Strategy};
 use rana_nn::data::SyntheticDataset;
 use rana_nn::models::alexnet_s;
 use rana_nn::retention::RetentionAwareTrainer;
+use rana_trace::json_f64;
 use rana_zoo::Network;
 use rand::rngs::StdRng;
 use rand::SeedableRng;

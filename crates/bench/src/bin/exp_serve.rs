@@ -24,13 +24,13 @@
 //! hit count (the `scripts/check.sh` store-backed smoke leg).
 
 use rana_bench::{banner, seed_from_env, threads_from_env, write_csv};
-use rana_core::config_gen::json_f64;
 use rana_core::designs::Design;
 use rana_core::evaluate::Evaluator;
 use rana_core::store::{precompile, PrecompileSpec, ScheduleStore};
 use rana_serve::{
     PartitionPolicy, QueuePolicy, ServeConfig, ServeReport, Server, TenantSpec, TrafficModel,
 };
+use rana_trace::json_f64;
 
 /// Default arrival-stream seed (override with `RANA_SEED`).
 const DEFAULT_SEED: u64 = 17;
@@ -83,7 +83,7 @@ impl ScenarioResult {
         format!(
             "{{\"name\":\"{}\",\"load\":{},\"report\":{}}}",
             self.name,
-            rana_core::config_gen::json_f64(self.load),
+            json_f64(self.load),
             self.report.to_json()
         )
     }
@@ -326,7 +326,7 @@ fn main() {
 
     let json = format!(
         "{{\"experiment\":\"serve\",\"seed\":{seed},\"capacity_rps\":{},\"scenarios\":[{}],\"cold_warm\":{}}}\n",
-        rana_core::config_gen::json_f64(cap),
+        json_f64(cap),
         results.iter().map(ScenarioResult::to_json).collect::<Vec<_>>().join(","),
         cold_warm_json
     );

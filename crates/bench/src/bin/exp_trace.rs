@@ -19,7 +19,7 @@
 use rana_bench::{banner, seed_from_env, write_csv};
 use rana_core::designs::Design;
 use rana_core::evaluate::Evaluator;
-use rana_core::trace::{EnergyLedger, Session, TelemetryReport, TraceConfig};
+use rana_core::trace::{json_f64, EnergyLedger, Session, TelemetryReport, TraceConfig};
 use rana_serve::{ServeConfig, Server, TenantSpec, TrafficModel};
 use std::path::PathBuf;
 
@@ -119,7 +119,7 @@ fn main() {
 
     let bench = format!(
         "{{\n\"seed\": {seed},\n\"ledger_rel_err\": {},\n\"alexnet_sweep\": {},\n\"serve\": {}\n}}\n",
-        rana_core::config_gen::json_f64(err),
+        json_f64(err),
         sweep.to_json(true),
         serve.to_json(true),
     );

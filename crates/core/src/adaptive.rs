@@ -35,7 +35,6 @@
 //! The whole loop is deterministic: for a fixed [`AdaptiveConfig::seed`]
 //! two runs produce byte-identical [`AdaptiveReport::to_json`] output.
 
-use crate::config_gen::{json_f64, json_string};
 use crate::designs::Design;
 use crate::energy::{EnergyBreakdown, EnergyModel};
 use crate::evaluate::Evaluator;
@@ -52,6 +51,7 @@ use rana_accel::{
 use rana_edram::thermal::{ThermalModel, TrajectoryPoint};
 use rana_edram::{ClockDivider, RefreshConfig, RetentionDistribution};
 use rana_policy::Strategy;
+use rana_trace::{json_f64, json_string};
 use rana_zoo::Network;
 
 pub use crate::operating::ladder_rung_us;

@@ -38,9 +38,9 @@
 
 #![warn(missing_docs)]
 
-pub use rana_metrics as metrics;
 pub use rana_policy as policy;
 pub use rana_trace as trace;
+pub use rana_trace::metrics;
 
 pub mod adaptive;
 pub mod config_gen;

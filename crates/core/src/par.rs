@@ -65,8 +65,9 @@ where
 }
 
 /// The multi-worker body of [`par_map_with`], separated so the span hook
-/// times exactly the fan-out/join. Each item's trace ledgers are held and
-/// replayed in input order, so the ledger sum matches the inline path.
+/// times exactly the fan-out/join. Every worker records into the caller's
+/// trace session, and each item's ledgers are held and replayed in input
+/// order, so the ledger sum matches the inline path.
 fn par_map_pooled<T, R, F>(items: &[T], workers: usize, f: F) -> Vec<R>
 where
     T: Sync,
@@ -76,21 +77,24 @@ where
     let next = AtomicUsize::new(0);
     let f = &|item: &T| rana_trace::hold_ledgers(|| f(item));
     let next = &next;
+    let session = &rana_trace::Handle::current();
     let mut slots: Vec<Option<_>> = Vec::with_capacity(items.len());
     slots.resize_with(items.len(), || None);
     let tagged: Vec<_> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|_| {
                 scope.spawn(move || {
-                    let mut local = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= items.len() {
-                            break;
+                    session.enter(|| {
+                        let mut local = Vec::new();
+                        loop {
+                            let i = next.fetch_add(1, Ordering::Relaxed);
+                            if i >= items.len() {
+                                break;
+                            }
+                            local.push((i, f(&items[i])));
                         }
-                        local.push((i, f(&items[i])));
-                    }
-                    local
+                        local
+                    })
                 })
             })
             .collect();

@@ -63,7 +63,6 @@
 //! [`Scheduler::layer_key`]: crate::scheduler::Scheduler::layer_key
 //! [`Strategy::memo_key`]: rana_policy::Strategy::memo_key
 
-use crate::config_gen::json_string;
 use crate::designs::Design;
 use crate::energy::EnergyBreakdown;
 use crate::evaluate::Evaluator;
@@ -76,6 +75,7 @@ use rana_accel::fingerprint::{Fingerprint, Fnv1a};
 use rana_accel::{LayerSim, Lifetimes, Pattern, SchedLayer, Storage, Tiling, Traffic};
 use rana_edram::EnergyCosts;
 use rana_policy::Strategy;
+use rana_trace::json_string;
 use rana_zoo::Network;
 use std::borrow::Cow;
 use std::collections::HashMap;

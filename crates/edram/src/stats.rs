@@ -46,35 +46,6 @@ impl MemoryStats {
         rana_trace::count(&format!("{prefix}.refresh_words"), self.refresh_words);
         rana_trace::count(&format!("{prefix}.faults"), self.faults);
     }
-
-    /// Folds these counters into the active metrics session (if any) as
-    /// `{prefix}.reads`, `.writes`, `.refresh_words`, `.faults` counters —
-    /// the metrics twin of [`MemoryStats::trace_into`], pushed in bulk at
-    /// the same run boundaries.
-    ///
-    /// ```
-    /// use rana_edram::stats::MemoryStats;
-    ///
-    /// let session = rana_metrics::MetricsSession::start();
-    /// let stats = MemoryStats { reads: 10, writes: 4, refresh_words: 2, faults: 1 };
-    /// stats.metrics_into("buffer");
-    /// let reg = session.finish();
-    /// assert_eq!(reg.counter("buffer.reads"), 10);
-    /// assert_eq!(reg.counter("buffer.faults"), 1);
-    /// ```
-    pub fn metrics_into(&self, prefix: &str) {
-        if !rana_metrics::enabled() {
-            return;
-        }
-        use rana_metrics::MetricKey;
-        rana_metrics::counter_add(|| MetricKey::new(format!("{prefix}.reads")), self.reads);
-        rana_metrics::counter_add(|| MetricKey::new(format!("{prefix}.writes")), self.writes);
-        rana_metrics::counter_add(
-            || MetricKey::new(format!("{prefix}.refresh_words")),
-            self.refresh_words,
-        );
-        rana_metrics::counter_add(|| MetricKey::new(format!("{prefix}.faults")), self.faults);
-    }
 }
 
 impl AddAssign for MemoryStats {

@@ -24,8 +24,8 @@
 //!   [`rana_trace::Event::RequestRerouted`]) and in-flight work lost to a
 //!   crash is charged as wasted energy;
 //! * the report ([`FleetReport`]) is byte-deterministic: latency
-//!   percentiles come from [`rana_metrics::HistF64`], ordering from the
-//!   DES core's total event order — never from map iteration.
+//!   percentiles come from [`rana_trace::metrics::HistF64`], ordering
+//!   from the DES core's total event order — never from map iteration.
 //!
 //! # A 16-die cluster
 //!

@@ -1,16 +1,16 @@
 //! The deterministic fleet-run report.
 //!
-//! Latency order statistics come straight from [`rana_metrics::HistF64`]
-//! quantiles (log-linear buckets, ≤ ~0.1% relative error at the default
-//! precision) rather than from sorting raw samples — at fleet scale the
-//! histograms are the only thing that fits, and the bench artifacts
-//! inherit their determinism.
+//! Latency order statistics come straight from
+//! [`rana_trace::metrics::HistF64`] quantiles (log-linear buckets, ≤ ~0.1%
+//! relative error at the default precision) rather than from sorting raw
+//! samples — at fleet scale the histograms are the only thing that fits,
+//! and the bench artifacts inherit their determinism.
 
 use crate::router::RouterPolicy;
-use rana_core::config_gen::{json_f64, json_string};
 use rana_core::energy::EnergyBreakdown;
-use rana_metrics::HistF64;
 use rana_serve::TrafficModel;
+use rana_trace::metrics::HistF64;
+use rana_trace::{json_f64, json_string};
 
 /// Latency order statistics extracted from a streaming histogram.
 #[derive(Debug, Clone, Copy, PartialEq)]

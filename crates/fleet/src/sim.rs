@@ -29,9 +29,9 @@ use rana_core::operating::{ProfileCache, ThermalPolicy};
 use rana_core::policy::Strategy;
 use rana_des::{EventQueue, Streams};
 use rana_edram::thermal::ThermalModel;
-use rana_metrics::HistF64;
 use rana_serve::traffic::{ArrivalStreams, Arrivals, TrafficModel};
 use rana_serve::TenantSpec;
+use rana_trace::metrics::HistF64;
 use rand::rngs::StdRng;
 use rand::RngExt;
 

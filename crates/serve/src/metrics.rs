@@ -1,6 +1,6 @@
 //! Latency statistics for serving runs.
 
-use rana_core::config_gen::json_f64;
+use rana_trace::json_f64;
 
 /// Order statistics over a batch of request latencies.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]

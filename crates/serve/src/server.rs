@@ -22,7 +22,6 @@
 use crate::metrics::LatencyStats;
 use crate::partition::{equal_split, greedy_split, PartitionPolicy};
 use crate::traffic::{ArrivalStreams, Arrivals, TrafficModel};
-use rana_core::config_gen::{json_f64, json_string};
 use rana_core::designs::Design;
 use rana_core::energy::EnergyBreakdown;
 use rana_core::evaluate::Evaluator;
@@ -30,6 +29,8 @@ use rana_core::operating::{check_throttle, throttle, ProfileCache, ThermalPolicy
 use rana_core::policy::Strategy;
 use rana_des::EventQueue;
 use rana_edram::thermal::ThermalModel;
+use rana_trace::metrics::{MetricKey, SloObservation, SloSpec};
+use rana_trace::{json_f64, json_string};
 use rana_zoo::Network;
 use std::collections::VecDeque;
 
@@ -352,21 +353,20 @@ impl<'a> Server<'a> {
             while rt.queue.front().is_some_and(|r| r.deadline_us < self.now_us) {
                 rt.queue.pop_front();
                 rt.deadline_drops += 1;
-                if rana_metrics::enabled() {
-                    let spec = rana_metrics::SloSpec::from_deadline(
-                        self.specs[i].deadline_slack * rt.isolated_us,
-                    );
-                    rana_metrics::slo_observe(
+                rana_trace::metrics::record(|reg| {
+                    let spec =
+                        SloSpec::from_deadline(self.specs[i].deadline_slack * rt.isolated_us);
+                    reg.slo_observe(
                         self.specs[i].network.name(),
                         &spec,
-                        rana_metrics::SloObservation {
+                        SloObservation {
                             latency_us: None,
                             queue_wait_us: None,
                             missed_deadline: true,
                             now_us: self.now_us,
                         },
                     );
-                }
+                });
             }
         }
     }
@@ -486,8 +486,6 @@ impl<'a> Server<'a> {
         rt.rescheduled_layer_execs += profile.rescheduled_layers * batch.len() as u64;
         rt.flagged_banks_peak = rt.flagged_banks_peak.max(profile.flagged_banks);
         rt.energy += energy;
-        let slo = rana_metrics::enabled()
-            .then(|| rana_metrics::SloSpec::from_deadline(spec.deadline_slack * rt.isolated_us));
         for r in &batch {
             let latency_us = self.now_us - r.arrival_us;
             let wait_us = dispatch_us - r.arrival_us;
@@ -500,27 +498,28 @@ impl<'a> Server<'a> {
             if late {
                 rt.late_served += 1;
             }
-            if let Some(slo) = &slo {
+            rana_trace::metrics::record(|reg| {
                 let name = spec.network.name();
-                rana_metrics::observe_f64(
-                    || rana_metrics::MetricKey::new("serve.latency_us").label("tenant", name),
+                let slo = SloSpec::from_deadline(spec.deadline_slack * rt.isolated_us);
+                reg.observe_f64(
+                    MetricKey::new("serve.latency_us").label("tenant", name),
                     latency_us,
                 );
-                rana_metrics::observe_f64(
-                    || rana_metrics::MetricKey::new("serve.queue_wait_us").label("tenant", name),
+                reg.observe_f64(
+                    MetricKey::new("serve.queue_wait_us").label("tenant", name),
                     wait_us,
                 );
-                rana_metrics::slo_observe(
+                reg.slo_observe(
                     name,
-                    slo,
-                    rana_metrics::SloObservation {
+                    &slo,
+                    SloObservation {
                         latency_us: Some(latency_us),
                         queue_wait_us: Some(wait_us),
                         missed_deadline: late,
                         now_us: self.now_us,
                     },
                 );
-            }
+            });
         }
     }
 
@@ -929,17 +928,6 @@ impl ServeReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::{Mutex, MutexGuard};
-
-    /// Serializes every test here that runs the server. The metrics
-    /// session is process-global, so a metered test would otherwise count
-    /// the observations of servers running in parallel tests.
-    static SESSION_LOCK: Mutex<()> = Mutex::new(());
-
-    /// Takes [`SESSION_LOCK`], surviving a panicked holder.
-    fn session_lock() -> MutexGuard<'static, ()> {
-        SESSION_LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-    }
 
     fn alexnet_mix() -> Vec<TenantSpec> {
         vec![TenantSpec::new(rana_zoo::alexnet(), 1.0)]
@@ -953,7 +941,6 @@ mod tests {
 
     #[test]
     fn single_tenant_run_serves_and_accounts() {
-        let _lock = session_lock();
         let eval = Evaluator::paper_platform();
         let r = Server::new(&eval, alexnet_mix(), quick_config(5)).run();
         assert!(r.served > 0, "nothing served");
@@ -968,7 +955,6 @@ mod tests {
 
     #[test]
     fn report_is_byte_deterministic() {
-        let _lock = session_lock();
         let eval = Evaluator::paper_platform();
         let a = Server::new(&eval, alexnet_mix(), quick_config(9)).run().to_json();
         let b = Server::new(&eval, alexnet_mix(), quick_config(9)).run().to_json();
@@ -979,7 +965,6 @@ mod tests {
 
     #[test]
     fn dynamic_partition_respects_floor_and_capacity() {
-        let _lock = session_lock();
         let eval = Evaluator::paper_platform();
         let specs = vec![
             TenantSpec::new(rana_zoo::alexnet(), 0.7),
@@ -998,7 +983,6 @@ mod tests {
 
     #[test]
     fn overload_drops_instead_of_unbounded_queueing() {
-        let _lock = session_lock();
         let eval = Evaluator::paper_platform();
         let mut cfg = quick_config(7);
         // Far beyond one accelerator's AlexNet capacity: must shed load.
@@ -1014,7 +998,6 @@ mod tests {
 
     #[test]
     fn queue_wait_is_tracked_and_bounded_by_latency() {
-        let _lock = session_lock();
         let eval = Evaluator::paper_platform();
         let r = Server::new(&eval, alexnet_mix(), quick_config(5)).run();
         let t = &r.tenants[0];
@@ -1030,11 +1013,10 @@ mod tests {
 
     #[test]
     fn metered_run_tracks_per_tenant_slo() {
-        let _lock = session_lock();
         let eval = Evaluator::paper_platform();
-        let session = rana_metrics::MetricsSession::start();
+        let session = rana_trace::Session::start(rana_trace::TraceConfig::Metrics);
         let r = Server::new(&eval, alexnet_mix(), quick_config(5)).run();
-        let reg = session.finish();
+        let reg = session.finish().metrics.expect("metered session");
         let slo = reg.slo("AlexNet").expect("tenant SLO tracked");
         assert_eq!(
             slo.requests(),
@@ -1043,7 +1025,7 @@ mod tests {
         );
         assert_eq!(slo.misses(), r.deadline_drops + r.late_served);
         let lat = reg
-            .hist_f64(rana_metrics::MetricKey::new("serve.latency_us").label("tenant", "AlexNet"))
+            .hist_f64(MetricKey::new("serve.latency_us").label("tenant", "AlexNet"))
             .expect("latency histogram populated");
         assert_eq!(lat.count(), r.served);
         // Log-linear buckets bound the histogram p99's relative error.
@@ -1053,7 +1035,6 @@ mod tests {
 
     #[test]
     fn compile_penalty_charges_cold_runs_only() {
-        let _lock = session_lock();
         let eval = Evaluator::paper_platform();
         // Two tenants split the buffer 22/22, so the first run must
         // compile fresh schedules at a partition size nothing warmed.
@@ -1074,7 +1055,6 @@ mod tests {
 
     #[test]
     fn batching_amortizes_weight_reloads() {
-        let _lock = session_lock();
         let eval = Evaluator::paper_platform();
         let mut batched = quick_config(21);
         batched.traffic = TrafficModel::Bursty {

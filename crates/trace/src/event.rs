@@ -333,6 +333,9 @@ impl Event {
 }
 
 /// JSON string literal with the standard escapes.
+///
+/// With [`json_f64`], the one JSON scalar writer every deterministic
+/// report in the workspace uses, so equal input always gives equal bytes.
 pub fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');

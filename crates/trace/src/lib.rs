@@ -6,15 +6,26 @@
 //! divider programming, thermal sensing, memo-cache lookups, serving
 //! dispatch — through a pluggable [`Sink`]. A per-run [`Registry`]
 //! aggregates hierarchical counters, span timings and the paper's Eq. 14
-//! energy ledger into a [`TelemetryReport`].
+//! energy ledger into a [`TelemetryReport`]. A session started with
+//! [`TraceConfig::Metrics`] also folds every event into a
+//! [`metrics::Registry`] of histograms, gauges and per-tenant SLO
+//! trackers.
 //!
 //! ## Zero cost when off
 //!
-//! Every emission site is guarded by [`enabled`], a single relaxed atomic
-//! load. When no session is active the guard is false, no event is
-//! constructed, no string is allocated, and existing outputs stay
+//! Every emission site is guarded by [`enabled`]. While no session exists
+//! anywhere in the process that guard is a single relaxed atomic load: no
+//! event is constructed, no string is allocated, and existing outputs stay
 //! byte-identical. Tracing is opted into per run via [`Session::start`]
 //! with a [`TraceConfig`].
+//!
+//! ## Sessions are per thread
+//!
+//! A session is installed on the thread that starts it, and only that
+//! thread's emission sites reach it, so concurrent runs (and tests) never
+//! see each other's events. The worker pool (`rana_core::par::par_map`)
+//! installs the caller's session in each worker through a [`Handle`], so
+//! work fanned over the pool is recorded as if it ran inline.
 //!
 //! ## Determinism
 //!
@@ -47,6 +58,7 @@
 #![warn(missing_docs)]
 
 mod event;
+pub mod metrics;
 mod report;
 mod sink;
 
@@ -55,53 +67,56 @@ pub use report::{Registry, SpanStats, TelemetryReport};
 pub use sink::{JsonlSink, NullSink, RingSink, SharedRing, SharedRingSink, Sink, TraceConfig};
 
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::marker::PhantomData;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
 thread_local! {
+    /// The session installed on this thread, if any.
+    static CURRENT: RefCell<Option<Arc<Mutex<State>>>> = const { RefCell::new(None) };
     /// Ledgers held by [`hold_ledgers`] on this thread (`None` outside it).
     static HELD: RefCell<Option<Vec<EnergyLedger>>> = const { RefCell::new(None) };
 }
 
-/// Fast global "is any session active" flag; emission sites check this
-/// before doing anything else.
-static ENABLED: AtomicBool = AtomicBool::new(false);
+/// Live sessions in the process. While it is zero, every emission site
+/// returns after this one relaxed load. `Relaxed` suffices because the
+/// count publishes no data: a thread only records into a session it
+/// installed itself, or entered through a [`Handle`] it was handed.
+static SESSIONS: AtomicUsize = AtomicUsize::new(0);
 
-/// The active session's shared state, if any.
-static CURRENT: Mutex<Option<Arc<SessionState>>> = Mutex::new(None);
-
-/// Serializes whole sessions: tests (which run in parallel threads under
-/// `cargo test`) each start a session, and two concurrent sessions would
-/// interleave their events. Held by [`Session`] for its lifetime.
-static SESSION_LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-
-struct SessionState {
-    inner: Mutex<SessionInner>,
-}
-
-struct SessionInner {
+/// One session's aggregation state, shared with the pool workers that
+/// inherit it.
+struct State {
     seq: u64,
     sink: Box<dyn Sink>,
     registry: Registry,
+    /// The [`TraceConfig::Metrics`] registry (`None` for other configs).
+    metrics: Option<metrics::Registry>,
 }
 
-/// Whether a tracing session is currently active.
+/// Locks a session's state; fails only if a thread panicked while
+/// recording into it.
+fn lock(state: &Mutex<State>) -> MutexGuard<'_, State> {
+    state.lock().expect("a thread panicked while recording into this session")
+}
+
+/// Whether a tracing session is installed on the calling thread.
 ///
 /// This is the only cost tracing imposes on an untraced run: one relaxed
-/// atomic load per emission site.
+/// atomic load per emission site while no session exists anywhere.
 #[inline]
 pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
+    SESSIONS.load(Ordering::Relaxed) != 0 && CURRENT.with(|c| c.borrow().is_some())
 }
 
-fn with_state<R>(f: impl FnOnce(&mut SessionInner) -> R) -> Option<R> {
-    if !enabled() {
+/// Runs `f` on the calling thread's session state, if one is installed.
+#[inline]
+fn with_state<R>(f: impl FnOnce(&mut State) -> R) -> Option<R> {
+    if SESSIONS.load(Ordering::Relaxed) == 0 {
         return None;
     }
-    let state = CURRENT.lock().unwrap().clone()?;
-    let mut inner = state.inner.lock().unwrap();
-    Some(f(&mut inner))
+    CURRENT.with(|c| Some(f(&mut lock(c.borrow().as_ref()?))))
 }
 
 /// Emits one event if tracing is active. The closure runs only when a
@@ -109,18 +124,18 @@ fn with_state<R>(f: impl FnOnce(&mut SessionInner) -> R) -> Option<R> {
 /// when tracing is off.
 #[inline]
 pub fn emit(build: impl FnOnce() -> Event) {
-    if !enabled() {
-        return;
-    }
-    with_state(|inner| {
+    with_state(|state| {
         let event = build();
-        inner.registry.count_event(event.kind());
+        state.registry.count_event(event.kind());
         if let Some(ledger) = event.ledger() {
-            fold_ledger(&mut inner.registry, ledger);
+            fold_ledger(&mut state.registry, ledger);
         }
-        let seq = inner.seq;
-        inner.seq += 1;
-        inner.sink.record(seq, &event);
+        if let Some(reg) = &mut state.metrics {
+            metrics::apply_event(reg, &event);
+        }
+        let seq = state.seq;
+        state.seq += 1;
+        state.sink.record(seq, &event);
     });
 }
 
@@ -129,10 +144,7 @@ pub fn emit(build: impl FnOnce() -> Event) {
 /// paths).
 #[inline]
 pub fn count(path: &str, n: u64) {
-    if !enabled() {
-        return;
-    }
-    with_state(|inner| inner.registry.add(path, n));
+    with_state(|state| state.registry.add(path, n));
 }
 
 /// Accumulates one finalized per-layer Eq. 14 ledger into the report
@@ -140,10 +152,7 @@ pub fn count(path: &str, n: u64) {
 /// a [`Event::ScheduleChosen`] elsewhere, or that only need the ledger.
 #[inline]
 pub fn ledger(l: &EnergyLedger) {
-    if !enabled() {
-        return;
-    }
-    with_state(|inner| fold_ledger(&mut inner.registry, l));
+    with_state(|state| fold_ledger(&mut state.registry, l));
 }
 
 /// Folds `l` into the registry, or into this thread's [`hold_ledgers`] list.
@@ -179,73 +188,116 @@ pub fn span<R>(name: &str, f: impl FnOnce() -> R) -> R {
     let start = Instant::now();
     let out = f();
     let elapsed = start.elapsed().as_secs_f64();
-    with_state(|inner| inner.registry.record_span(name, elapsed));
+    with_state(|state| state.registry.record_span(name, elapsed));
     out
 }
 
-/// An active tracing session. Starting a session flips the global
-/// [`enabled`] flag; dropping or [`finish`](Session::finish)ing it turns
-/// tracing back off and yields the aggregated [`TelemetryReport`].
+/// The session installed on one thread, captured so that other threads
+/// can record into it. The worker pool captures the caller's and enters
+/// it on every worker.
 ///
-/// Sessions are globally exclusive: a second `Session::start` blocks until
-/// the first finishes. This serializes tests that trace and guarantees a
-/// JSONL file never interleaves two workloads.
+/// ```
+/// use rana_trace::{Handle, Session, TraceConfig};
+///
+/// let session = Session::start(TraceConfig::CountersOnly);
+/// let handle = Handle::current();
+/// std::thread::scope(|s| {
+///     s.spawn(|| {
+///         assert!(!rana_trace::enabled());
+///         handle.enter(|| rana_trace::count("worker", 1));
+///     });
+/// });
+/// assert_eq!(session.finish().counter("worker"), 1);
+/// ```
+pub struct Handle(Option<Arc<Mutex<State>>>);
+
+impl Handle {
+    /// Captures the calling thread's session (an empty handle when none
+    /// is installed).
+    pub fn current() -> Handle {
+        Handle(CURRENT.with(|c| c.borrow().clone()))
+    }
+
+    /// Runs `f` with this handle's session installed on the calling
+    /// thread, then restores whatever was installed before.
+    pub fn enter<R>(&self, f: impl FnOnce() -> R) -> R {
+        let prev = CURRENT.with(|c| c.replace(self.0.clone()));
+        let out = f();
+        CURRENT.with(|c| *c.borrow_mut() = prev);
+        out
+    }
+}
+
+/// An active tracing session. Starting one installs it on the calling
+/// thread; dropping or [`finish`](Session::finish)ing it uninstalls it
+/// and yields the aggregated [`TelemetryReport`].
+///
+/// Sessions are per thread, inherited by `par_map`: only the starting
+/// thread and the pool workers it fans out to (see [`Handle`]) record
+/// into a session, so sessions on different threads never mix. A session
+/// started on a thread that already has one shadows it until finished.
+/// A session cannot move to another thread:
+///
+/// ```compile_fail
+/// fn assert_send<T: Send>() {}
+/// assert_send::<rana_trace::Session>();
+/// ```
 pub struct Session {
-    _guard: MutexGuard<'static, ()>,
-    state: Arc<SessionState>,
+    state: Arc<Mutex<State>>,
+    /// What this session shadows on its thread, restored when it ends.
+    prev: Option<Arc<Mutex<State>>>,
+    /// Pins the session to the thread whose slot it occupies.
+    _thread: PhantomData<*const ()>,
 }
 
 impl Session {
-    /// Starts a session writing through the sink selected by `config`.
-    ///
-    /// [`TraceConfig::Off`] still creates a session (with a null sink and
-    /// live counters) — passing `Off` is how callers say "aggregate but
-    /// keep no events"; to not trace at all, simply don't start a session.
+    /// Starts a session on the calling thread, writing through the sink
+    /// selected by `config`.
     pub fn start(config: TraceConfig) -> Session {
-        let guard = SESSION_LOCK
-            .get_or_init(|| Mutex::new(()))
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        let sink = config.into_sink().unwrap_or_else(|| Box::new(NullSink));
-        let state = Arc::new(SessionState {
-            inner: Mutex::new(SessionInner { seq: 0, sink, registry: Registry::new() }),
-        });
-        *CURRENT.lock().unwrap() = Some(state.clone());
-        ENABLED.store(true, Ordering::SeqCst);
-        Session { _guard: guard, state }
+        let metrics = matches!(config, TraceConfig::Metrics).then(metrics::Registry::new);
+        let state = Arc::new(Mutex::new(State {
+            seq: 0,
+            sink: config.into_sink(),
+            registry: Registry::new(),
+            metrics,
+        }));
+        let prev = CURRENT.with(|c| c.replace(Some(state.clone())));
+        SESSIONS.fetch_add(1, Ordering::Relaxed);
+        Session { state, prev, _thread: PhantomData }
     }
 
     /// Snapshot of everything aggregated so far (counters, spans, ledger,
-    /// event counts), without ending the session.
+    /// event counts, metrics), without ending the session.
     pub fn snapshot(&self) -> TelemetryReport {
-        let inner = self.state.inner.lock().unwrap();
-        inner.registry.clone().into_report(inner.seq, inner.sink.dropped())
+        let state = lock(&self.state);
+        TelemetryReport {
+            metrics: state.metrics.clone(),
+            ..state.registry.clone().into_report(state.seq, state.sink.dropped())
+        }
     }
 
     /// Ends the session, flushes the sink, and returns the aggregated
-    /// report. Tracing is disabled before this returns.
+    /// report, with the metrics registry of a [`TraceConfig::Metrics`]
+    /// session. The session is uninstalled before this returns.
     pub fn finish(self) -> TelemetryReport {
-        ENABLED.store(false, Ordering::SeqCst);
-        CURRENT.lock().unwrap().take();
-        // Emitters that cloned the state Arc before the disable may still
-        // hold it briefly; draining through the mutex (rather than
-        // Arc::try_unwrap) is race-free either way.
-        let mut inner = self.state.inner.lock().unwrap();
-        inner.sink.flush();
-        let seq = inner.seq;
-        let dropped = inner.sink.dropped();
-        std::mem::take(&mut inner.registry).into_report(seq, dropped)
+        let state = self.state.clone();
+        drop(self);
+        let mut state = lock(&state);
+        state.sink.flush();
+        let (seq, dropped) = (state.seq, state.sink.dropped());
+        TelemetryReport {
+            metrics: state.metrics.take(),
+            ..std::mem::take(&mut state.registry).into_report(seq, dropped)
+        }
     }
 }
 
 impl Drop for Session {
     fn drop(&mut self) {
-        // `finish` consumes self, so reaching Drop with tracing enabled
-        // means the session is being abandoned (e.g. a panic in a test):
-        // turn the global flag off so later code isn't traced into a dead
-        // sink.
-        ENABLED.store(false, Ordering::SeqCst);
-        CURRENT.lock().unwrap().take();
+        let prev = self.prev.take();
+        // A session dropped during thread teardown has no slot left to clear.
+        let _ = CURRENT.try_with(|c| *c.borrow_mut() = prev);
+        SESSIONS.fetch_sub(1, Ordering::Relaxed);
     }
 }
 
@@ -253,20 +305,8 @@ impl Drop for Session {
 mod tests {
     use super::*;
 
-    /// Serializes every test here. Sessions are process-global, so a test
-    /// that checks the disabled state would otherwise see another test's
-    /// session, including one started the instant a `finish` released
-    /// the session lock.
-    static TEST_LOCK: Mutex<()> = Mutex::new(());
-
-    /// Takes [`TEST_LOCK`], surviving a panicked holder.
-    fn test_lock() -> MutexGuard<'static, ()> {
-        TEST_LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-    }
-
     #[test]
     fn disabled_emit_is_a_noop() {
-        let _lock = test_lock();
         assert!(!enabled());
         emit(|| panic!("event constructed while tracing disabled"));
         count("never", 1);
@@ -277,7 +317,6 @@ mod tests {
 
     #[test]
     fn session_collects_events_counters_and_ledger() {
-        let _lock = test_lock();
         let session = Session::start(TraceConfig::Ring { capacity: 4 });
         emit(|| Event::CacheLookup { cache: "schedule".into(), fingerprint: 1, hit: true });
         emit(|| Event::CacheLookup { cache: "schedule".into(), fingerprint: 2, hit: false });
@@ -295,7 +334,6 @@ mod tests {
 
     #[test]
     fn schedule_chosen_feeds_ledger_automatically() {
-        let _lock = test_lock();
         let session = Session::start(TraceConfig::CountersOnly);
         emit(|| Event::ScheduleChosen {
             network: "alexnet".into(),
@@ -316,7 +354,6 @@ mod tests {
 
     #[test]
     fn held_ledgers_replay_in_caller_order() {
-        let _lock = test_lock();
         let session = Session::start(TraceConfig::CountersOnly);
         let l = |x| EnergyLedger { computing_j: x, ..Default::default() };
         let ((), outer) = hold_ledgers(|| {
@@ -335,7 +372,6 @@ mod tests {
 
     #[test]
     fn ring_overflow_surfaces_in_report() {
-        let _lock = test_lock();
         let session = Session::start(TraceConfig::Ring { capacity: 2 });
         for k in 0..5 {
             emit(|| Event::CacheLookup { cache: "c".into(), fingerprint: k, hit: false });
@@ -349,11 +385,23 @@ mod tests {
 
     #[test]
     fn spans_recorded_only_inside_session() {
-        let _lock = test_lock();
         let session = Session::start(TraceConfig::CountersOnly);
         let out = span("work", || 7);
         assert_eq!(out, 7);
         let report = session.finish();
         assert_eq!(report.spans["work"].count, 1);
+    }
+
+    #[test]
+    fn nested_session_shadows_until_finished() {
+        let outer = Session::start(TraceConfig::CountersOnly);
+        count("outer", 1);
+        let inner = Session::start(TraceConfig::CountersOnly);
+        count("inner", 1);
+        assert_eq!(inner.finish().counter("outer"), 0);
+        count("outer", 1);
+        let report = outer.finish();
+        assert_eq!((report.counter("outer"), report.counter("inner")), (2, 0));
+        assert!(!enabled());
     }
 }

@@ -8,9 +8,9 @@
 //! Wall-clock time never appears: windowed rates expose their simulated-
 //! time peaks and totals, not a "current" rate.
 
-use crate::hist::{HistF64, HistI64};
-use crate::registry::{MetricKey, Registry};
-use rana_trace::{json_f64, json_string};
+use super::hist::{HistF64, HistI64};
+use super::registry::{MetricKey, Registry};
+use crate::{json_f64, json_string};
 use std::fmt::Write as _;
 
 /// The quantiles every histogram exposes, with their label spellings.
@@ -266,7 +266,7 @@ impl Registry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::slo::{SloObservation, SloSpec};
+    use crate::metrics::slo::{SloObservation, SloSpec};
 
     fn sample_registry() -> Registry {
         let mut r = Registry::new();

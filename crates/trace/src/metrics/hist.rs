@@ -77,7 +77,7 @@ fn f64_representative(i: u64, p: u32) -> f64 {
 /// The running `sum` is exact (i128), so `mean` is exact too.
 ///
 /// ```
-/// use rana_metrics::HistI64;
+/// use rana_trace::metrics::HistI64;
 ///
 /// let mut h = HistI64::new();
 /// for v in [3, 10, 10, 250] {
@@ -246,7 +246,7 @@ impl HistI64 {
 /// merging in any order or grouping yields bit-identical statistics.
 ///
 /// ```
-/// use rana_metrics::HistF64;
+/// use rana_trace::metrics::HistF64;
 ///
 /// let mut h = HistF64::new();
 /// for v in [1.0, 2.5, 2.5, 1e6] {

@@ -1,22 +1,81 @@
-//! [`TraceBridge`]: a `rana_trace::Sink` that folds every telemetry event
-//! into the active metrics session.
+//! Streaming metrics: log-linear histograms, a typed registry, windowed
+//! rates, per-tenant SLO trackers and deterministic exposition.
 //!
-//! This is how the metrics layer observes the scheduler, the refresh
-//! controller, the thermal loop, the schedule caches, the functional
-//! engine and the serving dispatch loop *without touching their sources*:
-//! those subsystems already emit typed [`Event`]s, and the bridge maps
-//! each event onto counters, gauges and histograms. Install it as the
-//! trace sink (optionally tee-ing into another sink such as a JSONL
-//! writer) and every traced run doubles as a metrics run.
+//! Where the event stream records *what happened*, this module records
+//! *how it is distributed*: log-linear HDR-style histograms
+//! ([`HistI64`]/[`HistF64`]) with bounded relative error and associative
+//! merge, windowed rate estimators over simulated time
+//! ([`WindowedRate`]), and per-tenant SLO trackers ([`SloTracker`]) for
+//! deadline-miss rate, attained percentiles and budget burn rate.
+//!
+//! ## Wiring
+//!
+//! A session started with [`TraceConfig::Metrics`](crate::TraceConfig::Metrics)
+//! owns a [`Registry`] and folds every event it records into it through
+//! [`apply_event`], so subsystems that already emit trace events need no
+//! further code. Only
+//! the serving loop records directly, through [`record`]: per-request
+//! latency, queue wait and SLO outcomes carry data no event has.
+//! [`Session::finish`](crate::Session::finish) hands the registry back as
+//! [`TelemetryReport::metrics`](crate::TelemetryReport::metrics).
+//!
+//! ## Zero cost when off
+//!
+//! [`record`] runs its closure only when the calling thread's session
+//! meters, so key and label construction is free otherwise; the guard is
+//! the same relaxed load as every other emission site's.
+//!
+//! ## Determinism
+//!
+//! Histogram quantiles are exact functions of bucket state; merge is
+//! associative and commutative; rates run on the simulated clock; and the
+//! two snapshot forms ([`Registry::to_json`], [`Registry::to_prometheus`])
+//! iterate sorted maps with shortest-round-trip float formatting. A fixed
+//! workload produces byte-identical snapshots, which is what lets the
+//! bench-regression gate diff them against committed baselines.
+//!
+//! ```
+//! use rana_trace::metrics::MetricKey;
+//! use rana_trace::{Event, Session, TraceConfig};
+//!
+//! let session = Session::start(TraceConfig::Metrics);
+//! rana_trace::emit(|| Event::CacheLookup { cache: "schedule".into(), fingerprint: 7, hit: true });
+//! rana_trace::metrics::record(|reg| reg.observe_f64("serve.latency_us", 230.0));
+//! let reg = session.finish().metrics.expect("a metered session keeps a registry");
+//! let hits = MetricKey::new("cache.lookups").label("cache", "schedule").label("outcome", "hit");
+//! assert_eq!(reg.counter(hits), 1);
+//! assert_eq!(reg.hist_f64("serve.latency_us").unwrap().count(), 1);
+//! ```
 
-use crate::registry::{MetricKey, Registry};
-use rana_trace::{Event, Sink, TraceConfig};
+mod expose;
+mod hist;
+mod rate;
+mod registry;
+mod slo;
+
+pub use expose::EXPOSED_QUANTILES;
+pub use hist::{HistF64, HistI64, DEFAULT_PRECISION_BITS, MAX_PRECISION_BITS};
+pub use rate::WindowedRate;
+pub use registry::{MetricKey, Registry};
+pub use slo::{SloObservation, SloReport, SloSpec, SloTracker};
+
+use crate::Event;
+
+/// Runs `f` against the calling thread's session registry when that
+/// session was started with
+/// [`TraceConfig::Metrics`](crate::TraceConfig::Metrics); otherwise does
+/// nothing, and `f` never runs. `f` runs under the session's lock, so it
+/// must not call back into `rana_trace`.
+#[inline]
+pub fn record(f: impl FnOnce(&mut Registry)) {
+    crate::with_state(|state| state.metrics.as_mut().map(f));
+}
 
 /// Folds one trace event into a metrics registry.
 ///
-/// This is the single source of truth for the event→metric mapping; the
-/// [`TraceBridge`] sink applies it to the global session, and tests apply
-/// it to a local registry.
+/// This is the single source of truth for the event→metric mapping: a
+/// [`TraceConfig::Metrics`](crate::TraceConfig::Metrics) session applies it to every event it records,
+/// and tests apply it to a local registry.
 pub fn apply_event(reg: &mut Registry, event: &Event) {
     match event {
         Event::ScheduleChosen { network, pattern, energy, .. } => {
@@ -117,71 +176,10 @@ pub fn apply_event(reg: &mut Registry, event: &Event) {
     }
 }
 
-/// A trace sink that mirrors every event into the active
-/// [`MetricsSession`](crate::MetricsSession), optionally forwarding it to
-/// an inner sink as well.
-///
-/// When no metrics session is active the bridge only forwards (or drops)
-/// events — it never buffers.
-///
-/// ```
-/// use rana_metrics::{MetricsSession, TraceBridge};
-/// use rana_trace::{Event, Session};
-///
-/// let metrics = MetricsSession::start();
-/// let trace = Session::start(TraceBridge::new().into_config());
-/// rana_trace::emit(|| Event::CacheLookup { cache: "schedule".into(), fingerprint: 7, hit: true });
-/// trace.finish();
-/// let reg = metrics.finish();
-/// assert_eq!(reg.counter(rana_metrics::MetricKey::new("cache.lookups")
-///     .label("cache", "schedule").label("outcome", "hit")), 1);
-/// ```
-#[derive(Default)]
-pub struct TraceBridge {
-    inner: Option<Box<dyn Sink>>,
-}
-
-impl TraceBridge {
-    /// A bridge that only feeds the metrics session.
-    pub fn new() -> Self {
-        Self { inner: None }
-    }
-
-    /// A bridge that also forwards every event to `inner` (e.g. a
-    /// `JsonlSink`), so one run can produce a trace file *and* metrics.
-    pub fn tee(inner: Box<dyn Sink>) -> Self {
-        Self { inner: Some(inner) }
-    }
-
-    /// Wraps the bridge as a [`TraceConfig`] for `Session::start`.
-    pub fn into_config(self) -> TraceConfig {
-        TraceConfig::Custom(Box::new(self))
-    }
-}
-
-impl Sink for TraceBridge {
-    fn record(&mut self, seq: u64, event: &Event) {
-        crate::with(|reg| apply_event(reg, event));
-        if let Some(inner) = &mut self.inner {
-            inner.record(seq, event);
-        }
-    }
-
-    fn flush(&mut self) {
-        if let Some(inner) = &mut self.inner {
-            inner.flush();
-        }
-    }
-
-    fn dropped(&self) -> u64 {
-        self.inner.as_ref().map_or(0, |s| s.dropped())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rana_trace::EnergyLedger;
+    use crate::{EnergyLedger, Session, TraceConfig};
 
     #[test]
     fn apply_maps_every_event_kind() {
@@ -313,11 +311,41 @@ mod tests {
     }
 
     #[test]
-    fn bridge_without_session_is_inert() {
-        let _lock = crate::test_lock();
+    fn record_without_a_metered_session_is_a_noop() {
+        record(|_| panic!("registry accessed without a session"));
+        let session = Session::start(TraceConfig::CountersOnly);
+        record(|_| panic!("registry accessed by an unmetered session"));
+        assert_eq!(session.finish().metrics, None);
+    }
+
+    #[test]
+    fn metered_session_collects_and_finishes() {
+        let session = Session::start(TraceConfig::Metrics);
+        record(|reg| {
+            reg.counter_add("hits", 2);
+            reg.observe_f64("lat_us", 10.0);
+            reg.observe_i64("cycles", 7);
+            reg.gauge_set("temp_c", 45.0);
+        });
+        let snap = session.snapshot().metrics.expect("metered snapshot");
+        assert_eq!(snap.counter("hits"), 2);
+        let reg = session.finish().metrics.expect("metered session");
         assert!(!crate::enabled());
-        let mut bridge = TraceBridge::new();
-        bridge.record(0, &Event::CacheLookup { cache: "c".into(), fingerprint: 0, hit: true });
-        bridge.flush();
+        assert_eq!(reg.counter("hits"), 2);
+        assert_eq!(reg.hist_f64("lat_us").unwrap().count(), 1);
+        assert_eq!(reg.hist_i64("cycles").unwrap().count(), 1);
+        assert_eq!(reg.gauge("temp_c"), Some(45.0));
+    }
+
+    #[test]
+    fn sequential_sessions_keep_separate_registries() {
+        let a = Session::start(TraceConfig::Metrics);
+        record(|reg| reg.counter_add("a", 1));
+        let reg_a = a.finish().metrics.unwrap();
+        let b = Session::start(TraceConfig::Metrics);
+        record(|reg| reg.counter_add("b", 1));
+        let reg_b = b.finish().metrics.unwrap();
+        assert_eq!((reg_a.counter("a"), reg_a.counter("b")), (1, 0));
+        assert_eq!((reg_b.counter("a"), reg_b.counter("b")), (0, 1));
     }
 }

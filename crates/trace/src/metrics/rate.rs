@@ -12,7 +12,7 @@ use std::collections::VecDeque;
 /// `window_us` of simulated time, bucketed into fixed sub-window slots.
 ///
 /// ```
-/// use rana_metrics::WindowedRate;
+/// use rana_trace::metrics::WindowedRate;
 ///
 /// let mut r = WindowedRate::new(1_000_000.0, 10); // 1 s window, 10 slots
 /// for k in 0..100 {

@@ -2,20 +2,20 @@
 //! rates and per-tenant SLO trackers, keyed by name + sorted labels.
 //!
 //! Every collection is a `BTreeMap`, so iteration — and therefore the
-//! Prometheus/JSON exposition in [`expose`](crate::expose) — is always in
+//! Prometheus/JSON exposition in [`expose`](super::expose) — is always in
 //! sorted key order regardless of insertion order: a fixed workload
 //! produces byte-identical snapshots.
 
-use crate::hist::{HistF64, HistI64};
-use crate::rate::WindowedRate;
-use crate::slo::{SloObservation, SloSpec, SloTracker};
+use super::hist::{HistF64, HistI64};
+use super::rate::WindowedRate;
+use super::slo::{SloObservation, SloSpec, SloTracker};
 use std::collections::BTreeMap;
 use std::fmt;
 
 /// A metric identity: dotted name plus sorted `(label, value)` pairs.
 ///
 /// ```
-/// use rana_metrics::MetricKey;
+/// use rana_trace::metrics::MetricKey;
 ///
 /// let k = MetricKey::new("serve.latency_us").label("tenant", "alexnet");
 /// assert_eq!(k.to_string(), "serve.latency_us{tenant=\"alexnet\"}");

@@ -9,9 +9,9 @@
 //! over budgeted miss rate: > 1 means the tenant is burning error budget
 //! faster than allowed).
 
-use crate::hist::HistF64;
-use crate::rate::WindowedRate;
-use rana_trace::{json_f64, json_string};
+use super::hist::HistF64;
+use super::rate::WindowedRate;
+use crate::{json_f64, json_string};
 
 /// Latency/deadline objectives of one tenant.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -89,6 +89,7 @@ impl Registry {
             spans: self.spans,
             ledger: self.ledger,
             ledger_layers: self.ledger_layers,
+            metrics: None,
         }
     }
 }
@@ -112,6 +113,11 @@ pub struct TelemetryReport {
     pub ledger: EnergyLedger,
     /// Number of per-layer ledgers folded into [`Self::ledger`].
     pub ledger_layers: u64,
+    /// The metrics registry of a
+    /// [`TraceConfig::Metrics`](crate::TraceConfig::Metrics) session
+    /// (`None` for every other configuration). Not part of
+    /// [`Self::to_json`].
+    pub metrics: Option<crate::metrics::Registry>,
 }
 
 impl TelemetryReport {

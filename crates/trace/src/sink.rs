@@ -201,15 +201,14 @@ impl Sink for SharedRingSink {
 }
 
 /// Selects how a tracing session writes events out.
-#[derive(Default)]
 pub enum TraceConfig {
-    /// Tracing disabled — emission sites are a relaxed atomic load and
-    /// nothing else; no events are constructed. This is the default, and
-    /// it preserves byte-determinism of every pre-existing BENCH output.
-    #[default]
-    Off,
     /// Aggregate counters and the energy ledger only; events are dropped.
     CountersOnly,
+    /// [`CountersOnly`](Self::CountersOnly), plus a
+    /// [`metrics::Registry`](crate::metrics::Registry) that every event
+    /// is folded into; the serving loop also records into it directly
+    /// ([`metrics::record`](crate::metrics::record)).
+    Metrics,
     /// Keep the most recent `capacity` events in memory.
     Ring {
         /// Ring capacity in events.
@@ -225,24 +224,18 @@ pub enum TraceConfig {
 }
 
 impl TraceConfig {
-    /// Whether this configuration enables the tracer at all.
-    pub fn is_enabled(&self) -> bool {
-        !matches!(self, TraceConfig::Off)
-    }
-
-    /// Builds the sink for this configuration. Returns `None` for
-    /// [`TraceConfig::Off`]; I/O failure opening a JSONL file degrades to
-    /// a null sink (the session still aggregates counters).
-    pub fn into_sink(self) -> Option<Box<dyn Sink>> {
+    /// Builds the sink for this configuration. I/O failure opening a
+    /// JSONL file degrades to a null sink (the session still aggregates
+    /// counters).
+    pub fn into_sink(self) -> Box<dyn Sink> {
         match self {
-            TraceConfig::Off => None,
-            TraceConfig::CountersOnly => Some(Box::new(NullSink)),
-            TraceConfig::Ring { capacity } => Some(Box::new(RingSink::new(capacity))),
+            TraceConfig::CountersOnly | TraceConfig::Metrics => Box::new(NullSink),
+            TraceConfig::Ring { capacity } => Box::new(RingSink::new(capacity)),
             TraceConfig::Jsonl { path } => match JsonlSink::create(&path) {
-                Ok(sink) => Some(Box::new(sink)),
-                Err(_) => Some(Box::new(NullSink)),
+                Ok(sink) => Box::new(sink),
+                Err(_) => Box::new(NullSink),
             },
-            TraceConfig::Custom(sink) => Some(sink),
+            TraceConfig::Custom(sink) => sink,
         }
     }
 }
@@ -273,13 +266,6 @@ mod tests {
         ring.record(1, &lookup(1));
         assert_eq!(ring.events().len(), 1);
         assert_eq!(ring.dropped(), 1);
-    }
-
-    #[test]
-    fn config_off_has_no_sink() {
-        assert!(TraceConfig::Off.into_sink().is_none());
-        assert!(!TraceConfig::Off.is_enabled());
-        assert!(TraceConfig::CountersOnly.into_sink().is_some());
     }
 
     #[test]

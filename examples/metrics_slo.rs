@@ -1,27 +1,25 @@
-//! Metrics walkthrough: meter a two-tenant serving run through the
-//! trace bridge, then read per-tenant SLO compliance and latency
-//! histograms back out of the registry — and print the same snapshot as
-//! Prometheus text exposition.
+//! Metrics walkthrough: meter a two-tenant serving run, then read
+//! per-tenant SLO compliance and latency histograms back out of the
+//! registry — and print the same snapshot as Prometheus text exposition.
 //!
 //! Metrics are off by default (a single relaxed atomic load per
-//! recording site); starting a [`MetricsSession`] turns them on for the
-//! duration. The [`TraceBridge`] is a trace sink, so every event the
-//! server already emits — dispatches, refresh decisions, thermal
-//! samples — lands in the registry without a second instrumentation
-//! pass, while the dispatch loop feeds the SLO trackers directly.
+//! recording site); a session started with [`TraceConfig::Metrics`]
+//! turns them on for the duration. It folds every event the server
+//! already emits — dispatches, refresh decisions, thermal samples — into
+//! its registry without a second instrumentation pass, while the
+//! dispatch loop feeds the SLO trackers directly.
 //!
 //! Run with: `cargo run --release --example metrics_slo`
 
 use rana_repro::core::evaluate::Evaluator;
-use rana_repro::core::metrics::{MetricKey, MetricsSession, TraceBridge};
-use rana_repro::core::trace::Session;
+use rana_repro::core::metrics::MetricKey;
+use rana_repro::core::trace::{Session, TraceConfig};
 use rana_repro::serve::{ServeConfig, Server, TenantSpec, TrafficModel};
 use rana_repro::zoo;
 
 fn main() {
-    // 1. Turn metrics on, and bridge trace events into the registry.
-    let session = MetricsSession::start();
-    let trace = Session::start(TraceBridge::new().into_config());
+    // 1. Turn metrics on: every trace event lands in the registry.
+    let session = Session::start(TraceConfig::Metrics);
 
     // 2. Run the workload: two tenants over 1.5 s of Poisson traffic.
     let eval = Evaluator::paper_platform();
@@ -29,8 +27,7 @@ fn main() {
     let mut cfg = ServeConfig::paper(TrafficModel::Poisson { rate_rps: 30.0 }, 17);
     cfg.horizon_us = 1_500_000.0;
     let report = Server::new(&eval, specs, cfg).run();
-    trace.finish();
-    let reg = session.finish();
+    let reg = session.finish().metrics.expect("a metered session keeps a registry");
 
     println!("Metered serve run: {} served / {} offered\n", report.served, report.offered);
 
@@ -54,7 +51,7 @@ fn main() {
         );
     }
 
-    // 4. The bridge also aggregated every trace event into histograms
+    // 4. The session also aggregated every trace event into histograms
     //    and counters — e.g. the batch-size distribution per tenant.
     let key = MetricKey::new("serve.batch_size").label("tenant", "AlexNet");
     if let Some(h) = reg.hist_i64(key) {

@@ -51,7 +51,7 @@ serve-smoke-warm: precompile
     cargo build --release -p rana-bench
     ./target/release/exp_serve --smoke --store target/schedule_store.jsonl
 
-# Metrics smoke run (bridged sweep + serve pass, writes nothing).
+# Metrics smoke run (metered sweep + serve pass, writes nothing).
 metrics-smoke:
     cargo build --release -p rana-bench
     ./target/release/exp_metrics --smoke

@@ -45,9 +45,6 @@ echo "== schedule-store precompile + warm-start smoke test =="
     --banks 22,44 --out target/schedule_store.jsonl
 ./target/release/exp_serve --smoke --store target/schedule_store.jsonl
 
-echo "== metrics smoke test =="
-./target/release/exp_metrics --smoke
-
 echo "== functional-engine smoke test =="
 ./target/release/exp_bench_exec --smoke
 
@@ -59,6 +56,10 @@ echo "== policy smoke test =="
 
 echo "== thermal-adaptive experiment (regenerates BENCH_thermal.json for the gate) =="
 ./target/release/exp_thermal
+
+echo "== telemetry and metrics experiments (regenerate BENCH_{trace,metrics}.json for the gate) =="
+./target/release/exp_trace
+./target/release/exp_metrics
 
 echo "== bench-regression gate =="
 ./scripts/bench_gate.sh

@@ -52,9 +52,9 @@ pub use rana_des as des;
 pub use rana_edram as edram;
 pub use rana_fixq as fixq;
 pub use rana_fleet as fleet;
-pub use rana_metrics as metrics;
 pub use rana_nn as nn;
 pub use rana_policy as policy;
 pub use rana_serve as serve;
 pub use rana_trace as trace;
+pub use rana_trace::metrics;
 pub use rana_zoo as zoo;

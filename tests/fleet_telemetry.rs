@@ -1,32 +1,21 @@
 //! Trace ↔ metrics ↔ report reconciliation for the fleet simulator.
 //!
 //! A fleet run under an active tracing session emits `DieFailed`,
-//! `DieDrained` and `RequestRerouted` events; [`TraceBridge`] folds them
-//! into `fleet.*` metrics. Every number must agree three ways: the
-//! [`FleetReport`] counters, the telemetry session's per-kind event
-//! counts, and the metrics registry — the trace layer is only an
-//! observer, so any disagreement means double-counting or a dropped
-//! emission site.
+//! `DieDrained` and `RequestRerouted` events; a `TraceConfig::Metrics`
+//! session folds them into `fleet.*` metrics. Every number must agree
+//! three ways: the [`FleetReport`] counters, the telemetry session's
+//! per-kind event counts, and the metrics registry — the trace layer is
+//! only an observer, so any disagreement means double-counting or a
+//! dropped emission site.
 //!
-//! Trace and metrics sessions are process-global, so every test here —
-//! including the untraced run, which must not leak events into another
-//! test's session — holds [`SESSION_LOCK`] for its whole body.
+//! [`FleetReport`]: rana_repro::fleet::FleetReport
 
 use rana_repro::core::evaluate::Evaluator;
-use rana_repro::core::metrics::{MetricKey, MetricsSession, TraceBridge};
-use rana_repro::core::trace::Session;
+use rana_repro::core::metrics::MetricKey;
+use rana_repro::core::trace::{Session, TraceConfig};
 use rana_repro::fleet::{FailureEvent, FailureKind, FleetConfig, FleetSim, RouterPolicy};
 use rana_repro::serve::{TenantSpec, TrafficModel};
 use rana_repro::zoo;
-use std::sync::{Mutex, MutexGuard};
-
-/// Serializes every test here that touches the global sessions.
-static SESSION_LOCK: Mutex<()> = Mutex::new(());
-
-/// Takes [`SESSION_LOCK`], surviving a panicked holder.
-fn session_lock() -> MutexGuard<'static, ()> {
-    SESSION_LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-}
 
 /// An overloaded 4-die cluster with one drain and one crash mid-run, so
 /// queues are non-empty when the disruptions land and rerouting actually
@@ -52,14 +41,12 @@ fn disruption_config() -> FleetConfig {
 
 #[test]
 fn fleet_events_reconcile_with_metrics_and_report() {
-    let _lock = session_lock();
     let eval = Evaluator::paper_platform();
 
-    let metrics = MetricsSession::start();
-    let trace = Session::start(TraceBridge::new().into_config());
+    let session = Session::start(TraceConfig::Metrics);
     let report = FleetSim::new(&eval, disruption_config()).run();
-    let telemetry = trace.finish();
-    let reg = metrics.finish();
+    let telemetry = session.finish();
+    let reg = telemetry.metrics.as_ref().expect("metered session");
 
     // The scenario must actually exercise every new event kind.
     assert_eq!(report.die_drains, 1);
@@ -74,7 +61,7 @@ fn fleet_events_reconcile_with_metrics_and_report() {
     assert_eq!(kind_count("die_drained"), report.die_drains);
     assert_eq!(kind_count("request_rerouted"), report.rerouted_crash + report.rerouted_drain);
 
-    // The bridge folded the same stream into fleet.* metrics.
+    // The session folded the same stream into fleet.* metrics.
     assert_eq!(reg.counter("fleet.die_failures"), report.die_failures);
     assert_eq!(reg.counter("fleet.die_drains"), report.die_drains);
     assert_eq!(reg.counter("fleet.failed_in_flight"), report.lost_in_flight);
@@ -95,15 +82,12 @@ fn fleet_events_reconcile_with_metrics_and_report() {
 /// nothing and costs no event construction.
 #[test]
 fn untraced_fleet_run_is_silent_and_identical() {
-    let _lock = session_lock();
     let eval = Evaluator::paper_platform();
     let silent = FleetSim::new(&eval, disruption_config()).run();
 
-    let metrics = MetricsSession::start();
-    let trace = Session::start(TraceBridge::new().into_config());
+    let session = Session::start(TraceConfig::Metrics);
     let traced = FleetSim::new(&eval, disruption_config()).run();
-    trace.finish();
-    let reg = metrics.finish();
+    let reg = session.finish().metrics.expect("metered session");
 
     assert_eq!(silent, traced, "tracing must not perturb the simulation");
     assert_eq!(reg.counter("fleet.die_failures"), traced.die_failures);

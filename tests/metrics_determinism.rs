@@ -1,12 +1,12 @@
 //! Metrics determinism: for a fixed configuration and seed, the
-//! registry collected through the trace bridge — and therefore
+//! registry a `TraceConfig::Metrics` session collects — and therefore
 //! `results/BENCH_metrics.json` and the Prometheus exposition — is
 //! byte-identical across runs; changing the seed changes the bytes.
 //! Mirrors `serve_determinism.rs` one layer up the telemetry stack.
 
 use rana_repro::core::evaluate::Evaluator;
-use rana_repro::core::metrics::{MetricKey, MetricsSession, Registry, TraceBridge};
-use rana_repro::core::trace::Session;
+use rana_repro::core::metrics::{MetricKey, Registry};
+use rana_repro::core::trace::{Session, TraceConfig};
 use rana_repro::serve::{ServeConfig, ServeReport, Server, TenantSpec, TrafficModel};
 use rana_repro::zoo;
 
@@ -21,17 +21,15 @@ fn config(seed: u64) -> ServeConfig {
     cfg
 }
 
-/// One fully metered serve run: global metrics session, trace bridge
-/// folding every event into the registry, one worker thread (schedule
-/// cache lookup order is only deterministic serially).
+/// One fully metered serve run: a metrics session folding every event
+/// into its registry, one worker thread (schedule cache lookup order is
+/// only deterministic serially).
 fn metered_run(seed: u64) -> (Registry, ServeReport) {
     std::env::set_var("RANA_THREADS", "1");
-    let session = MetricsSession::start();
-    let trace = Session::start(TraceBridge::new().into_config());
+    let session = Session::start(TraceConfig::Metrics);
     let eval = Evaluator::paper_platform();
     let report = Server::new(&eval, mix(), config(seed)).run();
-    trace.finish();
-    (session.finish(), report)
+    (session.finish().metrics.expect("metered session"), report)
 }
 
 #[test]

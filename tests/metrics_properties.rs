@@ -1,6 +1,7 @@
 //! Property-based tests of the streaming histograms — the CRDT laws
 //! (merge associativity/commutativity, shard/merge round-trip) and the
-//! `2^-p` quantile relative-error bound that `rana-metrics` promises.
+//! `2^-p` quantile relative-error bound that `rana_trace::metrics`
+//! promises.
 #![recursion_limit = "256"]
 
 use proptest::prelude::*;

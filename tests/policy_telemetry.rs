@@ -2,17 +2,17 @@
 //! lab.
 //!
 //! [`decide_traced`] emits one `PolicyDecision` event per layer decision;
-//! [`TraceBridge`] folds the stream into `policy.*` metrics. Every number
-//! must agree three ways: the decisions the caller got back, the
-//! telemetry session's per-kind event counts, and the metrics registry —
-//! the trace layer is only an observer, so any disagreement means
-//! double-counting or a dropped emission site.
+//! a `TraceConfig::Metrics` session folds the stream into `policy.*`
+//! metrics. Every number must agree three ways: the decisions the caller
+//! got back, the telemetry session's per-kind event counts, and the
+//! metrics registry — the trace layer is only an observer, so any
+//! disagreement means double-counting or a dropped emission site.
 
 use rana_repro::core::designs::Design;
 use rana_repro::core::evaluate::Evaluator;
-use rana_repro::core::metrics::{MetricKey, MetricsSession, TraceBridge};
+use rana_repro::core::metrics::MetricKey;
 use rana_repro::core::policy::{decide_traced, LayerCtx, RefreshStrategy, Strategy};
-use rana_repro::core::trace::Session;
+use rana_repro::core::trace::{Session, TraceConfig};
 use rana_repro::fleet::{FleetConfig, FleetSim, RouterPolicy};
 use rana_repro::serve::{TenantSpec, TrafficModel};
 use rana_repro::zoo;
@@ -26,8 +26,7 @@ fn policy_decisions_reconcile_with_events_and_metrics() {
     let ne = eval.evaluate(&zoo::alexnet(), Design::RanaStarE5);
     let strategies = [Strategy::AccessTriggered, Strategy::ErrorBudget { budget: 1e-4 }];
 
-    let metrics = MetricsSession::start();
-    let trace = Session::start(TraceBridge::new().into_config());
+    let session = Session::start(TraceConfig::Metrics);
     let mut decisions = 0u64;
     let mut words: HashMap<&'static str, u64> = HashMap::new();
     let mut skipped: HashMap<&'static str, u64> = HashMap::new();
@@ -47,14 +46,14 @@ fn policy_decisions_reconcile_with_events_and_metrics() {
             *reasons.entry((strategy.name(), d.reason)).or_default() += 1;
         }
     }
-    let telemetry = trace.finish();
-    let reg = metrics.finish();
+    let telemetry = session.finish();
+    let reg = telemetry.metrics.as_ref().expect("metered session");
 
     // Telemetry counted one event per decision.
     let kind_count = telemetry.event_counts.get("policy_decision").copied().unwrap_or(0);
     assert_eq!(kind_count, decisions, "one PolicyDecision event per decide_traced call");
 
-    // The bridge folded the same stream into policy.* counters.
+    // The session folded the same stream into policy.* counters.
     for strategy in strategies {
         let key = |name: &str| MetricKey::new(name).label("strategy", strategy.name());
         assert_eq!(reg.counter(key("policy.refresh_words")), words[strategy.name()]);
@@ -88,11 +87,10 @@ fn fleet_strategy_mix_traces_without_perturbing_the_run() {
 
     let silent = FleetSim::new(&eval, config()).run();
 
-    let metrics = MetricsSession::start();
-    let trace = Session::start(TraceBridge::new().into_config());
+    let session = Session::start(TraceConfig::Metrics);
     let traced = FleetSim::new(&eval, config()).run();
-    let telemetry = trace.finish();
-    let reg = metrics.finish();
+    let telemetry = session.finish();
+    let reg = telemetry.metrics.as_ref().expect("metered session");
 
     assert_eq!(silent, traced, "tracing must not perturb the simulation");
     let kind_count = telemetry.event_counts.get("policy_decision").copied().unwrap_or(0);

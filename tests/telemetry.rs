@@ -1,35 +1,60 @@
 //! Integration tests for the `rana-trace` telemetry layer: ring-buffer
-//! overflow, sink ordering under the parallel worker pool, and the Eq. 14
-//! energy-ledger reconciliation against `Evaluator` totals on all five
-//! networks.
+//! overflow, per-thread session isolation, sink ordering under the
+//! parallel worker pool, and the Eq. 14 energy-ledger reconciliation
+//! against `Evaluator` totals on all five networks.
 //!
-//! Tracing sessions are process-global: a test that opens one, or asserts
-//! that none is open, would see events from every other test running on a
-//! parallel thread. Each such test therefore holds [`SESSION_LOCK`] for
-//! its whole body.
+//! Sessions are per thread, so these tests run in parallel without
+//! seeing each other's events. Tests that need a fixed pool width pass
+//! it explicitly rather than through `RANA_THREADS`.
 
 use rana_core::designs::Design;
 use rana_core::evaluate::Evaluator;
+use rana_core::par::par_map_with;
+use rana_core::scheduler::NetworkSchedule;
 use rana_core::trace::{
     EnergyLedger, Event, RingSink, Session, SharedRing, Sink, TelemetryReport, TraceConfig,
 };
 use rana_zoo::Network;
-use std::sync::{Mutex, MutexGuard};
-
-/// Serializes every test here that touches the global trace session.
-static SESSION_LOCK: Mutex<()> = Mutex::new(());
-
-/// Takes [`SESSION_LOCK`], surviving a panicked holder.
-fn session_lock() -> MutexGuard<'static, ()> {
-    SESSION_LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-}
 
 /// With no session active, emission sites must not even construct events.
 #[test]
 fn disabled_tracer_constructs_nothing() {
-    let _lock = session_lock();
     assert!(!rana_core::trace::enabled());
     rana_core::trace::emit(|| panic!("event built while tracing is disabled"));
+}
+
+/// Sessions are per thread. While one is live here, a thread without a
+/// session sees tracing disabled and none of its emission sites reach
+/// this report; pool workers fanned out from here record into it.
+#[test]
+fn sessions_are_per_thread_and_inherited_by_the_pool() {
+    let session = Session::start(TraceConfig::CountersOnly);
+    let outsider_enabled = std::thread::spawn(|| {
+        let enabled = rana_core::trace::enabled();
+        rana_core::trace::emit(|| Event::CacheLookup {
+            cache: "outsider".into(),
+            fingerprint: 0,
+            hit: true,
+        });
+        rana_core::trace::count("outsider", 1);
+        rana_core::trace::ledger(&EnergyLedger { computing_j: 1e9, ..Default::default() });
+        enabled
+    })
+    .join()
+    .unwrap();
+    assert!(!outsider_enabled, "a thread without a session saw another thread's session");
+
+    let items: Vec<u32> = (0..16).collect();
+    par_map_with(&items, 4, |&i| {
+        rana_core::trace::count("pooled", 1);
+        rana_core::trace::ledger(&EnergyLedger { computing_j: f64::from(i), ..Default::default() });
+    });
+    let report = session.finish();
+    assert_eq!(report.events_emitted, 0, "an outsider event reached the session");
+    assert_eq!(report.counter("outsider"), 0);
+    assert_eq!(report.counter("pooled"), 16, "pool workers must inherit the session");
+    assert_eq!(report.ledger_layers, 16);
+    assert_eq!(report.ledger.computing_j, 120.0);
 }
 
 #[test]
@@ -47,7 +72,6 @@ fn ring_buffer_overflow_keeps_newest_and_counts_drops() {
 /// event in its report; only the retained window shrinks.
 #[test]
 fn session_report_counts_past_ring_overflow() {
-    let _lock = session_lock();
     let shared = SharedRing::new(2);
     let session = Session::start(TraceConfig::Custom(Box::new(shared.sink())));
     for i in 0..10u64 {
@@ -63,33 +87,32 @@ fn session_report_counts_past_ring_overflow() {
     assert_eq!(shared.dropped(), 8);
 }
 
-/// Runs the Figure 15 AlexNet row through `evaluate_many` with the worker
-/// pool pinned to one thread, capturing the full event stream.
-fn traced_sweep_events() -> Vec<(u64, Event)> {
-    let shared = SharedRing::new(1 << 16);
-    let session = Session::start(TraceConfig::Custom(Box::new(shared.sink())));
-    // Pin the pool inside the caller's session lock, restore after.
-    let prev = std::env::var("RANA_THREADS").ok();
-    std::env::set_var("RANA_THREADS", "1");
+/// The Figure 15 AlexNet row as `Evaluator::evaluate_many` runs it, with
+/// the pool width pinned to `threads`: the design points fan over the
+/// pool and every network search runs on one thread.
+fn sweep(threads: usize) -> Vec<NetworkSchedule> {
     let eval = Evaluator::paper_platform();
     let net = rana_zoo::alexnet();
     let points: Vec<(&Network, Design)> = Design::ALL.iter().map(|&d| (&net, d)).collect();
-    let results = eval.evaluate_many(&points);
-    assert_eq!(results.len(), Design::ALL.len());
-    match prev {
-        Some(v) => std::env::set_var("RANA_THREADS", v),
-        None => std::env::remove_var("RANA_THREADS"),
-    }
+    par_map_with(&points, threads, |&(net, design)| {
+        eval.scheduler_for(design).schedule_network_with(net, Some(eval.cache()), 1)
+    })
+}
+
+/// Runs [`sweep`] on one thread, capturing the full event stream.
+fn traced_sweep_events() -> Vec<(u64, Event)> {
+    let shared = SharedRing::new(1 << 16);
+    let session = Session::start(TraceConfig::Custom(Box::new(shared.sink())));
+    assert_eq!(sweep(1).len(), Design::ALL.len());
     session.finish();
     shared.snapshot()
 }
 
-/// Sink ordering under the PR 2 worker pool: with `RANA_THREADS=1` the
-/// event stream of an `evaluate_many` sweep is deterministic — two
-/// identical sweeps produce identical sequences, event for event.
+/// Sink ordering under the worker pool: with one worker the event
+/// stream of an `evaluate_many` sweep is deterministic — two identical
+/// sweeps produce identical sequences, event for event.
 #[test]
 fn evaluate_many_event_order_is_deterministic_single_threaded() {
-    let _lock = session_lock();
     let first = traced_sweep_events();
     let second = traced_sweep_events();
     assert!(!first.is_empty(), "a traced sweep must emit events");
@@ -109,23 +132,13 @@ fn evaluate_many_event_order_is_deterministic_single_threaded() {
 /// it must agree bit for bit too.
 #[test]
 fn counters_are_thread_count_invariant() {
-    let _lock = session_lock();
-    let run = |threads: &str| -> TelemetryReport {
+    let run = |threads: usize| -> TelemetryReport {
         let session = Session::start(TraceConfig::CountersOnly);
-        let prev = std::env::var("RANA_THREADS").ok();
-        std::env::set_var("RANA_THREADS", threads);
-        let eval = Evaluator::paper_platform();
-        let net = rana_zoo::alexnet();
-        let points: Vec<(&Network, Design)> = Design::ALL.iter().map(|&d| (&net, d)).collect();
-        eval.evaluate_many(&points);
-        match prev {
-            Some(v) => std::env::set_var("RANA_THREADS", v),
-            None => std::env::remove_var("RANA_THREADS"),
-        }
+        sweep(threads);
         session.finish()
     };
-    let serial = run("1");
-    let parallel = run("4");
+    let serial = run(1);
+    let parallel = run(4);
     assert_eq!(serial.counters, parallel.counters);
     assert_eq!(serial.ledger_layers, parallel.ledger_layers);
     assert_eq!(serial.ledger, parallel.ledger);
@@ -138,7 +151,6 @@ fn counters_are_thread_count_invariant() {
 /// one bit for bit.
 #[test]
 fn pooled_ledger_sum_matches_inline_order() {
-    let _lock = session_lock();
     let values = [1e16, 1.0, -1e16, 1.0];
     let items: Vec<usize> = (0..values.len()).collect();
     let run = |threads: usize| -> EnergyLedger {
@@ -162,7 +174,6 @@ fn pooled_ledger_sum_matches_inline_order() {
 /// Eq. 14 totals to ≤ 1e-9 relative error, on every network in the zoo.
 #[test]
 fn energy_ledger_reconciles_with_evaluator_on_all_networks() {
-    let _lock = session_lock();
     let nets = [
         rana_zoo::alexnet(),
         rana_zoo::vgg16(),
@@ -199,7 +210,6 @@ fn energy_ledger_reconciles_with_evaluator_on_all_networks() {
 fn adaptive_runtime_emits_thermal_and_refresh_events() {
     use rana_core::adaptive::{AdaptiveConfig, AdaptiveRuntime, FallbackPolicy};
     use rana_edram::thermal::ThermalModel;
-    let _lock = session_lock();
     let session = Session::start(TraceConfig::Ring { capacity: 4096 });
     let eval = Evaluator::paper_platform();
     let net = rana_zoo::alexnet();
