@@ -22,10 +22,9 @@
 //!   buffer *row* (with per-word access multiplicities so read/fault
 //!   accounting matches the scalar engine exactly), then runs the MAC
 //!   nest over contiguous scratch rows with rounded products accumulated
-//!   in 32-bit lanes the compiler autovectorizes (or, with the `simd`
-//!   cargo feature, explicit SSE2 kernels). All reads in a tile resolve
-//!   at the same timestamp and resolution is pure, so hoisting them is
-//!   observationally equivalent.
+//!   in 32-bit lanes the compiler autovectorizes. All reads in a tile
+//!   resolve at the same timestamp and resolution is pure, so hoisting
+//!   them is observationally equivalent.
 //!
 //! Both engines resolve decay through `EdramArray`. Its weakest-cell
 //! filter returns a word as stored whenever the failure rate of the word's

@@ -6,63 +6,18 @@
 //! rounding happen per product, exactly as the scalar engine does, so
 //! the blocked engine stays bit-identical while the compiler gets a
 //! branch-free, contiguous loop it can autovectorize.
-//!
-//! With the `simd` cargo feature on x86_64, the unit-stride kernel is
-//! written with explicit SSE2 intrinsics (baseline on every x86_64
-//! target, no runtime detection needed): exact 32-bit products via
-//! `mullo`/`mulhi` widening, vector add of the rounding constant, and
-//! an arithmetic right shift — the same arithmetic, eight lanes at a
-//! time.
 
 /// Unit-stride row MAC: `acc[j] += (xs[j] · w + half) >> shift`.
 ///
 /// `shift` must be in `0..=30` and `half` must be the matching rounding
 /// constant (`1 << (shift - 1)`, or `0` when `shift == 0`); the caller
 /// guarantees the accumulators cannot overflow (bounded term count).
-#[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
 #[inline]
 pub(crate) fn mac_row_s1(acc: &mut [i32], xs: &[i16], w: i16, shift: u32, half: i32) {
     debug_assert_eq!(acc.len(), xs.len());
     let w = i32::from(w);
     for (a, &x) in acc.iter_mut().zip(xs) {
         *a += (i32::from(x) * w + half) >> shift;
-    }
-}
-
-/// Unit-stride row MAC, explicit SSE2 eight-lane version.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-#[inline]
-pub(crate) fn mac_row_s1(acc: &mut [i32], xs: &[i16], w: i16, shift: u32, half: i32) {
-    #[cfg(target_arch = "x86_64")]
-    use std::arch::x86_64::*;
-    debug_assert_eq!(acc.len(), xs.len());
-    let n = acc.len();
-    let chunks = n / 8;
-    // SAFETY: SSE2 is baseline on x86_64; all loads/stores are unaligned
-    // intrinsics over in-bounds `[i16]`/`[i32]` ranges checked above.
-    unsafe {
-        let wv = _mm_set1_epi16(w);
-        let hv = _mm_set1_epi32(half);
-        let sv = _mm_cvtsi32_si128(shift as i32);
-        for i in 0..chunks {
-            let x = _mm_loadu_si128(xs.as_ptr().add(i * 8).cast());
-            // Exact 32-bit products of eight i16 lanes: low and high
-            // halves recombined by unpacking.
-            let lo = _mm_mullo_epi16(x, wv);
-            let hi = _mm_mulhi_epi16(x, wv);
-            let p0 = _mm_unpacklo_epi16(lo, hi);
-            let p1 = _mm_unpackhi_epi16(lo, hi);
-            let t0 = _mm_sra_epi32(_mm_add_epi32(p0, hv), sv);
-            let t1 = _mm_sra_epi32(_mm_add_epi32(p1, hv), sv);
-            let a0 = _mm_loadu_si128(acc.as_ptr().add(i * 8).cast());
-            let a1 = _mm_loadu_si128(acc.as_ptr().add(i * 8 + 4).cast());
-            _mm_storeu_si128(acc.as_mut_ptr().add(i * 8).cast(), _mm_add_epi32(a0, t0));
-            _mm_storeu_si128(acc.as_mut_ptr().add(i * 8 + 4).cast(), _mm_add_epi32(a1, t1));
-        }
-    }
-    let w = i32::from(w);
-    for j in chunks * 8..n {
-        acc[j] += (i32::from(xs[j]) * w + half) >> shift;
     }
 }
 
@@ -98,8 +53,8 @@ mod tests {
 
     #[test]
     fn unit_stride_matches_reference_across_lane_counts() {
-        // Lane counts straddling the 8-wide SIMD chunking, extreme
-        // operands included.
+        // Lane counts straddling typical vector widths, extreme operands
+        // included.
         let xs: Vec<i16> = (0..37)
             .map(|i| [i16::MIN, -3, 0, 1, 7, i16::MAX][i % 6].wrapping_add(i as i16))
             .collect();

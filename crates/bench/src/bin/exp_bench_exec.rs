@@ -15,7 +15,7 @@ use rana_accel::exec::{
     execute_layer_grouped_with, BufferModel, Engine, Formats, FunctionalResult,
 };
 use rana_accel::{AcceleratorConfig, Fnv1a, Pattern, SchedLayer, Tiling};
-use rana_bench::{banner, seed_from_env, threads_from_env};
+use rana_bench::{banner, seed_from_env, threads_from_env, write_result};
 use rana_core::exec_batch::execute_layer_batch;
 use rana_edram::{RefreshConfig, RetentionDistribution};
 use rana_zoo::Network;
@@ -334,13 +334,6 @@ fn main() {
         alexnet_speedup,
         reports.iter().map(|r| r.timing.as_str()).collect::<Vec<_>>().join(",\n    ")
     );
-    let dir = std::path::Path::new("results");
-    let write = |name: &str, body: &str| match std::fs::create_dir_all(dir)
-        .and_then(|()| std::fs::write(dir.join(name), body))
-    {
-        Ok(()) => println!("(wrote results/{name})"),
-        Err(e) => eprintln!("could not write results/{name}: {e}"),
-    };
-    write("BENCH_exec.json", &json);
-    write("BENCH_exec_timing.json", &timing);
+    write_result("BENCH_exec.json", &json);
+    write_result("BENCH_exec_timing.json", &timing);
 }

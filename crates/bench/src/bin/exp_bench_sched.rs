@@ -6,7 +6,7 @@
 //! schedules identical to the serial reference.
 
 use rana_accel::{AcceleratorConfig, ControllerKind, RefreshModel};
-use rana_bench::{banner, threads_from_env};
+use rana_bench::{banner, threads_from_env, write_result};
 use rana_core::designs::Design;
 use rana_core::evaluate::Evaluator;
 use rana_core::par::ScheduleCache;
@@ -186,11 +186,5 @@ fn main() {
         misses,
         entries
     );
-    let dir = std::path::Path::new("results");
-    match std::fs::create_dir_all(dir)
-        .and_then(|()| std::fs::write(dir.join("BENCH_sched.json"), &json))
-    {
-        Ok(()) => println!("(wrote results/BENCH_sched.json)"),
-        Err(e) => eprintln!("could not write results/BENCH_sched.json: {e}"),
-    }
+    write_result("BENCH_sched.json", &json);
 }

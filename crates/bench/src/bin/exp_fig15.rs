@@ -1,15 +1,64 @@
 //! Figure 15 — total system energy comparison: the six Table IV designs
 //! on the four benchmarks plus the GEOM group, normalized to S+ID.
 
-use rana_bench::{banner, geomean_ratio, pct, run_design_matrix};
+use rana_bench::{
+    banner, geomean_design, geomean_ratio, pct, run_design_matrix, svg, write_csv, write_result,
+};
 use rana_core::designs::Design;
+use rana_core::energy::EnergyBreakdown;
 use rana_core::evaluate::Evaluator;
+
+/// One `results/fig15_design_matrix.csv` line.
+fn csv_row(group: &str, design: Design, b: &EnergyBreakdown) -> String {
+    format!(
+        "{group},{},{:.6},{:.6},{:.6},{:.6},{:.6}",
+        design.label(),
+        b.computing_j,
+        b.buffer_j,
+        b.refresh_j,
+        b.offchip_j,
+        b.total_j()
+    )
+}
 
 fn main() {
     banner("Figure 15", "Total system energy comparison (normalized to S+ID)");
     let eval = Evaluator::paper_platform();
     let nets = rana_zoo::benchmarks();
     let rows = run_design_matrix(&eval, &nets);
+
+    let csv: Vec<String> = rows
+        .iter()
+        .map(|(net, d, b)| csv_row(net, *d, b))
+        .chain(Design::ALL.iter().map(|&d| csv_row("GEOM", d, &geomean_design(&rows, d))))
+        .collect();
+    write_csv(
+        "fig15_design_matrix.csv",
+        "network,design,compute,buffer,refresh,offchip,total",
+        &csv,
+    );
+    let groups: Vec<(&str, Vec<svg::Bar>)> = nets
+        .iter()
+        .map(|net| {
+            let bars = rows
+                .iter()
+                .filter(|(n, _, _)| n == net.name())
+                .map(|(_, d, b)| svg::Bar {
+                    label: d.label().to_string(),
+                    parts: vec![b.computing_j, b.buffer_j, b.refresh_j, b.offchip_j],
+                })
+                .collect();
+            (net.name(), bars)
+        })
+        .collect();
+    write_result(
+        "fig15_energy.svg",
+        &svg::stacked_bars(
+            "Figure 15: normalized total system energy",
+            &["computing", "buffer access", "refresh", "off-chip access"],
+            &groups,
+        ),
+    );
 
     // The paper's headline deltas.
     println!("\nHeadlines (GEOM):");

@@ -25,13 +25,13 @@
 //! `RANA_THREADS` is accepted for interface parity but the DES loop is
 //! single-threaded by construction.
 
-use rana_bench::{banner, seed_from_env, threads_from_env, write_csv};
+use rana_bench::{banner, seed_from_env, threads_from_env, write_csv, write_result};
 use rana_core::designs::Design;
 use rana_core::evaluate::Evaluator;
 use rana_core::store::{precompile, PrecompileSpec, ScheduleStore};
 use rana_fleet::{FailureEvent, FailureKind, FleetConfig, FleetReport, FleetSim, RouterPolicy};
 use rana_serve::{TenantSpec, TrafficModel};
-use rana_trace::json_f64;
+use rana_trace::json::{array, json_f64, Obj};
 use std::time::Instant;
 
 /// Default master seed (override with `RANA_SEED`).
@@ -78,7 +78,7 @@ struct ScenarioResult {
 
 impl ScenarioResult {
     fn to_json(&self) -> String {
-        format!("{{\"name\":\"{}\",\"report\":{}}}", self.name, self.report.to_json())
+        Obj::new().str("name", &self.name).raw("report", self.report.to_json()).finish()
     }
 }
 
@@ -232,27 +232,19 @@ fn main() {
         &rows,
     );
 
-    let json = format!(
-        "{{\"experiment\":\"fleet\",\"seed\":{seed},\"per_die_capacity_rps\":{},\"load\":{},\"scenarios\":[{}],\"disruption\":{},\"cold_warm\":{}}}\n",
-        json_f64(cap),
-        json_f64(LOAD),
-        results.iter().map(ScenarioResult::to_json).collect::<Vec<_>>().join(","),
-        failure.to_json(),
-        cold_warm_json
-    );
+    let json = Obj::new()
+        .str("experiment", "fleet")
+        .raw("seed", seed)
+        .f64("per_die_capacity_rps", cap)
+        .f64("load", LOAD)
+        .raw("scenarios", array(results.iter().map(ScenarioResult::to_json)))
+        .raw("disruption", failure.to_json())
+        .raw("cold_warm", cold_warm_json)
+        .finish();
+    write_result("BENCH_fleet.json", &(json + "\n"));
     let timing_entries: Vec<String> =
         all.iter().map(|r| format!("\"{}\": {}", r.name, json_f64(r.wall_ms))).collect();
-    let timing = format!("{{\n{}\n}}\n", timing_entries.join(",\n"));
-    let dir = std::path::Path::new("results");
-    if let Err(e) = std::fs::create_dir_all(dir) {
-        eprintln!("could not create results/: {e}");
-    }
-    for (name, body) in [("BENCH_fleet.json", &json), ("BENCH_fleet_timing.json", &timing)] {
-        match std::fs::write(dir.join(name), body) {
-            Ok(()) => println!("wrote results/{name}"),
-            Err(e) => eprintln!("could not write results/{name}: {e}"),
-        }
-    }
+    write_result("BENCH_fleet_timing.json", &format!("{{\n{}\n}}\n", timing_entries.join(",\n")));
     println!(
         "\nschedule cache after the sweep: {} hits / {} misses, {} entries",
         eval.cache().hits(),
@@ -329,25 +321,23 @@ fn run_cold_warm(cap: f64, seed: u64) -> String {
         cold.latency.p99_us
     );
 
-    let leg = |label: &str, r: &FleetReport| {
-        format!(
-            "\"{label}\":{{\"p99_us\":{},\"served\":{},\"compile_stall_us\":{}}}",
-            json_f64(r.latency.p99_us),
-            r.served,
-            json_f64(r.compile_stall_us)
-        )
+    let leg = |r: &FleetReport| {
+        Obj::new()
+            .f64("p99_us", r.latency.p99_us)
+            .raw("served", r.served)
+            .f64("compile_stall_us", r.compile_stall_us)
+            .finish()
     };
-    format!(
-        "{{\"compile_penalty_us\":{},\"store_entries\":{},\"preloaded\":{},\"warm_hits\":{},\"warm_fresh_searches\":{},\"persistent_hit_rate\":{},{},{}}}",
-        json_f64(COLD_WARM_PENALTY_US),
-        store.len(),
-        preloaded,
-        warm_hits,
-        warm_fresh,
-        json_f64(hit_rate),
-        leg("cold", &cold),
-        leg("warm", &warm)
-    )
+    Obj::new()
+        .f64("compile_penalty_us", COLD_WARM_PENALTY_US)
+        .raw("store_entries", store.len())
+        .raw("preloaded", preloaded)
+        .raw("warm_hits", warm_hits)
+        .raw("warm_fresh_searches", warm_fresh)
+        .f64("persistent_hit_rate", hit_rate)
+        .raw("cold", leg(&cold))
+        .raw("warm", leg(&warm))
+        .finish()
 }
 
 /// `--smoke`: a 16-die subset (random vs power-of-two-choices plus one

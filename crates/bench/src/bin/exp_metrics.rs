@@ -21,24 +21,16 @@
 //! byte-reproducible for the bench-regression gate. `--smoke` runs a
 //! shortened pass and writes nothing.
 
-use rana_bench::{banner, seed_from_env, write_csv};
+use rana_bench::{banner, seed_from_env, write_csv, write_result};
 use rana_core::designs::Design;
 use rana_core::evaluate::Evaluator;
 use rana_core::metrics::{MetricKey, Registry, SloReport};
 use rana_core::trace::{Session, TraceConfig};
 use rana_serve::{ServeConfig, Server, TenantSpec, TrafficModel};
-use std::path::PathBuf;
+use rana_trace::json::Obj;
 
 /// Default serve arrival-stream seed (override with `RANA_SEED`).
 const DEFAULT_SEED: u64 = 17;
-
-fn results_path(name: &str) -> PathBuf {
-    let dir = PathBuf::from("results");
-    if let Err(e) = std::fs::create_dir_all(&dir) {
-        eprintln!("could not create results/: {e}");
-    }
-    dir.join(name)
-}
 
 /// The metered AlexNet sweep: every Table IV design through one shared
 /// evaluator, trace events folded into the metrics registry.
@@ -147,16 +139,13 @@ fn main() {
         return;
     }
 
-    let json =
-        format!("{{\"experiment\":\"metrics\",\"seed\":{seed},\"registry\":{}}}\n", reg.to_json());
-    match std::fs::write(results_path("BENCH_metrics.json"), &json) {
-        Ok(()) => println!("\nwrote results/BENCH_metrics.json"),
-        Err(e) => eprintln!("could not write results/BENCH_metrics.json: {e}"),
-    }
+    let json = Obj::new()
+        .str("experiment", "metrics")
+        .raw("seed", seed)
+        .raw("registry", reg.to_json())
+        .finish();
+    write_result("BENCH_metrics.json", &(json + "\n"));
     let rows: Vec<String> = reports.iter().map(SloReport::csv_row).collect();
     write_csv("metrics_slo.csv", SloReport::csv_header(), &rows);
-    match std::fs::write(results_path("metrics.prom"), reg.to_prometheus()) {
-        Ok(()) => println!("wrote results/metrics.prom"),
-        Err(e) => eprintln!("could not write results/metrics.prom: {e}"),
-    }
+    write_result("metrics.prom", &reg.to_prometheus());
 }

@@ -26,7 +26,7 @@
 
 use rana_accel::dram::{Ddr3Model, DdrMapping};
 use rana_accel::{layer_refresh_words, ControllerKind, RefreshModel};
-use rana_bench::{banner, seed_from_env, threads_from_env, write_csv};
+use rana_bench::{banner, seed_from_env, threads_from_env, write_csv, write_result};
 use rana_core::designs::Design;
 use rana_core::energy::EnergyBreakdown;
 use rana_core::evaluate::Evaluator;
@@ -34,7 +34,7 @@ use rana_core::policy::{ErrorBudget, LayerCtx, RefreshStrategy, Strategy};
 use rana_nn::data::SyntheticDataset;
 use rana_nn::models::alexnet_s;
 use rana_nn::retention::RetentionAwareTrainer;
-use rana_trace::json_f64;
+use rana_trace::json::{array, Obj};
 use rana_zoo::Network;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -82,21 +82,18 @@ impl PolicyRow {
     }
 
     fn to_json(&self) -> String {
-        format!(
-            "{{\"strategy\":\"{}\",\"interval_us\":{},\"multiple\":{},\"time_us\":{},\
-             \"energy_j\":{},\"refresh_j\":{},\"refresh_share\":{},\"refresh_words\":{},\
-             \"skipped_words\":{},\"max_failure_rate\":{}}}",
-            self.strategy,
-            json_f64(self.interval_us),
-            self.multiple,
-            json_f64(self.time_us),
-            json_f64(self.energy.total_j()),
-            json_f64(self.energy.refresh_j),
-            json_f64(self.refresh_share()),
-            self.refresh_words,
-            self.skipped_words,
-            json_f64(self.max_failure_rate),
-        )
+        Obj::new()
+            .str("strategy", self.strategy)
+            .f64("interval_us", self.interval_us)
+            .raw("multiple", self.multiple)
+            .f64("time_us", self.time_us)
+            .f64("energy_j", self.energy.total_j())
+            .f64("refresh_j", self.energy.refresh_j)
+            .f64("refresh_share", self.refresh_share())
+            .raw("refresh_words", self.refresh_words)
+            .raw("skipped_words", self.skipped_words)
+            .f64("max_failure_rate", self.max_failure_rate)
+            .finish()
     }
 }
 
@@ -224,17 +221,16 @@ fn eden_pricing(eval: &Evaluator, seed: u64) -> String {
         "injection drifted from the expected flip count: {injected} vs {expected:.0}"
     );
 
-    format!(
-        "{{\"budget\":{},\"stretch\":{stretch},\"rate\":{},\"injected_flips\":{injected},\
-         \"expected_flips\":{},\"baseline_accuracy\":{},\"retrained_accuracy\":{},\
-         \"relative_accuracy\":{}}}",
-        json_f64(BUDGET),
-        json_f64(model.rate()),
-        json_f64(expected),
-        json_f64(curve.baseline),
-        json_f64(curve.with_retrain[0]),
-        json_f64(relative),
-    )
+    Obj::new()
+        .f64("budget", BUDGET)
+        .raw("stretch", stretch)
+        .f64("rate", model.rate())
+        .raw("injected_flips", injected)
+        .f64("expected_flips", expected)
+        .f64("baseline_accuracy", curve.baseline)
+        .f64("retrained_accuracy", curve.with_retrain[0])
+        .f64("relative_accuracy", relative)
+        .finish()
 }
 
 fn main() {
@@ -309,11 +305,7 @@ fn main() {
             times[0].1.to_bits(),
             "row-bank-col must reproduce the legacy DDR3 transfer time on {name}"
         );
-        let ddr_json = times
-            .iter()
-            .map(|(m, t)| format!("\"{}\":{}", m.label(), json_f64(*t)))
-            .collect::<Vec<_>>()
-            .join(",");
+        let ddr_json = times.iter().fold(Obj::new(), |o, (m, t)| o.f64(m.label(), *t)).finish();
         println!(
             "  ddr transfer     {}\n",
             times
@@ -336,10 +328,13 @@ fn main() {
             rows[3].max_failure_rate
         );
 
-        net_jsons.push(format!(
-            "{{\"network\":\"{name}\",\"strategies\":[{}],\"ddr_transfer_us\":{{{ddr_json}}}}}",
-            rows.iter().map(PolicyRow::to_json).collect::<Vec<_>>().join(","),
-        ));
+        net_jsons.push(
+            Obj::new()
+                .str("network", &name)
+                .raw("strategies", array(rows.iter().map(PolicyRow::to_json)))
+                .raw("ddr_transfer_us", ddr_json)
+                .finish(),
+        );
     }
 
     // -- acceptance: the energy ordering and the budget ----------------
@@ -359,21 +354,14 @@ fn main() {
          refresh_words,skipped_words,max_failure_rate",
         &csv_rows,
     );
-    let json = format!(
-        "{{\"experiment\":\"policies\",\"seed\":{seed},\"budget\":{},\"networks\":[{}],\
-         \"eden_pricing\":{}}}\n",
-        json_f64(BUDGET),
-        net_jsons.join(","),
-        eden_json
-    );
-    let dir = std::path::Path::new("results");
-    if let Err(e) = std::fs::create_dir_all(dir) {
-        eprintln!("could not create results/: {e}");
-    }
-    match std::fs::write(dir.join("BENCH_policies.json"), &json) {
-        Ok(()) => println!("wrote results/BENCH_policies.json"),
-        Err(e) => eprintln!("could not write results/BENCH_policies.json: {e}"),
-    }
+    let json = Obj::new()
+        .str("experiment", "policies")
+        .raw("seed", seed)
+        .f64("budget", BUDGET)
+        .raw("networks", array(&net_jsons))
+        .raw("eden_pricing", eden_json)
+        .finish();
+    write_result("BENCH_policies.json", &(json + "\n"));
     println!(
         "\nschedule cache after the sweep: {} hits / {} misses, {} entries",
         eval.cache().hits(),

@@ -23,14 +23,14 @@
 //! store written by `rana-compile precompile` and reports the persistent
 //! hit count (the `scripts/check.sh` store-backed smoke leg).
 
-use rana_bench::{banner, seed_from_env, threads_from_env, write_csv};
+use rana_bench::{banner, seed_from_env, threads_from_env, write_csv, write_result};
 use rana_core::designs::Design;
 use rana_core::evaluate::Evaluator;
 use rana_core::store::{precompile, PrecompileSpec, ScheduleStore};
 use rana_serve::{
     PartitionPolicy, QueuePolicy, ServeConfig, ServeReport, Server, TenantSpec, TrafficModel,
 };
-use rana_trace::json_f64;
+use rana_trace::json::{array, Obj};
 
 /// Default arrival-stream seed (override with `RANA_SEED`).
 const DEFAULT_SEED: u64 = 17;
@@ -80,12 +80,11 @@ struct ScenarioResult {
 
 impl ScenarioResult {
     fn to_json(&self) -> String {
-        format!(
-            "{{\"name\":\"{}\",\"load\":{},\"report\":{}}}",
-            self.name,
-            json_f64(self.load),
-            self.report.to_json()
-        )
+        Obj::new()
+            .str("name", &self.name)
+            .f64("load", self.load)
+            .raw("report", self.report.to_json())
+            .finish()
     }
 }
 
@@ -324,19 +323,14 @@ fn main() {
         &tenant_rows,
     );
 
-    let json = format!(
-        "{{\"experiment\":\"serve\",\"seed\":{seed},\"capacity_rps\":{},\"scenarios\":[{}],\"cold_warm\":{}}}\n",
-        json_f64(cap),
-        results.iter().map(ScenarioResult::to_json).collect::<Vec<_>>().join(","),
-        cold_warm_json
-    );
-    let dir = std::path::Path::new("results");
-    match std::fs::create_dir_all(dir)
-        .and_then(|()| std::fs::write(dir.join("BENCH_serve.json"), &json))
-    {
-        Ok(()) => println!("(wrote results/BENCH_serve.json)"),
-        Err(e) => eprintln!("could not write results/BENCH_serve.json: {e}"),
-    }
+    let json = Obj::new()
+        .str("experiment", "serve")
+        .raw("seed", seed)
+        .f64("capacity_rps", cap)
+        .raw("scenarios", array(results.iter().map(ScenarioResult::to_json)))
+        .raw("cold_warm", cold_warm_json)
+        .finish();
+    write_result("BENCH_serve.json", &(json + "\n"));
     println!(
         "\nschedule cache after the sweep: {} hits / {} misses, {} entries",
         eval.cache().hits(),
@@ -412,26 +406,24 @@ fn run_cold_warm(shared: &Evaluator, seed: u64) -> String {
         cold.latency.p99_us
     );
 
-    let leg = |label: &str, r: &ServeReport| {
-        format!(
-            "\"{label}\":{{\"p99_us\":{},\"queue_wait_p99_us\":{},\"served\":{},\"compile_stall_us\":{}}}",
-            json_f64(r.latency.p99_us),
-            json_f64(r.queue_wait.p99_us),
-            r.served,
-            json_f64(r.compile_stall_us)
-        )
+    let leg = |r: &ServeReport| {
+        Obj::new()
+            .f64("p99_us", r.latency.p99_us)
+            .f64("queue_wait_p99_us", r.queue_wait.p99_us)
+            .raw("served", r.served)
+            .f64("compile_stall_us", r.compile_stall_us)
+            .finish()
     };
-    format!(
-        "{{\"compile_penalty_us\":{},\"store_entries\":{},\"preloaded\":{},\"warm_hits\":{},\"warm_fresh_searches\":{},\"persistent_hit_rate\":{},{},{}}}",
-        json_f64(COLD_WARM_PENALTY_US),
-        store.len(),
-        preloaded,
-        warm_hits,
-        warm_fresh,
-        json_f64(hit_rate),
-        leg("cold", &cold),
-        leg("warm", &warm)
-    )
+    Obj::new()
+        .f64("compile_penalty_us", COLD_WARM_PENALTY_US)
+        .raw("store_entries", store.len())
+        .raw("preloaded", preloaded)
+        .raw("warm_hits", warm_hits)
+        .raw("warm_fresh_searches", warm_fresh)
+        .f64("persistent_hit_rate", hit_rate)
+        .raw("cold", leg(&cold))
+        .raw("warm", leg(&warm))
+        .finish()
 }
 
 /// `--smoke`: a two-tenant, single-load subset that exercises traffic

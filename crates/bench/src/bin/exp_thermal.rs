@@ -17,7 +17,7 @@
 //! and a byte-deterministic `results/BENCH_thermal.json`.
 
 use rana_accel::RefreshModel;
-use rana_bench::{banner, seed_from_env, write_csv};
+use rana_bench::{banner, seed_from_env, write_csv, write_result};
 use rana_core::adaptive::{
     run_probes, run_static_policy, AdaptiveConfig, AdaptiveRuntime, FallbackPolicy, Scenario,
     ValidationSummary,
@@ -26,6 +26,7 @@ use rana_core::designs::Design;
 use rana_core::energy::EnergyModel;
 use rana_core::evaluate::Evaluator;
 use rana_edram::thermal::ThermalModel;
+use rana_trace::json::{array, Obj};
 use rana_zoo::Network;
 
 /// Default probe seed for the whole experiment (everything else is
@@ -50,14 +51,13 @@ fn fmt_rate(v: f64) -> String {
 }
 
 fn validation_json(v: &ValidationSummary) -> String {
-    format!(
-        "{{\"probes\":{},\"bits_read\":{},\"faulted_bits\":{},\"rate\":{},\"worst_rate\":{}}}",
-        v.probes,
-        v.bits_read,
-        v.faulted_bits,
-        fmt_rate(v.realized_rate()),
-        fmt_rate(v.worst_rate)
-    )
+    Obj::new()
+        .raw("probes", v.probes)
+        .raw("bits_read", v.bits_read)
+        .raw("faulted_bits", v.faulted_bits)
+        .raw("rate", fmt_rate(v.realized_rate()))
+        .raw("worst_rate", fmt_rate(v.worst_rate))
+        .finish()
 }
 
 fn run_network(eval: &Evaluator, net: &Network, seed: u64) -> NetResult {
@@ -177,40 +177,36 @@ fn run_network(eval: &Evaluator, net: &Network, seed: u64) -> NetResult {
         .map(|pt| format!("{},{:.3},{:.4},{:.6}", net.name(), pt.t_us, pt.temp_c, pt.power_w))
         .collect();
 
-    let json = format!(
-        concat!(
-            "{{\"network\":\"{}\",\"design\":\"{}\",\"heating_passes\":{},",
-            "\"target_rate\":{},\"peak_temp_c\":{:.4},\"nominal_interval_us\":{:.3},",
-            "\"min_interval_us\":{:.3},\"oracle_interval_us\":{:.3},",
-            "\"retunes\":{},\"fallbacks\":{},\"reschedules\":{},",
-            "\"refresh_j\":{{\"adaptive\":{:e},\"static45\":{:e},\"oracle\":{:e},\"nominal\":{:e}}},",
-            "\"vs_static45\":{:.4},\"vs_oracle\":{:.4},",
-            "\"validation\":{{\"adaptive\":{},\"static45\":{},\"oracle\":{},\"nominal\":{}}},",
-            "\"report\":{}}}"
-        ),
-        net.name(),
-        design.label(),
-        heating_passes,
-        fmt_rate(target),
-        report.peak_temp_c(),
-        report.nominal_interval_us,
-        report.min_interval_us(),
-        oracle.interval_us,
-        report.total_retunes(),
-        report.total_fallbacks(),
-        report.total_reschedules(),
-        adaptive_refresh_j,
-        static45.energy.refresh_j,
-        oracle.energy.refresh_j,
-        nominal.energy.refresh_j,
-        adaptive_refresh_j / static45.energy.refresh_j,
-        adaptive_refresh_j / oracle.energy.refresh_j,
-        validation_json(&adaptive_val),
-        validation_json(&static45_val),
-        validation_json(&oracle_val),
-        validation_json(&nominal_val),
-        report.to_json(),
-    );
+    let refresh_j = Obj::new()
+        .raw("adaptive", fmt_rate(adaptive_refresh_j))
+        .raw("static45", fmt_rate(static45.energy.refresh_j))
+        .raw("oracle", fmt_rate(oracle.energy.refresh_j))
+        .raw("nominal", fmt_rate(nominal.energy.refresh_j))
+        .finish();
+    let validation = Obj::new()
+        .raw("adaptive", validation_json(&adaptive_val))
+        .raw("static45", validation_json(&static45_val))
+        .raw("oracle", validation_json(&oracle_val))
+        .raw("nominal", validation_json(&nominal_val))
+        .finish();
+    let json = Obj::new()
+        .str("network", net.name())
+        .str("design", design.label())
+        .raw("heating_passes", heating_passes)
+        .raw("target_rate", fmt_rate(target))
+        .raw("peak_temp_c", format!("{:.4}", report.peak_temp_c()))
+        .raw("nominal_interval_us", format!("{:.3}", report.nominal_interval_us))
+        .raw("min_interval_us", format!("{:.3}", report.min_interval_us()))
+        .raw("oracle_interval_us", format!("{:.3}", oracle.interval_us))
+        .raw("retunes", report.total_retunes())
+        .raw("fallbacks", report.total_fallbacks())
+        .raw("reschedules", report.total_reschedules())
+        .raw("refresh_j", refresh_j)
+        .raw("vs_static45", format!("{:.4}", adaptive_refresh_j / static45.energy.refresh_j))
+        .raw("vs_oracle", format!("{:.4}", adaptive_refresh_j / oracle.energy.refresh_j))
+        .raw("validation", validation)
+        .raw("report", report.to_json())
+        .finish();
     NetResult { json, pass_rows, traj_rows }
 }
 
@@ -240,17 +236,11 @@ fn main() {
     );
     write_csv("fig_thermal_trajectory.csv", "network,t_us,temp_c,power_w", &traj_rows);
 
-    let json = format!(
-        "{{\"experiment\":\"thermal\",\"seed\":{seed},\"networks\":[{}]}}\n",
-        jsons.join(",")
-    );
-    let dir = std::path::Path::new("results");
-    if let Err(e) = std::fs::create_dir_all(dir)
-        .and_then(|()| std::fs::write(dir.join("BENCH_thermal.json"), &json))
-    {
-        eprintln!("could not write results/BENCH_thermal.json: {e}");
-    } else {
-        println!("(wrote results/BENCH_thermal.json)");
-    }
+    let json = Obj::new()
+        .str("experiment", "thermal")
+        .raw("seed", seed)
+        .raw("networks", array(&jsons))
+        .finish();
+    write_result("BENCH_thermal.json", &(json + "\n"));
     println!("\nall networks: adaptive <= Stage-1 target, below static-45us, within 25% of oracle");
 }

@@ -16,12 +16,11 @@
 //! of the worker pool and memo cache — the one intentionally
 //! non-deterministic artifact, for spotting sweep-time regressions.
 
-use rana_bench::{banner, seed_from_env, write_csv};
+use rana_bench::{banner, result_path, seed_from_env, write_csv, write_result};
 use rana_core::designs::Design;
 use rana_core::evaluate::Evaluator;
 use rana_core::trace::{json_f64, EnergyLedger, Session, TelemetryReport, TraceConfig};
 use rana_serve::{ServeConfig, Server, TenantSpec, TrafficModel};
-use std::path::PathBuf;
 
 /// Default serve arrival-stream seed (override with `RANA_SEED`).
 const DEFAULT_SEED: u64 = 17;
@@ -29,20 +28,12 @@ const DEFAULT_SEED: u64 = 17;
 /// Reconciliation bound between the trace ledger and evaluator totals.
 const TOLERANCE: f64 = 1e-9;
 
-fn results_path(name: &str) -> PathBuf {
-    let dir = PathBuf::from("results");
-    if let Err(e) = std::fs::create_dir_all(&dir) {
-        eprintln!("could not create results/: {e}");
-    }
-    dir.join(name)
-}
-
 /// The traced AlexNet sweep: every Table IV design through one shared
 /// evaluator, events streamed to `results/trace_alexnet.jsonl`.
 fn run_alexnet_sweep() -> (TelemetryReport, EnergyLedger) {
     let eval = Evaluator::paper_platform();
     let net = rana_zoo::alexnet();
-    let session = Session::start(TraceConfig::Jsonl { path: results_path("trace_alexnet.jsonl") });
+    let session = Session::start(TraceConfig::Jsonl { path: result_path("trace_alexnet.jsonl") });
     let mut expected = EnergyLedger::default();
     for design in Design::ALL {
         let result = eval.evaluate(&net, design);
@@ -68,7 +59,7 @@ fn run_serve(seed: u64) -> TelemetryReport {
     ];
     let mut cfg = ServeConfig::paper(TrafficModel::Poisson { rate_rps: 400.0 }, seed);
     cfg.horizon_us = 300_000.0;
-    let session = Session::start(TraceConfig::Jsonl { path: results_path("trace_serve.jsonl") });
+    let session = Session::start(TraceConfig::Jsonl { path: result_path("trace_serve.jsonl") });
     let report = Server::new(&eval, specs, cfg).run();
     println!(
         "  serve: {} served / {} offered, {} batches traced",
@@ -128,12 +119,8 @@ fn main() {
         sweep.to_json(false),
         serve.to_json(false),
     );
-    for (name, body) in [("BENCH_trace.json", &bench), ("BENCH_trace_timing.json", &timing)] {
-        match std::fs::write(results_path(name), body) {
-            Ok(()) => println!("wrote results/{name}"),
-            Err(e) => eprintln!("could not write results/{name}: {e}"),
-        }
-    }
+    write_result("BENCH_trace.json", &bench);
+    write_result("BENCH_trace_timing.json", &timing);
     println!("wrote results/trace_alexnet.jsonl, results/trace_serve.jsonl");
 
     // A nonzero drop count means a truncated event stream: the JSONL

@@ -14,6 +14,7 @@ use rana_core::energy::EnergyBreakdown;
 use rana_core::evaluate::{Evaluator, NetworkEnergy};
 use rana_core::report::{breakdown_header, breakdown_row, geomean, geomean_breakdown};
 use rana_zoo::Network;
+use std::path::{Path, PathBuf};
 
 /// The seed an experiment should use: `RANA_SEED` from the environment
 /// when set (decimal or `0x`-prefixed hex), the experiment's `default`
@@ -59,26 +60,56 @@ pub fn banner(id: &str, title: &str) {
     println!("==============================================================");
 }
 
-/// Writes a CSV into `results/` (created on demand) so figures can be
-/// re-plotted outside the terminal. Failures are reported, not fatal —
-/// experiments still print everything to stdout.
-pub fn write_csv(name: &str, header: &str, rows: &[String]) {
-    let dir = std::path::Path::new("results");
-    let write = || -> std::io::Result<()> {
-        std::fs::create_dir_all(dir)?;
-        let mut out = String::with_capacity(rows.len() * 32 + header.len() + 1);
-        out.push_str(header);
-        out.push('\n');
-        for r in rows {
-            out.push_str(r);
-            out.push('\n');
-        }
-        std::fs::write(dir.join(name), out)
-    };
-    match write() {
-        Ok(()) => println!("(wrote results/{name})"),
-        Err(e) => eprintln!("could not write results/{name}: {e}"),
+/// Directory every experiment writes its results into.
+const RESULTS_DIR: &str = "results";
+
+/// `results/<name>`, creating `results/` on demand.
+///
+/// # Panics
+///
+/// Panics with the path when the directory cannot be created.
+pub fn result_path(name: &str) -> PathBuf {
+    path_in(Path::new(RESULTS_DIR), name)
+}
+
+/// Writes `body` to `results/<name>` and reports the path.
+///
+/// # Panics
+///
+/// Panics with the path on any I/O error: a run that cannot write its
+/// result must fail rather than leave a stale tracked copy for the bench
+/// gate to read.
+pub fn write_result(name: &str, body: &str) {
+    write_in(Path::new(RESULTS_DIR), name, body);
+}
+
+fn path_in(dir: &Path, name: &str) -> PathBuf {
+    if let Err(e) = std::fs::create_dir_all(dir) {
+        panic!("could not create {}: {e}", dir.display());
     }
+    dir.join(name)
+}
+
+fn write_in(dir: &Path, name: &str, body: &str) {
+    let path = path_in(dir, name);
+    if let Err(e) = std::fs::write(&path, body) {
+        panic!("could not write {}: {e}", path.display());
+    }
+    println!("(wrote {})", path.display());
+}
+
+/// Writes a CSV (header plus one line per row) to `results/<name>`
+/// through [`write_result`], so figures can be re-plotted outside the
+/// terminal.
+pub fn write_csv(name: &str, header: &str, rows: &[String]) {
+    let mut out = String::with_capacity(rows.len() * 32 + header.len() + 1);
+    out.push_str(header);
+    out.push('\n');
+    for r in rows {
+        out.push_str(r);
+        out.push('\n');
+    }
+    write_result(name, &out);
 }
 
 /// Evaluates every Table IV design on every benchmark and prints the
@@ -90,8 +121,6 @@ pub fn run_design_matrix(
     nets: &[Network],
 ) -> Vec<(String, Design, EnergyBreakdown)> {
     let mut rows = Vec::new();
-    let mut per_design_norms: Vec<Vec<EnergyBreakdown>> = vec![Vec::new(); Design::ALL.len()];
-    let mut csv = Vec::new();
     // Fan the whole networks x designs matrix across the worker pool in one
     // go; results come back in point order, identical to serial evaluation.
     let points: Vec<(&Network, Design)> =
@@ -102,72 +131,29 @@ pub fn run_design_matrix(
         let base = results[0].total.total_j();
         println!("\n-- {} (normalized to S+ID = 1.0) --", net.name());
         println!("{}", breakdown_header("x S+ID"));
-        for (i, (d, r)) in Design::ALL.iter().zip(results).enumerate() {
+        for (d, r) in Design::ALL.iter().zip(results) {
             let norm = r.total.normalized_to(base);
             println!("{}", breakdown_row(d.label(), &norm));
-            csv.push(format!(
-                "{},{},{:.6},{:.6},{:.6},{:.6},{:.6}",
-                net.name(),
-                d.label(),
-                norm.computing_j,
-                norm.buffer_j,
-                norm.refresh_j,
-                norm.offchip_j,
-                norm.total_j()
-            ));
-            per_design_norms[i].push(norm);
             rows.push((net.name().to_string(), *d, norm));
         }
     }
     println!("\n-- GEOM over {} benchmarks --", nets.len());
     println!("{}", breakdown_header("x S+ID"));
-    for (d, norms) in Design::ALL.iter().zip(&per_design_norms) {
-        let g = geomean_breakdown(norms);
-        println!("{}", breakdown_row(d.label(), &g));
-        csv.push(format!(
-            "GEOM,{},{:.6},{:.6},{:.6},{:.6},{:.6}",
-            d.label(),
-            g.computing_j,
-            g.buffer_j,
-            g.refresh_j,
-            g.offchip_j,
-            g.total_j()
-        ));
-    }
-    write_csv(
-        "fig15_design_matrix.csv",
-        "network,design,compute,buffer,refresh,offchip,total",
-        &csv,
-    );
-
-    // And the figure itself as SVG.
-    let groups: Vec<(&str, Vec<svg::Bar>)> = {
-        let mut by_net: Vec<(&str, Vec<svg::Bar>)> = Vec::new();
-        for net in nets {
-            let bars = rows
-                .iter()
-                .filter(|(n, _, _)| n == net.name())
-                .map(|(_, d, b)| svg::Bar {
-                    label: d.label().to_string(),
-                    parts: vec![b.computing_j, b.buffer_j, b.refresh_j, b.offchip_j],
-                })
-                .collect();
-            by_net.push((net.name(), bars));
-        }
-        by_net
-    };
-    let image = svg::stacked_bars(
-        "Figure 15: normalized total system energy",
-        &["computing", "buffer access", "refresh", "off-chip access"],
-        &groups,
-    );
-    if std::fs::create_dir_all("results").is_ok() {
-        match std::fs::write("results/fig15_energy.svg", image) {
-            Ok(()) => println!("(wrote results/fig15_energy.svg)"),
-            Err(e) => eprintln!("could not write results/fig15_energy.svg: {e}"),
-        }
+    for d in Design::ALL {
+        println!("{}", breakdown_row(d.label(), &geomean_design(&rows, d)));
     }
     rows
+}
+
+/// Geometric-mean breakdown of one design over the rows of
+/// [`run_design_matrix`].
+pub fn geomean_design(
+    rows: &[(String, Design, EnergyBreakdown)],
+    design: Design,
+) -> EnergyBreakdown {
+    let norms: Vec<EnergyBreakdown> =
+        rows.iter().filter(|(_, d, _)| *d == design).map(|(_, _, b)| *b).collect();
+    geomean_breakdown(&norms)
 }
 
 /// Percentage string helper: `-41.7%` style.
@@ -214,6 +200,25 @@ mod tests {
         assert_eq!(parse_seed("banana"), None);
         assert_eq!(parse_seed(""), None);
         assert_eq!(parse_seed("-3"), None);
+    }
+
+    #[test]
+    fn write_errors_fail_the_run_with_the_path() {
+        let base = std::env::temp_dir().join(format!("rana_bench_write_{}", std::process::id()));
+        std::fs::create_dir_all(base.join("taken.json")).unwrap();
+        std::fs::write(base.join("file"), "").unwrap();
+        let panic_message = |f: &dyn Fn()| {
+            let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
+                .expect_err("a failed write must panic");
+            err.downcast_ref::<String>().cloned().expect("formatted panic message")
+        };
+        // A directory where the file should be: the write itself fails.
+        let m = panic_message(&|| write_in(&base, "taken.json", "{}"));
+        assert!(m.starts_with("could not write") && m.contains("taken.json"), "{m}");
+        // A file where the results directory should be: creating it fails.
+        let m = panic_message(&|| write_in(&base.join("file").join("sub"), "x.csv", ""));
+        assert!(m.starts_with("could not create") && m.contains("sub"), "{m}");
+        std::fs::remove_dir_all(&base).unwrap();
     }
 
     #[test]

@@ -51,7 +51,7 @@ use rana_accel::{
 use rana_edram::thermal::{ThermalModel, TrajectoryPoint};
 use rana_edram::{ClockDivider, RefreshConfig, RetentionDistribution};
 use rana_policy::Strategy;
-use rana_trace::{json_f64, json_string};
+use rana_trace::json::{array, Obj};
 use rana_zoo::Network;
 
 pub use crate::operating::ladder_rung_us;
@@ -235,6 +235,22 @@ impl PassRecord {
     pub fn min_interval_us(&self) -> f64 {
         self.layers.iter().map(|l| l.interval_us).fold(f64::INFINITY, f64::min)
     }
+
+    /// The pass summary [`AdaptiveReport::to_json`] lists under `passes`.
+    fn to_json(&self) -> String {
+        Obj::new()
+            .raw("pass", self.pass)
+            .f64("start_temp_c", self.start_temp_c)
+            .f64("end_temp_c", self.end_temp_c)
+            .f64("time_us", self.time_us)
+            .raw("refresh_words", self.refresh_words)
+            .f64("refresh_j", self.energy.refresh_j)
+            .f64("min_interval_us", self.min_interval_us())
+            .raw("retunes", self.retunes)
+            .raw("fallbacks", self.fallbacks)
+            .raw("reschedules", self.reschedules)
+            .finish()
+    }
 }
 
 /// The full log of an adaptive run.
@@ -324,67 +340,35 @@ impl AdaptiveReport {
     /// deterministic JSON string. Byte-identical across runs for a fixed
     /// configuration — the determinism test compares this output directly.
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(1024 + self.passes.len() * 192);
-        out.push('{');
-        out.push_str(&format!("\"network\":{},", json_string(&self.network)));
-        out.push_str(&format!("\"design\":{},", json_string(&self.design)));
-        out.push_str(&format!("\"target_rate\":{},", json_f64(self.config.target_rate)));
-        out.push_str(&format!("\"retention_margin\":{},", json_f64(self.config.retention_margin)));
-        out.push_str(&format!("\"fallback\":\"{}\",", self.config.fallback.label()));
-        out.push_str(&format!("\"throttle_temp_c\":{},", json_f64(self.config.throttle_temp_c)));
-        out.push_str(&format!(
-            "\"reschedule_refresh_weight\":{},",
-            json_f64(self.config.reschedule_refresh_weight)
-        ));
-        out.push_str(&format!("\"seed\":{},", self.config.seed));
-        out.push_str(&format!(
-            "\"thermal\":{{\"ambient_c\":{},\"r_ja_c_per_w\":{},\"tau_us\":{},\"characterization_c\":{}}},",
-            json_f64(self.thermal.ambient_c),
-            json_f64(self.thermal.r_ja_c_per_w),
-            json_f64(self.thermal.tau_us),
-            json_f64(self.thermal.characterization_c)
-        ));
-        out.push_str(&format!("\"nominal_interval_us\":{},", json_f64(self.nominal_interval_us)));
-        out.push_str(&format!("\"peak_temp_c\":{},", json_f64(self.peak_temp_c())));
-        out.push_str(&format!("\"min_interval_us\":{},", json_f64(self.min_interval_us())));
-        out.push_str(&format!("\"total_time_us\":{},", json_f64(self.total_time_us())));
-        out.push_str(&format!("\"idle_us\":{},", json_f64(self.idle_us)));
-        out.push_str(&format!("\"throttle_us\":{},", json_f64(self.total_throttle_us())));
-        let e = self.total_energy();
-        out.push_str(&format!(
-            "\"energy\":{{\"computing_j\":{},\"buffer_j\":{},\"refresh_j\":{},\"offchip_j\":{}}},",
-            json_f64(e.computing_j),
-            json_f64(e.buffer_j),
-            json_f64(e.refresh_j),
-            json_f64(e.offchip_j)
-        ));
-        out.push_str(&format!("\"refresh_words\":{},", self.total_refresh_words()));
-        out.push_str(&format!("\"retunes\":{},", self.total_retunes()));
-        out.push_str(&format!("\"fallbacks\":{},", self.total_fallbacks()));
-        out.push_str(&format!("\"reschedules\":{},", self.total_reschedules()));
-        out.push_str("\"passes\":[");
-        for (i, p) in self.passes.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"pass\":{},\"start_temp_c\":{},\"end_temp_c\":{},\"time_us\":{},\
-                 \"refresh_words\":{},\"refresh_j\":{},\"min_interval_us\":{},\
-                 \"retunes\":{},\"fallbacks\":{},\"reschedules\":{}}}",
-                p.pass,
-                json_f64(p.start_temp_c),
-                json_f64(p.end_temp_c),
-                json_f64(p.time_us),
-                p.refresh_words,
-                json_f64(p.energy.refresh_j),
-                json_f64(p.min_interval_us()),
-                p.retunes,
-                p.fallbacks,
-                p.reschedules
-            ));
-        }
-        out.push_str("]}");
-        out
+        let thermal = Obj::new()
+            .f64("ambient_c", self.thermal.ambient_c)
+            .f64("r_ja_c_per_w", self.thermal.r_ja_c_per_w)
+            .f64("tau_us", self.thermal.tau_us)
+            .f64("characterization_c", self.thermal.characterization_c)
+            .finish();
+        Obj::new()
+            .str("network", &self.network)
+            .str("design", &self.design)
+            .f64("target_rate", self.config.target_rate)
+            .f64("retention_margin", self.config.retention_margin)
+            .str("fallback", self.config.fallback.label())
+            .f64("throttle_temp_c", self.config.throttle_temp_c)
+            .f64("reschedule_refresh_weight", self.config.reschedule_refresh_weight)
+            .raw("seed", self.config.seed)
+            .raw("thermal", thermal)
+            .f64("nominal_interval_us", self.nominal_interval_us)
+            .f64("peak_temp_c", self.peak_temp_c())
+            .f64("min_interval_us", self.min_interval_us())
+            .f64("total_time_us", self.total_time_us())
+            .f64("idle_us", self.idle_us)
+            .f64("throttle_us", self.total_throttle_us())
+            .raw("energy", self.total_energy().ledger().to_json())
+            .raw("refresh_words", self.total_refresh_words())
+            .raw("retunes", self.total_retunes())
+            .raw("fallbacks", self.total_fallbacks())
+            .raw("reschedules", self.total_reschedules())
+            .raw("passes", array(self.passes.iter().map(PassRecord::to_json)))
+            .finish()
     }
 }
 

@@ -272,7 +272,7 @@ fn main() -> ExitCode {
     }
 
     if let Some(path) = args.json_path {
-        let json = lw.to_json_pretty();
+        let json = lw.to_json();
         if let Err(e) = std::fs::write(&path, json) {
             eprintln!("failed to write {path}: {e}");
             return ExitCode::FAILURE;

@@ -9,8 +9,8 @@
 
 use crate::scheduler::NetworkSchedule;
 use rana_accel::{AcceleratorConfig, LayerSim, RefreshModel};
-use rana_edram::{BankAllocation, ClockDivider, DataType, UnifiedBuffer};
-use rana_trace::{json_f64, json_string};
+use rana_edram::{BankAllocation, ClockDivider, UnifiedBuffer};
+use rana_trace::json::{array, json_opt, Obj};
 
 /// Configuration of one layer.
 #[derive(Debug, Clone, PartialEq)]
@@ -28,31 +28,19 @@ pub struct LayerConfig {
 
 impl LayerConfig {
     /// Generates one layer's configuration: the unified-buffer bank
-    /// allocation and the per-bank refresh flags under `refresh`. This is
-    /// the per-layer core of [`LayerwiseConfig::generate`], exposed so the
-    /// thermal-adaptive runtime can recompute flags when the refresh
-    /// interval changes mid-network.
+    /// allocation and the per-bank refresh flags under `refresh` (the
+    /// [`rana_policy::refresh_flags_for`] projection). This is the
+    /// per-layer core of [`LayerwiseConfig::generate`].
     pub fn for_sim(sim: &LayerSim, cfg: &AcceleratorConfig, refresh: &RefreshModel) -> Self {
         let buffer = UnifiedBuffer::new(cfg.buffer.num_banks, cfg.buffer.bank_words);
         let allocation = buffer
             .allocate(sim.storage.input_words, sim.storage.output_words, sim.storage.weight_words)
             .ok();
-        let needy = refresh.needy_types(sim);
-        let refresh_flags = match &allocation {
-            Some(alloc) => alloc.refresh_flags(|ty| match ty {
-                DataType::Input => needy[0],
-                DataType::Output => needy[1],
-                DataType::Weight => needy[2],
-            }),
-            // Overflowing layers stream through all banks: flag
-            // everything if anything needs retention.
-            None => vec![needy.iter().any(|&n| n); cfg.buffer.num_banks],
-        };
         Self {
             layer: sim.layer.clone(),
             pattern: format!("<{},{}>", sim.pattern, sim.tiling),
             allocation,
-            refresh_flags,
+            refresh_flags: rana_policy::refresh_flags_for(sim, cfg, refresh.interval_us),
         }
     }
 }
@@ -90,60 +78,29 @@ impl LayerwiseConfig {
 
     /// Serializes the configuration to a compact JSON string.
     pub fn to_json(&self) -> String {
-        self.render_json(false)
-    }
-
-    /// Serializes the configuration to an indented JSON string.
-    pub fn to_json_pretty(&self) -> String {
-        self.render_json(true)
-    }
-
-    fn render_json(&self, pretty: bool) -> String {
-        let (nl, ind, ind2, ind3) =
-            if pretty { ("\n", "  ", "    ", "      ") } else { ("", "", "", "") };
-        let sep = if pretty { ": " } else { ":" };
-        let mut out = String::with_capacity(256 + self.layers.len() * 160);
-        out.push('{');
-        out.push_str(nl);
-        out.push_str(&format!("{ind}\"network\"{sep}{},{nl}", json_string(&self.network)));
-        out.push_str(&format!(
-            "{ind}\"tolerable_retention_us\"{sep}{},{nl}",
-            json_f64(self.tolerable_retention_us)
-        ));
-        out.push_str(&format!("{ind}\"clock_divider\"{sep}{},{nl}", self.clock_divider));
-        out.push_str(&format!("{ind}\"layers\"{sep}["));
-        for (i, l) in self.layers.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(nl);
-            out.push_str(&format!("{ind2}{{{nl}"));
-            out.push_str(&format!("{ind3}\"layer\"{sep}{},{nl}", json_string(&l.layer)));
-            out.push_str(&format!("{ind3}\"pattern\"{sep}{},{nl}", json_string(&l.pattern)));
-            match &l.allocation {
-                None => out.push_str(&format!("{ind3}\"allocation\"{sep}null,{nl}")),
-                Some(a) => out.push_str(&format!(
-                    "{ind3}\"allocation\"{sep}{{\"input_banks\"{sep}[{},{}],\
-                     \"output_banks\"{sep}[{},{}],\"weight_banks\"{sep}[{},{}],\
-                     \"total_banks\"{sep}{}}},{nl}",
-                    a.input_banks.start,
-                    a.input_banks.end,
-                    a.output_banks.start,
-                    a.output_banks.end,
-                    a.weight_banks.start,
-                    a.weight_banks.end,
-                    a.total_banks
-                )),
-            }
-            let flags: Vec<&str> =
-                l.refresh_flags.iter().map(|&f| if f { "true" } else { "false" }).collect();
-            out.push_str(&format!("{ind3}\"refresh_flags\"{sep}[{}]{nl}", flags.join(",")));
-            out.push_str(&format!("{ind2}}}"));
-        }
-        out.push_str(nl);
-        out.push_str(&format!("{ind}]{nl}"));
-        out.push('}');
-        out
+        let layers = self.layers.iter().map(|l| {
+            let allocation = l.allocation.as_ref().map(|a| {
+                let banks = |r: &std::ops::Range<usize>| array([r.start, r.end]);
+                Obj::new()
+                    .raw("input_banks", banks(&a.input_banks))
+                    .raw("output_banks", banks(&a.output_banks))
+                    .raw("weight_banks", banks(&a.weight_banks))
+                    .raw("total_banks", a.total_banks)
+                    .finish()
+            });
+            Obj::new()
+                .str("layer", &l.layer)
+                .str("pattern", &l.pattern)
+                .raw("allocation", json_opt(allocation))
+                .raw("refresh_flags", array(&l.refresh_flags))
+                .finish()
+        });
+        Obj::new()
+            .str("network", &self.network)
+            .f64("tolerable_retention_us", self.tolerable_retention_us)
+            .raw("clock_divider", self.clock_divider)
+            .raw("layers", array(layers))
+            .finish()
     }
 
     /// Fraction of bank-pulse slots with refresh disabled, over all layers

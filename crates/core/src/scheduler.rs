@@ -262,27 +262,6 @@ impl Scheduler {
         self.search_layer(layer, false)
     }
 
-    /// Schedules one layer with the candidate evaluations fanned over
-    /// `threads` worker threads (`0` = auto). The selection fold runs
-    /// serially in canonical candidate order, so the chosen schedule is
-    /// bit-identical to the serial path.
-    pub fn schedule_layer_par(&self, layer: &SchedLayer, threads: usize) -> LayerSchedule {
-        let threads = if threads == 0 { par::thread_count() } else { threads };
-        let space = self.candidate_space(layer);
-        let evaluated = par::par_map_with(&space, threads, |&(pattern, tiling)| {
-            let cand = self.candidate(layer, pattern, tiling);
-            let ok = self.meets_perf(&cand);
-            (cand, ok)
-        });
-        let mut best: Option<(LayerSchedule, bool)> = None;
-        for (cand, ok) in evaluated {
-            if Self::improves(&best, &cand, ok) {
-                best = Some((cand, ok));
-            }
-        }
-        best.expect("tiling candidate list is never empty").0
-    }
-
     /// Canonical fingerprint of everything a layer search's *result*
     /// depends on: accelerator, refresh model, energy costs, pattern
     /// space, tiling policy, and bandwidth constraint.

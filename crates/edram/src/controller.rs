@@ -115,16 +115,6 @@ impl RefreshPattern {
     }
 }
 
-/// Deprecated name of [`RefreshPattern`]: the enum describes how pulses
-/// are distributed over banks, while "policy" now names the strategy
-/// trait in `rana-policy`.
-#[deprecated(
-    since = "0.1.0",
-    note = "renamed to RefreshPattern; `policy` now names \
-             the refresh-strategy trait in rana-policy"
-)]
-pub type RefreshPolicy = RefreshPattern;
-
 /// A refresh controller: pulse interval plus per-pulse bank pattern.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RefreshConfig {

@@ -9,8 +9,8 @@
 use crate::router::RouterPolicy;
 use rana_core::energy::EnergyBreakdown;
 use rana_serve::TrafficModel;
+use rana_trace::json::{array, json_opt, Obj};
 use rana_trace::metrics::HistF64;
-use rana_trace::{json_f64, json_string};
 
 /// Latency order statistics extracted from a streaming histogram.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -41,14 +41,13 @@ impl LatencySummary {
 
     /// Deterministic JSON object.
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\"count\":{},\"p50_us\":{},\"p99_us\":{},\"mean_us\":{},\"max_us\":{}}}",
-            self.count,
-            json_f64(self.p50_us),
-            json_f64(self.p99_us),
-            json_f64(self.mean_us),
-            json_f64(self.max_us)
-        )
+        Obj::new()
+            .raw("count", self.count)
+            .f64("p50_us", self.p50_us)
+            .f64("p99_us", self.p99_us)
+            .f64("mean_us", self.mean_us)
+            .f64("max_us", self.max_us)
+            .finish()
     }
 }
 
@@ -92,26 +91,20 @@ impl FleetTenantReport {
     }
 
     fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"name\":{},\"weight\":{},\"isolated_us\":{},\"offered\":{},",
-                "\"served\":{},\"admission_drops\":{},\"deadline_drops\":{},",
-                "\"unroutable_drops\":{},\"rerouted\":{},\"late_served\":{},",
-                "\"miss_rate\":{},\"latency\":{}}}"
-            ),
-            json_string(&self.name),
-            json_f64(self.weight),
-            json_f64(self.isolated_us),
-            self.offered,
-            self.served,
-            self.admission_drops,
-            self.deadline_drops,
-            self.unroutable_drops,
-            self.rerouted,
-            self.late_served,
-            json_f64(self.miss_rate()),
-            self.latency.to_json()
-        )
+        Obj::new()
+            .str("name", &self.name)
+            .f64("weight", self.weight)
+            .f64("isolated_us", self.isolated_us)
+            .raw("offered", self.offered)
+            .raw("served", self.served)
+            .raw("admission_drops", self.admission_drops)
+            .raw("deadline_drops", self.deadline_drops)
+            .raw("unroutable_drops", self.unroutable_drops)
+            .raw("rerouted", self.rerouted)
+            .raw("late_served", self.late_served)
+            .f64("miss_rate", self.miss_rate())
+            .raw("latency", self.latency.to_json())
+            .finish()
     }
 }
 
@@ -271,77 +264,54 @@ impl FleetReport {
 
     /// Serializes the run to a compact, deterministic JSON object.
     pub fn to_json(&self) -> String {
-        let e = self.energy;
-        let tenants: Vec<String> = self.tenants.iter().map(FleetTenantReport::to_json).collect();
-        format!(
-            concat!(
-                "{{\"design\":{},\"router\":\"{}\",\"num_dies\":{},\"shard_size\":{},",
-                "\"traffic\":\"{}\",\"rate_rps\":{},\"seed\":{},\"horizon_us\":{},",
-                "\"offered\":{},\"served\":{},\"admission_drops\":{},\"deadline_drops\":{},",
-                "\"unroutable_drops\":{},\"late_served\":{},\"deadline_miss_rate\":{},",
-                "\"batches\":{},\"cold_schedules\":{},\"compile_stall_us\":{},\"retunes\":{},",
-                "\"die_failures\":{},\"die_drains\":{},\"rerouted_crash\":{},",
-                "\"rerouted_drain\":{},\"lost_in_flight\":{},\"wasted_j\":{},",
-                "\"offered_per_hour\":{},\"throughput_rps\":{},",
-                "\"latency\":{},\"queue_wait\":{},",
-                "\"energy\":{{\"computing_j\":{},\"buffer_j\":{},\"refresh_j\":{},\"offchip_j\":{}}},",
-                "\"energy_per_inference_j\":{},\"refresh_share\":{},\"refresh_words\":{},",
-                "\"peak_temp_c\":{},\"min_interval_us\":{},\"nominal_interval_us\":{},",
-                "\"makespan_us\":{},\"die_served_min\":{},\"die_served_max\":{},",
-                "\"die_served_mean\":{},\"load_imbalance\":{},",
-                "\"disrupted_offered\":{},\"disrupted_misses\":{},\"disruption_miss_rate\":{},",
-                "\"profile_entries\":{},\"tenants\":[{}]}}"
-            ),
-            json_string(&self.design),
-            self.router.label(),
-            self.num_dies,
-            self.shard_size.map_or("null".to_string(), |s| s.to_string()),
-            self.traffic.label(),
-            json_f64(self.traffic.rate_rps()),
-            self.seed,
-            json_f64(self.horizon_us),
-            self.offered,
-            self.served,
-            self.admission_drops,
-            self.deadline_drops,
-            self.unroutable_drops,
-            self.late_served,
-            json_f64(self.deadline_miss_rate()),
-            self.batches,
-            self.cold_schedules,
-            json_f64(self.compile_stall_us),
-            self.retunes,
-            self.die_failures,
-            self.die_drains,
-            self.rerouted_crash,
-            self.rerouted_drain,
-            self.lost_in_flight,
-            json_f64(self.wasted_j),
-            json_f64(self.offered_per_hour()),
-            json_f64(self.throughput_rps()),
-            self.latency.to_json(),
-            self.queue_wait.to_json(),
-            json_f64(e.computing_j),
-            json_f64(e.buffer_j),
-            json_f64(e.refresh_j),
-            json_f64(e.offchip_j),
-            json_f64(self.energy_per_inference_j()),
-            json_f64(self.refresh_share()),
-            self.refresh_words,
-            json_f64(self.peak_temp_c),
-            json_f64(self.min_interval_us),
-            json_f64(self.nominal_interval_us),
-            json_f64(self.makespan_us),
-            self.die_served_min,
-            self.die_served_max,
-            json_f64(self.die_served_mean),
-            json_f64(self.load_imbalance()),
-            self.disrupted_offered,
-            self.disrupted_misses,
-            json_f64(self.disruption_miss_rate()),
-            self.profile_entries,
-            tenants.join(",")
-        )
+        Obj::new()
+            .str("design", &self.design)
+            .str("router", self.router.label())
+            .raw("num_dies", self.num_dies)
+            .raw("shard_size", json_opt(self.shard_size))
+            .str("traffic", self.traffic.label())
+            .f64("rate_rps", self.traffic.rate_rps())
+            .raw("seed", self.seed)
+            .f64("horizon_us", self.horizon_us)
+            .raw("offered", self.offered)
+            .raw("served", self.served)
+            .raw("admission_drops", self.admission_drops)
+            .raw("deadline_drops", self.deadline_drops)
+            .raw("unroutable_drops", self.unroutable_drops)
+            .raw("late_served", self.late_served)
+            .f64("deadline_miss_rate", self.deadline_miss_rate())
+            .raw("batches", self.batches)
+            .raw("cold_schedules", self.cold_schedules)
+            .f64("compile_stall_us", self.compile_stall_us)
+            .raw("retunes", self.retunes)
+            .raw("die_failures", self.die_failures)
+            .raw("die_drains", self.die_drains)
+            .raw("rerouted_crash", self.rerouted_crash)
+            .raw("rerouted_drain", self.rerouted_drain)
+            .raw("lost_in_flight", self.lost_in_flight)
+            .f64("wasted_j", self.wasted_j)
+            .f64("offered_per_hour", self.offered_per_hour())
+            .f64("throughput_rps", self.throughput_rps())
+            .raw("latency", self.latency.to_json())
+            .raw("queue_wait", self.queue_wait.to_json())
+            .raw("energy", self.energy.ledger().to_json())
+            .f64("energy_per_inference_j", self.energy_per_inference_j())
+            .f64("refresh_share", self.refresh_share())
+            .raw("refresh_words", self.refresh_words)
+            .f64("peak_temp_c", self.peak_temp_c)
+            .f64("min_interval_us", self.min_interval_us)
+            .f64("nominal_interval_us", self.nominal_interval_us)
+            .f64("makespan_us", self.makespan_us)
+            .raw("die_served_min", self.die_served_min)
+            .raw("die_served_max", self.die_served_max)
+            .f64("die_served_mean", self.die_served_mean)
+            .f64("load_imbalance", self.load_imbalance())
+            .raw("disrupted_offered", self.disrupted_offered)
+            .raw("disrupted_misses", self.disrupted_misses)
+            .f64("disruption_miss_rate", self.disruption_miss_rate())
+            .raw("profile_entries", self.profile_entries)
+            .raw("tenants", array(self.tenants.iter().map(FleetTenantReport::to_json)))
+            .finish()
     }
 }
 

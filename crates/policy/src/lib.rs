@@ -101,7 +101,7 @@ impl LayerCtx<'_> {
 pub struct LayerDecision {
     /// Words the strategy refreshes over the layer's execution.
     pub refresh_words: u64,
-    /// Per-bank refresh flags from the config-gen projection (which banks
+    /// Per-bank refresh flags from [`refresh_flags_for`] (which banks
     /// hold retention-needy data at the *effective* interval). Reports
     /// count these even for the conventional strategy, whose controller
     /// ignores them and refreshes everything.
@@ -225,12 +225,11 @@ impl RefreshStrategy for Strategy {
     }
 }
 
-/// The config-gen per-bank flag projection at `interval_us`: exactly the
-/// flags `rana_core::config_gen::LayerConfig::for_sim` computes (banks
-/// allocated to retention-needy data types; everything flagged when the
-/// resident set overflows the buffer and anything is needy). Replicated
-/// here — bit for bit, the equivalence is proptested — because the
-/// strategy layer sits *below* `rana-core` in the crate graph.
+/// The per-bank refresh-flag projection at `interval_us`: banks
+/// allocated to retention-needy data types are flagged, and everything is
+/// flagged when the resident set overflows the buffer and anything is
+/// needy. `rana_core::config_gen::LayerConfig::for_sim` takes its flags
+/// from here.
 pub fn refresh_flags_for(sim: &LayerSim, cfg: &AcceleratorConfig, interval_us: f64) -> Vec<bool> {
     // `needy_types` does not consult the controller kind.
     let model = RefreshModel { interval_us, kind: ControllerKind::RefreshOptimized };
@@ -252,7 +251,7 @@ pub fn refresh_flags_for(sim: &LayerSim, cfg: &AcceleratorConfig, interval_us: f
 
 /// The legacy-controller decision (`Conventional` / `RanaFlagged`):
 /// delegates word accounting to [`layer_refresh_words`] and the flags to
-/// the config-gen projection, so it is bit-identical to the enum path it
+/// [`refresh_flags_for`], so it is bit-identical to the enum path it
 /// replaces.
 fn classic(ctx: &LayerCtx<'_>, kind: ControllerKind) -> LayerDecision {
     let model = RefreshModel { interval_us: ctx.interval_us, kind };

@@ -1,6 +1,6 @@
 //! Latency statistics for serving runs.
 
-use rana_trace::json_f64;
+use rana_trace::json::Obj;
 
 /// Order statistics over a batch of request latencies.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -40,15 +40,14 @@ impl LatencyStats {
 
     /// Deterministic JSON object.
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\"count\":{},\"mean_us\":{},\"p50_us\":{},\"p95_us\":{},\"p99_us\":{},\"max_us\":{}}}",
-            self.count,
-            json_f64(self.mean_us),
-            json_f64(self.p50_us),
-            json_f64(self.p95_us),
-            json_f64(self.p99_us),
-            json_f64(self.max_us)
-        )
+        Obj::new()
+            .raw("count", self.count)
+            .f64("mean_us", self.mean_us)
+            .f64("p50_us", self.p50_us)
+            .f64("p95_us", self.p95_us)
+            .f64("p99_us", self.p99_us)
+            .f64("max_us", self.max_us)
+            .finish()
     }
 }
 

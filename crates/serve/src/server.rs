@@ -29,8 +29,8 @@ use rana_core::operating::{check_throttle, throttle, ProfileCache, ThermalPolicy
 use rana_core::policy::Strategy;
 use rana_des::EventQueue;
 use rana_edram::thermal::ThermalModel;
+use rana_trace::json::{array, Obj};
 use rana_trace::metrics::{MetricKey, SloObservation, SloSpec};
-use rana_trace::{json_f64, json_string};
 use rana_zoo::Network;
 use std::collections::VecDeque;
 
@@ -726,35 +726,27 @@ impl TenantReport {
     }
 
     fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"name\":{},\"weight\":{},\"banks\":{},\"isolated_us\":{},",
-                "\"offered\":{},\"served\":{},\"batches\":{},\"admission_drops\":{},",
-                "\"deadline_drops\":{},\"retunes\":{},\"rescheduled_layer_execs\":{},",
-                "\"flagged_banks_peak\":{},\"divider_ratio\":{},\"latency\":{},",
-                "\"queue_wait\":{},\"late_served\":{},\"deadline_miss_rate\":{},",
-                "\"energy_j\":{},\"refresh_j\":{}}}"
-            ),
-            json_string(&self.name),
-            json_f64(self.weight),
-            self.banks,
-            json_f64(self.isolated_us),
-            self.offered,
-            self.served,
-            self.batches,
-            self.admission_drops,
-            self.deadline_drops,
-            self.retunes,
-            self.rescheduled_layer_execs,
-            self.flagged_banks_peak,
-            self.divider_ratio,
-            self.latency.to_json(),
-            self.queue_wait.to_json(),
-            self.late_served,
-            json_f64(self.deadline_miss_rate()),
-            json_f64(self.energy.total_j()),
-            json_f64(self.energy.refresh_j)
-        )
+        Obj::new()
+            .str("name", &self.name)
+            .f64("weight", self.weight)
+            .raw("banks", self.banks)
+            .f64("isolated_us", self.isolated_us)
+            .raw("offered", self.offered)
+            .raw("served", self.served)
+            .raw("batches", self.batches)
+            .raw("admission_drops", self.admission_drops)
+            .raw("deadline_drops", self.deadline_drops)
+            .raw("retunes", self.retunes)
+            .raw("rescheduled_layer_execs", self.rescheduled_layer_execs)
+            .raw("flagged_banks_peak", self.flagged_banks_peak)
+            .raw("divider_ratio", self.divider_ratio)
+            .raw("latency", self.latency.to_json())
+            .raw("queue_wait", self.queue_wait.to_json())
+            .raw("late_served", self.late_served)
+            .f64("deadline_miss_rate", self.deadline_miss_rate())
+            .f64("energy_j", self.energy.total_j())
+            .f64("refresh_j", self.energy.refresh_j)
+            .finish()
     }
 }
 
@@ -870,58 +862,40 @@ impl ServeReport {
 
     /// Serializes the run to a compact, deterministic JSON object.
     pub fn to_json(&self) -> String {
-        let e = self.energy;
-        let tenants: Vec<String> = self.tenants.iter().map(TenantReport::to_json).collect();
-        format!(
-            concat!(
-                "{{\"design\":{},\"queue\":\"{}\",\"partition\":\"{}\",\"traffic\":\"{}\",",
-                "\"rate_rps\":{},\"seed\":{},\"horizon_us\":{},",
-                "\"offered\":{},\"served\":{},\"admission_drops\":{},\"deadline_drops\":{},",
-                "\"batches\":{},\"retunes\":{},\"rescheduled_layer_execs\":{},\"rebalances\":{},",
-                "\"late_served\":{},\"deadline_miss_rate\":{},",
-                "\"makespan_us\":{},\"idle_us\":{},\"throttle_us\":{},\"compile_stall_us\":{},",
-                "\"throughput_rps\":{},\"latency\":{},\"queue_wait\":{},",
-                "\"energy\":{{\"computing_j\":{},\"buffer_j\":{},\"refresh_j\":{},\"offchip_j\":{}}},",
-                "\"energy_per_inference_j\":{},\"refresh_share\":{},\"refresh_words\":{},",
-                "\"peak_temp_c\":{},\"min_interval_us\":{},\"nominal_interval_us\":{},",
-                "\"tenants\":[{}]}}"
-            ),
-            json_string(&self.design),
-            self.queue_policy.label(),
-            self.partition_policy.label(),
-            self.traffic.label(),
-            json_f64(self.traffic.rate_rps()),
-            self.seed,
-            json_f64(self.horizon_us),
-            self.offered,
-            self.served,
-            self.admission_drops,
-            self.deadline_drops,
-            self.batches,
-            self.retunes,
-            self.rescheduled_layer_execs,
-            self.rebalances,
-            self.late_served,
-            json_f64(self.deadline_miss_rate()),
-            json_f64(self.makespan_us),
-            json_f64(self.idle_us),
-            json_f64(self.throttle_us),
-            json_f64(self.compile_stall_us),
-            json_f64(self.throughput_rps()),
-            self.latency.to_json(),
-            self.queue_wait.to_json(),
-            json_f64(e.computing_j),
-            json_f64(e.buffer_j),
-            json_f64(e.refresh_j),
-            json_f64(e.offchip_j),
-            json_f64(self.energy_per_inference_j()),
-            json_f64(self.refresh_share()),
-            self.refresh_words,
-            json_f64(self.peak_temp_c),
-            json_f64(self.min_interval_us),
-            json_f64(self.nominal_interval_us),
-            tenants.join(",")
-        )
+        Obj::new()
+            .str("design", &self.design)
+            .str("queue", self.queue_policy.label())
+            .str("partition", self.partition_policy.label())
+            .str("traffic", self.traffic.label())
+            .f64("rate_rps", self.traffic.rate_rps())
+            .raw("seed", self.seed)
+            .f64("horizon_us", self.horizon_us)
+            .raw("offered", self.offered)
+            .raw("served", self.served)
+            .raw("admission_drops", self.admission_drops)
+            .raw("deadline_drops", self.deadline_drops)
+            .raw("batches", self.batches)
+            .raw("retunes", self.retunes)
+            .raw("rescheduled_layer_execs", self.rescheduled_layer_execs)
+            .raw("rebalances", self.rebalances)
+            .raw("late_served", self.late_served)
+            .f64("deadline_miss_rate", self.deadline_miss_rate())
+            .f64("makespan_us", self.makespan_us)
+            .f64("idle_us", self.idle_us)
+            .f64("throttle_us", self.throttle_us)
+            .f64("compile_stall_us", self.compile_stall_us)
+            .f64("throughput_rps", self.throughput_rps())
+            .raw("latency", self.latency.to_json())
+            .raw("queue_wait", self.queue_wait.to_json())
+            .raw("energy", self.energy.ledger().to_json())
+            .f64("energy_per_inference_j", self.energy_per_inference_j())
+            .f64("refresh_share", self.refresh_share())
+            .raw("refresh_words", self.refresh_words)
+            .f64("peak_temp_c", self.peak_temp_c)
+            .f64("min_interval_us", self.min_interval_us)
+            .f64("nominal_interval_us", self.nominal_interval_us)
+            .raw("tenants", array(self.tenants.iter().map(TenantReport::to_json)))
+            .finish()
     }
 }
 

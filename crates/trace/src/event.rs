@@ -8,6 +8,8 @@
 //! shortest-round-trip float formatting, so a fixed workload produces a
 //! byte-identical trace.
 
+use crate::json::{array, Obj};
+
 /// The four-component system energy of paper Eq. 14, as telemetry data.
 ///
 /// Mirrors `rana_core::energy::EnergyBreakdown` field for field, but lives
@@ -31,6 +33,22 @@ impl EnergyLedger {
     /// Total system energy, joules.
     pub fn total_j(&self) -> f64 {
         self.computing_j + self.buffer_j + self.refresh_j + self.offchip_j
+    }
+
+    /// The compact `{"computing_j":…,"buffer_j":…,"refresh_j":…,"offchip_j":…}`
+    /// object every report embeds for an Eq. 14 energy.
+    pub fn to_json(&self) -> String {
+        self.components().into_iter().fold(Obj::new(), |o, (key, j)| o.f64(key, j)).finish()
+    }
+
+    /// The four components as `(report key, joules)`, in Eq. 14 order.
+    pub fn components(&self) -> [(&'static str, f64); 4] {
+        [
+            ("computing_j", self.computing_j),
+            ("buffer_j", self.buffer_j),
+            ("refresh_j", self.refresh_j),
+            ("offchip_j", self.offchip_j),
+        ]
     }
 
     /// Adds another ledger into this one, component by component.
@@ -234,77 +252,47 @@ impl Event {
     /// and nothing machine- or time-dependent is included, so a fixed
     /// workload serializes byte-identically.
     pub fn to_json(&self, seq: u64) -> String {
-        let mut s = String::with_capacity(128);
-        s.push_str(&format!("{{\"seq\":{seq},\"type\":\"{}\",", self.kind()));
+        let o = Obj::new().raw("seq", seq).str("type", self.kind());
         match self {
-            Event::ScheduleChosen { network, layer, pattern, tiling, energy } => {
-                s.push_str(&format!(
-                    "\"network\":{},\"layer\":{},\"pattern\":{},\
-                     \"tiling\":[{},{},{},{}],\"energy\":{{\
-                     \"computing_j\":{},\"buffer_j\":{},\"refresh_j\":{},\"offchip_j\":{}}}",
-                    json_string(network),
-                    json_string(layer),
-                    json_string(pattern),
-                    tiling[0],
-                    tiling[1],
-                    tiling[2],
-                    tiling[3],
-                    json_f64(energy.computing_j),
-                    json_f64(energy.buffer_j),
-                    json_f64(energy.refresh_j),
-                    json_f64(energy.offchip_j),
-                ));
-            }
-            Event::RefreshDecision { scope, banks, divider, rung_us, refresh_words, reason } => {
-                s.push_str(&format!(
-                    "\"scope\":{},\"banks\":{banks},\"divider\":{divider},\
-                     \"rung_us\":{},\"refresh_words\":{refresh_words},\"reason\":{}",
-                    json_string(scope),
-                    json_f64(*rung_us),
-                    json_string(reason),
-                ));
-            }
-            Event::ThermalSample { at, temp_c, scaled_retention_us } => {
-                s.push_str(&format!(
-                    "\"at\":{},\"temp_c\":{},\"scaled_retention_us\":{}",
-                    json_string(at),
-                    json_f64(*temp_c),
-                    json_f64(*scaled_retention_us),
-                ));
-            }
+            Event::ScheduleChosen { network, layer, pattern, tiling, energy } => o
+                .str("network", network)
+                .str("layer", layer)
+                .str("pattern", pattern)
+                .raw("tiling", array(tiling))
+                .raw("energy", energy.to_json()),
+            Event::RefreshDecision { scope, banks, divider, rung_us, refresh_words, reason } => o
+                .str("scope", scope)
+                .raw("banks", banks)
+                .raw("divider", divider)
+                .f64("rung_us", *rung_us)
+                .raw("refresh_words", refresh_words)
+                .str("reason", reason),
+            Event::ThermalSample { at, temp_c, scaled_retention_us } => o
+                .str("at", at)
+                .f64("temp_c", *temp_c)
+                .f64("scaled_retention_us", *scaled_retention_us),
             Event::CacheLookup { cache, fingerprint, hit } => {
-                s.push_str(&format!(
-                    "\"cache\":{},\"fingerprint\":{fingerprint},\"hit\":{hit}",
-                    json_string(cache),
-                ));
+                o.str("cache", cache).raw("fingerprint", fingerprint).raw("hit", hit)
             }
-            Event::TenantDispatch { tenant, batch, deadline_slack_us } => {
-                s.push_str(&format!(
-                    "\"tenant\":{},\"batch\":{batch},\"deadline_slack_us\":{}",
-                    json_string(tenant),
-                    json_f64(*deadline_slack_us),
-                ));
-            }
-            Event::ExecCompleted { layer, cycles, reads, refresh_words, faults } => {
-                s.push_str(&format!(
-                    "\"layer\":{},\"cycles\":{cycles},\"reads\":{reads},\
-                     \"refresh_words\":{refresh_words},\"faults\":{faults}",
-                    json_string(layer),
-                ));
-            }
+            Event::TenantDispatch { tenant, batch, deadline_slack_us } => o
+                .str("tenant", tenant)
+                .raw("batch", batch)
+                .f64("deadline_slack_us", *deadline_slack_us),
+            Event::ExecCompleted { layer, cycles, reads, refresh_words, faults } => o
+                .str("layer", layer)
+                .raw("cycles", cycles)
+                .raw("reads", reads)
+                .raw("refresh_words", refresh_words)
+                .raw("faults", faults),
             Event::DieFailed { die, queued, in_flight } => {
-                s.push_str(&format!("\"die\":{die},\"queued\":{queued},\"in_flight\":{in_flight}"));
+                o.raw("die", die).raw("queued", queued).raw("in_flight", in_flight)
             }
-            Event::DieDrained { die, queued } => {
-                s.push_str(&format!("\"die\":{die},\"queued\":{queued}"));
-            }
-            Event::RequestRerouted { tenant, from_die, to_die, reason } => {
-                s.push_str(&format!(
-                    "\"tenant\":{},\"from_die\":{from_die},\"to_die\":{to_die},\"reason\":{}",
-                    json_string(tenant),
-                    json_string(reason),
-                ));
-            }
+            Event::DieDrained { die, queued } => o.raw("die", die).raw("queued", queued),
+            Event::RequestRerouted { tenant, from_die, to_die, reason } => o
+                .str("tenant", tenant)
+                .raw("from_die", from_die)
+                .raw("to_die", to_die)
+                .str("reason", reason),
             Event::PolicyDecision {
                 scope,
                 strategy,
@@ -314,53 +302,17 @@ impl Event {
                 skipped_words,
                 failure_rate,
                 reason,
-            } => {
-                s.push_str(&format!(
-                    "\"scope\":{},\"strategy\":{},\"banks\":{banks},\
-                     \"interval_multiple\":{interval_multiple},\
-                     \"refresh_words\":{refresh_words},\"skipped_words\":{skipped_words},\
-                     \"failure_rate\":{},\"reason\":{}",
-                    json_string(scope),
-                    json_string(strategy),
-                    json_f64(*failure_rate),
-                    json_string(reason),
-                ));
-            }
+            } => o
+                .str("scope", scope)
+                .str("strategy", strategy)
+                .raw("banks", banks)
+                .raw("interval_multiple", interval_multiple)
+                .raw("refresh_words", refresh_words)
+                .raw("skipped_words", skipped_words)
+                .f64("failure_rate", *failure_rate)
+                .str("reason", reason),
         }
-        s.push('}');
-        s
-    }
-}
-
-/// JSON string literal with the standard escapes.
-///
-/// With [`json_f64`], the one JSON scalar writer every deterministic
-/// report in the workspace uses, so equal input always gives equal bytes.
-pub fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// Shortest-round-trip JSON number for an `f64` (`null` for non-finite
-/// values, which JSON cannot represent).
-pub fn json_f64(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x}")
-    } else {
-        "null".to_string()
+        .finish()
     }
 }
 
@@ -398,33 +350,48 @@ mod tests {
         );
     }
 
+    /// Exact bytes of every event kind, with escapes, a control
+    /// character, a non-finite float, a negative float and `u64::MAX`.
     #[test]
     fn every_kind_serializes() {
         let events = [
             Event::ScheduleChosen {
-                network: "n".into(),
-                layer: "l".into(),
+                network: "AlexNet".into(),
+                layer: "conv\"1".into(),
                 pattern: "OD".into(),
                 tiling: [16, 16, 1, 16],
-                energy: EnergyLedger::default(),
+                energy: EnergyLedger {
+                    computing_j: 1.5e-3,
+                    buffer_j: 2.25e-7,
+                    refresh_j: 0.0,
+                    offchip_j: 3e-4,
+                },
             },
             Event::RefreshDecision {
-                scope: "s".into(),
+                scope: "layer/conv1".into(),
                 banks: 2,
                 divider: 9000,
-                rung_us: 734.0,
-                refresh_words: 0,
+                rung_us: 734.5,
+                refresh_words: 123_456,
                 reason: "refresh-free".into(),
             },
-            Event::ThermalSample { at: "a".into(), temp_c: 45.5, scaled_retention_us: 700.0 },
-            Event::CacheLookup { cache: "c".into(), fingerprint: 1, hit: false },
-            Event::TenantDispatch { tenant: "t".into(), batch: 4, deadline_slack_us: 100.0 },
+            Event::ThermalSample {
+                at: "pass0\\layer1".into(),
+                temp_c: 45.5,
+                scaled_retention_us: f64::INFINITY,
+            },
+            Event::CacheLookup { cache: "schedule".into(), fingerprint: u64::MAX, hit: false },
+            Event::TenantDispatch {
+                tenant: "GoogLeNet".into(),
+                batch: 4,
+                deadline_slack_us: -12.75,
+            },
             Event::ExecCompleted {
-                layer: "l".into(),
+                layer: "l\n\u{1}".into(),
                 cycles: 10,
                 reads: 20,
                 refresh_words: 0,
-                faults: 0,
+                faults: 3,
             },
             Event::DieFailed { die: 3, queued: 7, in_flight: 2 },
             Event::DieDrained { die: 4, queued: 5 },
@@ -445,10 +412,20 @@ mod tests {
                 reason: "budget-stretch".into(),
             },
         ];
-        for (i, e) in events.iter().enumerate() {
-            let j = e.to_json(i as u64);
-            assert!(j.starts_with(&format!("{{\"seq\":{i},\"type\":\"{}\"", e.kind())), "{j}");
-            assert!(j.ends_with('}'), "{j}");
+        let golden = [
+            r#"{"seq":0,"type":"schedule_chosen","network":"AlexNet","layer":"conv\"1","pattern":"OD","tiling":[16,16,1,16],"energy":{"computing_j":0.0015,"buffer_j":0.000000225,"refresh_j":0,"offchip_j":0.0003}}"#,
+            r#"{"seq":1,"type":"refresh_decision","scope":"layer/conv1","banks":2,"divider":9000,"rung_us":734.5,"refresh_words":123456,"reason":"refresh-free"}"#,
+            r#"{"seq":2,"type":"thermal_sample","at":"pass0\\layer1","temp_c":45.5,"scaled_retention_us":null}"#,
+            r#"{"seq":3,"type":"cache_lookup","cache":"schedule","fingerprint":18446744073709551615,"hit":false}"#,
+            r#"{"seq":4,"type":"tenant_dispatch","tenant":"GoogLeNet","batch":4,"deadline_slack_us":-12.75}"#,
+            r#"{"seq":5,"type":"exec_completed","layer":"l\n\u0001","cycles":10,"reads":20,"refresh_words":0,"faults":3}"#,
+            r#"{"seq":6,"type":"die_failed","die":3,"queued":7,"in_flight":2}"#,
+            r#"{"seq":7,"type":"die_drained","die":4,"queued":5}"#,
+            r#"{"seq":8,"type":"request_rerouted","tenant":"t","from_die":3,"to_die":9,"reason":"crash"}"#,
+            r#"{"seq":9,"type":"policy_decision","scope":"alexnet/conv1","strategy":"error-budget","banks":3,"interval_multiple":53,"refresh_words":1024,"skipped_words":4096,"failure_rate":0.0001,"reason":"budget-stretch"}"#,
+        ];
+        for (i, (e, want)) in events.iter().zip(golden).enumerate() {
+            assert_eq!(e.to_json(i as u64), want, "{}", e.kind());
         }
     }
 }

@@ -58,11 +58,13 @@
 #![warn(missing_docs)]
 
 mod event;
+pub mod json;
 pub mod metrics;
 mod report;
 mod sink;
 
-pub use event::{json_f64, json_string, EnergyLedger, Event};
+pub use event::{EnergyLedger, Event};
+pub use json::{json_f64, json_string};
 pub use report::{Registry, SpanStats, TelemetryReport};
 pub use sink::{JsonlSink, NullSink, RingSink, SharedRing, SharedRingSink, Sink, TraceConfig};
 

@@ -10,7 +10,7 @@
 
 use super::hist::{HistF64, HistI64};
 use super::registry::{MetricKey, Registry};
-use crate::{json_f64, json_string};
+use crate::json::{json_f64, json_opt, Obj, Pretty};
 use std::fmt::Write as _;
 
 /// The quantiles every histogram exposes, with their label spellings.
@@ -52,72 +52,40 @@ fn prom_labels(key: &MetricKey, extra: &[(&str, &str)]) -> String {
 }
 
 fn opt_f64(v: Option<f64>) -> String {
-    match v {
-        Some(x) => json_f64(x),
-        None => "null".to_string(),
-    }
+    json_opt(v.map(json_f64))
 }
 
 fn hist_f64_json(h: &HistF64) -> String {
     let q = |p: f64| opt_f64(h.quantile(p));
-    format!(
-        concat!(
-            "{{\"count\":{},\"skipped\":{},\"buckets\":{},\"min\":{},\"max\":{},",
-            "\"mean\":{},\"sum\":{},\"p50\":{},\"p90\":{},\"p95\":{},\"p99\":{}}}"
-        ),
-        h.count(),
-        h.skipped(),
-        h.buckets(),
-        opt_f64(h.min()),
-        opt_f64(h.max()),
-        opt_f64(h.mean()),
-        json_f64(h.sum()),
-        q(0.50),
-        q(0.90),
-        q(0.95),
-        q(0.99),
-    )
+    Obj::new()
+        .raw("count", h.count())
+        .raw("skipped", h.skipped())
+        .raw("buckets", h.buckets())
+        .raw("min", opt_f64(h.min()))
+        .raw("max", opt_f64(h.max()))
+        .raw("mean", opt_f64(h.mean()))
+        .f64("sum", h.sum())
+        .raw("p50", q(0.50))
+        .raw("p90", q(0.90))
+        .raw("p95", q(0.95))
+        .raw("p99", q(0.99))
+        .finish()
 }
 
 fn hist_i64_json(h: &HistI64) -> String {
-    let q = |p: f64| match h.quantile(p) {
-        Some(v) => v.to_string(),
-        None => "null".to_string(),
-    };
-    format!(
-        concat!(
-            "{{\"count\":{},\"buckets\":{},\"min\":{},\"max\":{},\"mean\":{},",
-            "\"sum\":{},\"p50\":{},\"p90\":{},\"p95\":{},\"p99\":{}}}"
-        ),
-        h.count(),
-        h.buckets(),
-        h.min().map_or("null".to_string(), |v| v.to_string()),
-        h.max().map_or("null".to_string(), |v| v.to_string()),
-        opt_f64(h.mean()),
-        h.sum(),
-        q(0.50),
-        q(0.90),
-        q(0.95),
-        q(0.99),
-    )
-}
-
-/// Writes one JSON map section: `"title": {"key": <render(v)>, ...}`.
-fn json_section<V>(
-    out: &mut String,
-    title: &str,
-    entries: impl Iterator<Item = (String, V)>,
-    render: impl Fn(&V) -> String,
-    last: bool,
-) {
-    let body: Vec<String> =
-        entries.map(|(k, v)| format!("    {}: {}", json_string(&k), render(&v))).collect();
-    if body.is_empty() {
-        let _ = write!(out, "  {}: {{}}", json_string(title));
-    } else {
-        let _ = write!(out, "  {}: {{\n{}\n  }}", json_string(title), body.join(",\n"));
-    }
-    out.push_str(if last { "\n" } else { ",\n" });
+    let q = |p: f64| json_opt(h.quantile(p));
+    Obj::new()
+        .raw("count", h.count())
+        .raw("buckets", h.buckets())
+        .raw("min", json_opt(h.min()))
+        .raw("max", json_opt(h.max()))
+        .raw("mean", opt_f64(h.mean()))
+        .raw("sum", h.sum())
+        .raw("p50", q(0.50))
+        .raw("p90", q(0.90))
+        .raw("p95", q(0.95))
+        .raw("p99", q(0.99))
+        .finish()
 }
 
 impl Registry {
@@ -125,59 +93,27 @@ impl Registry {
     /// shortest-round-trip floats — byte-deterministic for a fixed
     /// workload.
     pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(2048);
-        s.push_str("{\n");
-        json_section(
-            &mut s,
-            "counters",
-            self.counters.iter().map(|(k, v)| (k.to_string(), *v)),
-            |v| v.to_string(),
-            false,
-        );
-        json_section(
-            &mut s,
-            "gauges",
-            self.gauges.iter().map(|(k, v)| (k.to_string(), *v)),
-            |v| json_f64(*v),
-            false,
-        );
-        json_section(
-            &mut s,
-            "histograms_f64",
-            self.hists_f64.iter().map(|(k, h)| (k.to_string(), h)),
-            |h| hist_f64_json(h),
-            false,
-        );
-        json_section(
-            &mut s,
-            "histograms_i64",
-            self.hists_i64.iter().map(|(k, h)| (k.to_string(), h)),
-            |h| hist_i64_json(h),
-            false,
-        );
-        json_section(
-            &mut s,
-            "rates",
-            self.rates.iter().map(|(k, r)| (k.to_string(), r)),
-            |r| {
-                format!(
-                    "{{\"window_us\":{},\"total\":{},\"peak_per_s\":{}}}",
-                    json_f64(r.window_us()),
-                    r.total(),
-                    json_f64(r.peak_per_s()),
-                )
-            },
-            false,
-        );
-        json_section(
-            &mut s,
-            "slo",
-            self.slos.iter().map(|(t, s)| (t.clone(), s.report(t))),
-            |r| r.to_json(),
-            true,
-        );
-        s.push('}');
-        s
+        let rate = |r: &super::rate::WindowedRate| {
+            Obj::new()
+                .f64("window_us", r.window_us())
+                .raw("total", r.total())
+                .f64("peak_per_s", r.peak_per_s())
+                .finish()
+        };
+        Pretty::new()
+            .map("counters", self.counters.iter().map(|(k, v)| (k.to_string(), v)))
+            .map("gauges", self.gauges.iter().map(|(k, v)| (k.to_string(), json_f64(*v))))
+            .map(
+                "histograms_f64",
+                self.hists_f64.iter().map(|(k, h)| (k.to_string(), hist_f64_json(h))),
+            )
+            .map(
+                "histograms_i64",
+                self.hists_i64.iter().map(|(k, h)| (k.to_string(), hist_i64_json(h))),
+            )
+            .map("rates", self.rates.iter().map(|(k, r)| (k.to_string(), rate(r))))
+            .map("slo", self.slos.iter().map(|(t, s)| (t, s.report(t).to_json())))
+            .finish()
     }
 
     /// Prometheus-style text exposition, deterministically ordered.

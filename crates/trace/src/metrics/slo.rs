@@ -11,7 +11,7 @@
 
 use super::hist::HistF64;
 use super::rate::WindowedRate;
-use crate::{json_f64, json_string};
+use crate::json::Obj;
 
 /// Latency/deadline objectives of one tenant.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -197,32 +197,25 @@ impl SloReport {
 
     /// Deterministic single-line JSON object.
     pub fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"tenant\":{},\"requests\":{},\"misses\":{},\"miss_rate\":{},",
-                "\"miss_budget\":{},\"burn_rate\":{},\"peak_miss_per_s\":{},",
-                "\"peak_request_per_s\":{},\"p50_us\":{},\"p95_us\":{},\"p99_us\":{},",
-                "\"target_p50_us\":{},\"target_p95_us\":{},\"target_p99_us\":{},",
-                "\"queue_p50_us\":{},\"queue_p99_us\":{},\"compliant\":{}}}"
-            ),
-            json_string(&self.tenant),
-            self.requests,
-            self.misses,
-            json_f64(self.miss_rate),
-            json_f64(self.spec.deadline_miss_budget),
-            json_f64(self.burn_rate),
-            json_f64(self.peak_miss_per_s),
-            json_f64(self.peak_request_per_s),
-            json_f64(self.p50_us),
-            json_f64(self.p95_us),
-            json_f64(self.p99_us),
-            json_f64(self.spec.target_p50_us),
-            json_f64(self.spec.target_p95_us),
-            json_f64(self.spec.target_p99_us),
-            json_f64(self.queue_p50_us),
-            json_f64(self.queue_p99_us),
-            self.compliant(),
-        )
+        Obj::new()
+            .str("tenant", &self.tenant)
+            .raw("requests", self.requests)
+            .raw("misses", self.misses)
+            .f64("miss_rate", self.miss_rate)
+            .f64("miss_budget", self.spec.deadline_miss_budget)
+            .f64("burn_rate", self.burn_rate)
+            .f64("peak_miss_per_s", self.peak_miss_per_s)
+            .f64("peak_request_per_s", self.peak_request_per_s)
+            .f64("p50_us", self.p50_us)
+            .f64("p95_us", self.p95_us)
+            .f64("p99_us", self.p99_us)
+            .f64("target_p50_us", self.spec.target_p50_us)
+            .f64("target_p95_us", self.spec.target_p95_us)
+            .f64("target_p99_us", self.spec.target_p99_us)
+            .f64("queue_p50_us", self.queue_p50_us)
+            .f64("queue_p99_us", self.queue_p99_us)
+            .raw("compliant", self.compliant())
+            .finish()
     }
 
     /// CSV row matching [`SloReport::csv_header`].

@@ -9,7 +9,8 @@
 //! while the full form feeds `results/BENCH_trace.json` where wall-time
 //! regressions are the point.
 
-use crate::event::{json_f64, json_string, EnergyLedger};
+use crate::event::EnergyLedger;
+use crate::json::{json_f64, Pretty};
 use std::collections::BTreeMap;
 
 /// Aggregated statistics for one named span (e.g. `par.map`,
@@ -147,68 +148,31 @@ impl TelemetryReport {
     /// workload; `false` includes total/mean/max seconds for
     /// `results/BENCH_trace.json`-style performance records.
     pub fn to_json(&self, deterministic: bool) -> String {
-        let mut s = String::with_capacity(1024);
-        s.push_str("{\n");
-        s.push_str(&format!("  \"events_emitted\": {},\n", self.events_emitted));
-        s.push_str(&format!("  \"events_dropped\": {},\n", self.events_dropped));
-
-        s.push_str("  \"event_counts\": {");
-        let mut first = true;
-        for (k, v) in &self.event_counts {
-            if !first {
-                s.push(',');
-            }
-            first = false;
-            s.push_str(&format!("\n    {}: {}", json_string(k), v));
-        }
-        s.push_str(if first { "},\n" } else { "\n  },\n" });
-
-        s.push_str("  \"counters\": {");
-        first = true;
-        for (k, v) in &self.counters {
-            if !first {
-                s.push(',');
-            }
-            first = false;
-            s.push_str(&format!("\n    {}: {}", json_string(k), v));
-        }
-        s.push_str(if first { "},\n" } else { "\n  },\n" });
-
-        s.push_str("  \"spans\": {");
-        first = true;
-        for (k, v) in &self.spans {
-            if !first {
-                s.push(',');
-            }
-            first = false;
+        let span = |v: &SpanStats| {
             if deterministic {
-                s.push_str(&format!("\n    {}: {{\"count\": {}}}", json_string(k), v.count));
+                format!("{{\"count\": {}}}", v.count)
             } else {
-                s.push_str(&format!(
-                    "\n    {}: {{\"count\": {}, \"total_s\": {}, \"mean_s\": {}, \"max_s\": {}}}",
-                    json_string(k),
+                format!(
+                    "{{\"count\": {}, \"total_s\": {}, \"mean_s\": {}, \"max_s\": {}}}",
                     v.count,
                     json_f64(v.total_s),
                     json_f64(v.mean_s()),
                     json_f64(v.max_s),
-                ));
+                )
             }
-        }
-        s.push_str(if first { "},\n" } else { "\n  },\n" });
-
-        s.push_str(&format!(
-            "  \"ledger\": {{\n    \"layers\": {},\n    \"computing_j\": {},\n    \
-             \"buffer_j\": {},\n    \"refresh_j\": {},\n    \"offchip_j\": {},\n    \
-             \"total_j\": {}\n  }}\n",
-            self.ledger_layers,
-            json_f64(self.ledger.computing_j),
-            json_f64(self.ledger.buffer_j),
-            json_f64(self.ledger.refresh_j),
-            json_f64(self.ledger.offchip_j),
-            json_f64(self.ledger.total_j()),
-        ));
-        s.push('}');
-        s
+        };
+        let ledger = [("layers", self.ledger_layers.to_string())]
+            .into_iter()
+            .chain(self.ledger.components().map(|(k, j)| (k, json_f64(j))))
+            .chain([("total_j", json_f64(self.ledger.total_j()))]);
+        Pretty::new()
+            .raw("events_emitted", self.events_emitted)
+            .raw("events_dropped", self.events_dropped)
+            .map("event_counts", &self.event_counts)
+            .map("counters", &self.counters)
+            .map("spans", self.spans.iter().map(|(k, v)| (k, span(v))))
+            .map("ledger", ledger)
+            .finish()
     }
 
     /// CSV rows (`counter,value`) over all dotted counters, sorted by

@@ -1,7 +1,7 @@
-# `just check` = the PR gate: fmt + clippy + tier-1 tests + the
-# scheduler benchmark + the serving smoke run.
+# `just check` = the PR gate: fmt + clippy + tier-1 tests, the
+# scheduler benchmark, smoke runs, the gated experiments and the bench gate.
 
-# Build, lint, run tier-1 tests, then the benchmark and serving smoke.
+# Build, lint, run tier-1 tests, then the benchmarks, experiments and gate.
 check:
     ./scripts/check.sh
 
@@ -85,12 +85,6 @@ policy-smoke:
 bench-policies:
     cargo build --release -p rana-bench
     ./target/release/exp_policies
-
-# SIMD feature leg: explicit-SSE2 tile kernels, same tests as the gate.
-test-simd:
-    cargo clippy -p rana-accel --features simd --all-targets -- -D warnings
-    cargo test -q -p rana-accel --features simd
-    cargo test -q --features simd --test exec_kernel_equivalence
 
 # Benchmark smoke run: every workload at toy size with every check (~2 s).
 # The benchmark is its own package, so workspace builds never compile it.

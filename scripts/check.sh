@@ -18,11 +18,6 @@ cargo test -q
 echo "== workspace tests (every crate's unit and doc tests) =="
 cargo test -q --workspace
 
-echo "== simd feature leg (build + engine tests) =="
-cargo clippy -p rana-accel --features simd --all-targets -- -D warnings
-cargo test -q -p rana-accel --features simd
-cargo test -q --features simd --test exec_kernel_equivalence
-
 echo "== rustdoc (deny warnings) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 
@@ -37,9 +32,6 @@ done
 echo "== scheduler engine benchmark =="
 ./target/release/exp_bench_sched
 
-echo "== serving smoke test =="
-./target/release/exp_serve --smoke
-
 echo "== schedule-store precompile + warm-start smoke test =="
 ./target/release/rana-compile precompile --networks alexnet,googlenet \
     --banks 22,44 --out target/schedule_store.jsonl
@@ -48,11 +40,10 @@ echo "== schedule-store precompile + warm-start smoke test =="
 echo "== functional-engine smoke test =="
 ./target/release/exp_bench_exec --smoke
 
-echo "== fleet smoke test =="
-./target/release/exp_fleet --smoke
-
-echo "== policy smoke test =="
-./target/release/exp_policies --smoke
+echo "== serving, fleet and policy experiments (regenerate BENCH_{serve,fleet,policies}.json for the gate) =="
+./target/release/exp_serve
+./target/release/exp_fleet
+./target/release/exp_policies
 
 echo "== thermal-adaptive experiment (regenerates BENCH_thermal.json for the gate) =="
 ./target/release/exp_thermal

@@ -1,7 +1,7 @@
 //! Determinism of the parallel + memoized scheduling engine: every fast
-//! path (pruned scan, parallel candidate fold, shape-deduplicated network
-//! engine, warm cache) must return schedules *identical* to the serial
-//! exhaustive reference — pattern, tiling, energy, traffic, everything.
+//! path (pruned scan, shape-deduplicated network engine, warm cache) must
+//! return schedules *identical* to the serial exhaustive reference —
+//! pattern, tiling, energy, traffic, everything.
 
 use rana_repro::accel::{AcceleratorConfig, RefreshModel, SchedLayer};
 use rana_repro::core::designs::Design;
@@ -36,8 +36,8 @@ fn assert_schedules_identical(a: &NetworkSchedule, b: &NetworkSchedule, what: &s
     assert_eq!(a, b, "{what}: full schedule equality");
 }
 
-/// Pruned serial scan == exhaustive scan, parallel fold == exhaustive
-/// scan, on every CONV layer of all four benchmarks.
+/// Pruned serial scan == exhaustive scan on every CONV layer of all four
+/// benchmarks.
 #[test]
 fn layer_search_paths_agree_on_all_networks() {
     let sched = rana_scheduler();
@@ -47,8 +47,6 @@ fn layer_search_paths_agree_on_all_networks() {
             let reference = sched.schedule_layer_exhaustive(&layer);
             let pruned = sched.schedule_layer(&layer);
             assert_eq!(pruned, reference, "pruned vs exhaustive on {}", layer.name);
-            let parallel = sched.schedule_layer_par(&layer, 4);
-            assert_eq!(parallel, reference, "parallel vs exhaustive on {}", layer.name);
         }
     }
 }
@@ -114,8 +112,9 @@ fn bandwidth_constrained_paths_agree() {
         let layer = SchedLayer::from_conv(conv);
         let reference = sched.schedule_layer_exhaustive(&layer);
         assert_eq!(sched.schedule_layer(&layer), reference, "{}", layer.name);
-        assert_eq!(sched.schedule_layer_par(&layer, 3), reference, "{}", layer.name);
     }
+    let engine = sched.schedule_network_with(&net, None, 3);
+    assert_schedules_identical(&engine, &sched.schedule_network(&net), "vgg16 engine");
 }
 
 /// `evaluate_many` equals point-by-point `evaluate` (same order, same

@@ -1,14 +1,13 @@
 //! Property-based tests of the refresh-strategy lab: the trait path is
-//! bit-identical to the legacy enum path (accounting, flags and the
-//! issued pulse stream), and the RTC controller never refreshes fewer
-//! words than the just-in-time oracle demands.
+//! bit-identical to the legacy enum path (accounting and the issued
+//! pulse stream), and the RTC controller never refreshes fewer words
+//! than the just-in-time oracle demands.
 
 use proptest::prelude::*;
 use rana_repro::accel::refresh::layer_refresh_words;
 use rana_repro::accel::{
     analyze, AcceleratorConfig, ControllerKind, Pattern, RefreshModel, SchedLayer, Tiling,
 };
-use rana_repro::core::config_gen::LayerConfig;
 use rana_repro::edram::controller::RefreshIssuer;
 use rana_repro::edram::{EdramArray, RefreshConfig, RefreshPattern, RetentionDistribution};
 use rana_repro::policy::Strategy as Policy;
@@ -53,8 +52,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// `Conventional` and `RanaFlagged` through the trait reproduce the
-    /// legacy enum accounting — refresh words *and* per-bank flags — for
-    /// any layer and interval.
+    /// legacy enum refresh-word accounting for any layer and interval.
     #[test]
     fn classic_strategies_are_bit_identical_to_the_legacy_path(
         layer in arb_layer(),
@@ -72,8 +70,6 @@ proptest! {
             let model = RefreshModel { interval_us: interval, kind };
             let d = strategy.decide(&ctx);
             prop_assert_eq!(d.refresh_words, layer_refresh_words(&sim, &cfg, &model));
-            let legacy = LayerConfig::for_sim(&sim, &cfg, &model);
-            prop_assert_eq!(&d.refresh_flags, &legacy.refresh_flags);
         }
     }
 
