@@ -58,11 +58,6 @@ impl Fnv1a {
         self.write_u64(v.to_bits());
     }
 
-    /// Absorbs a boolean.
-    pub fn write_bool(&mut self, v: bool) {
-        self.write_u8(v as u8);
-    }
-
     /// The digest so far.
     pub fn finish(&self) -> u64 {
         self.0

@@ -94,59 +94,6 @@ pub fn layer_refresh_words(sim: &LayerSim, cfg: &AcceleratorConfig, model: &Refr
     }
 }
 
-/// [`layer_refresh_words`] plus a [`rana_trace::Event::RefreshDecision`]
-/// describing the controller's choice for this layer.
-///
-/// `layer_refresh_words` itself stays trace-free: the Stage-2 search calls
-/// it for every candidate (millions per sweep), where even a guarded
-/// emission would dominate. This wrapper is for *accounting* paths — one
-/// call per finalized layer — where the decision is worth recording. With
-/// tracing disabled it is exactly `layer_refresh_words`.
-pub fn layer_refresh_words_traced(
-    sim: &LayerSim,
-    cfg: &AcceleratorConfig,
-    model: &RefreshModel,
-    scope: &str,
-) -> u64 {
-    let words = layer_refresh_words(sim, cfg, model);
-    if rana_trace::enabled() {
-        let (banks, reason) = if cfg.buffer.tech == BufferTech::Sram {
-            (0, "sram")
-        } else if words == 0 {
-            (0, "refresh-free")
-        } else {
-            match model.kind {
-                ControllerKind::Conventional => (cfg.buffer.num_banks, "conventional"),
-                ControllerKind::RefreshOptimized => {
-                    let bank = cfg.buffer.bank_words as u64;
-                    let needy = model.needy_types(sim);
-                    let sizes = [
-                        sim.storage.input_words,
-                        sim.storage.output_words,
-                        sim.storage.weight_words,
-                    ];
-                    let flagged: u64 = needy
-                        .iter()
-                        .zip(sizes)
-                        .filter(|(&n, _)| n)
-                        .map(|(_, w)| w.min(cfg.buffer.capacity_words()).div_ceil(bank))
-                        .sum();
-                    ((flagged as usize).min(cfg.buffer.num_banks), "flagged")
-                }
-            }
-        };
-        rana_trace::emit(|| rana_trace::Event::RefreshDecision {
-            scope: scope.to_string(),
-            banks,
-            divider: 0,
-            rung_us: model.interval_us,
-            refresh_words: words,
-            reason: reason.to_string(),
-        });
-    }
-    words
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -3,7 +3,9 @@
 //! parallel, and memoized paths, plus the full Figure 15 + Figure 16
 //! design-matrix sweep through the parallel evaluation engine. Emits
 //! `results/BENCH_sched.json` and verifies every fast path returns
-//! schedules identical to the serial reference.
+//! schedules identical to the serial reference. The sub-millisecond
+//! warm-cache timing (`memo_warm_ms`) is the median of
+//! [`WARM_REPS`] runs.
 
 use rana_accel::{AcceleratorConfig, ControllerKind, RefreshModel};
 use rana_bench::{banner, threads_from_env, write_result};
@@ -13,6 +15,9 @@ use rana_core::par::ScheduleCache;
 use rana_core::scheduler::Scheduler;
 use rana_zoo::Network;
 use std::time::Instant;
+
+/// Repetitions of the warm-cache timing; the report takes their median.
+const WARM_REPS: usize = 7;
 
 fn ms(since: Instant) -> f64 {
     since.elapsed().as_secs_f64() * 1e3
@@ -41,12 +46,21 @@ fn bench_network(net: &Network) -> String {
     let cold = sched.schedule_network_with(net, Some(&cache), 0);
     let memo_cold_ms = ms(t);
 
-    let t = Instant::now();
-    let warm = sched.schedule_network_with(net, Some(&cache), 0);
-    let memo_warm_ms = ms(t);
+    // A warm-cache schedule takes tens of microseconds, so one sample is
+    // at the mercy of the OS scheduler: report the median of a few.
+    let mut warm_ms = [0.0; WARM_REPS];
+    let mut warm_identical = true;
+    for sample in &mut warm_ms {
+        let t = Instant::now();
+        let warm = sched.schedule_network_with(net, Some(&cache), 0);
+        *sample = ms(t);
+        warm_identical &= warm == reference;
+    }
+    warm_ms.sort_by(f64::total_cmp);
+    let memo_warm_ms = warm_ms[WARM_REPS / 2];
 
     let identical =
-        pruned == reference && parallel == reference && cold == reference && warm == reference;
+        pruned == reference && parallel == reference && cold == reference && warm_identical;
     assert!(identical, "{}: a fast path diverged from the serial reference", net.name());
 
     println!(

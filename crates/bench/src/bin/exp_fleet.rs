@@ -25,11 +25,12 @@
 //! `RANA_THREADS` is accepted for interface parity but the DES loop is
 //! single-threaded by construction.
 
-use rana_bench::{banner, seed_from_env, threads_from_env, write_csv, write_result};
-use rana_core::designs::Design;
+use rana_bench::{banner, capacity_rps, seed_from_env, threads_from_env, write_csv, write_result};
 use rana_core::evaluate::Evaluator;
 use rana_core::store::{precompile, PrecompileSpec, ScheduleStore};
-use rana_fleet::{FailureEvent, FailureKind, FleetConfig, FleetReport, FleetSim, RouterPolicy};
+use rana_serve::fleet::{
+    FailureEvent, FailureKind, FleetConfig, FleetReport, FleetSim, RouterPolicy,
+};
 use rana_serve::{TenantSpec, TrafficModel};
 use rana_trace::json::{array, json_f64, Obj};
 use std::time::Instant;
@@ -57,17 +58,6 @@ fn zoo_mix() -> Vec<TenantSpec> {
         TenantSpec::new(rana_zoo::vgg16(), 0.1),
         TenantSpec::new(rana_zoo::mobilenet_v1(), 0.15),
     ]
-}
-
-/// Back-to-back capacity of one die on the mix, requests/s.
-fn capacity_rps(eval: &Evaluator, specs: &[TenantSpec]) -> f64 {
-    let wsum: f64 = specs.iter().map(|s| s.weight).sum();
-    let mean_us: f64 = specs
-        .iter()
-        .map(|s| s.weight * eval.evaluate(&s.network, Design::RanaStarE5).time_us)
-        .sum::<f64>()
-        / wsum;
-    1e6 / mean_us
 }
 
 struct ScenarioResult {

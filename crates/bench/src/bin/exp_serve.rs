@@ -23,8 +23,7 @@
 //! store written by `rana-compile precompile` and reports the persistent
 //! hit count (the `scripts/check.sh` store-backed smoke leg).
 
-use rana_bench::{banner, seed_from_env, threads_from_env, write_csv, write_result};
-use rana_core::designs::Design;
+use rana_bench::{banner, capacity_rps, seed_from_env, threads_from_env, write_csv, write_result};
 use rana_core::evaluate::Evaluator;
 use rana_core::store::{precompile, PrecompileSpec, ScheduleStore};
 use rana_serve::{
@@ -58,18 +57,6 @@ fn bursty_mix() -> Vec<TenantSpec> {
         TenantSpec::new(rana_zoo::vgg16(), 0.1),
         TenantSpec::new(rana_zoo::mobilenet_v1(), 0.15),
     ]
-}
-
-/// Back-to-back capacity of a mix, requests/s: the reciprocal of the
-/// weighted mean isolated latency.
-fn capacity_rps(eval: &Evaluator, specs: &[TenantSpec]) -> f64 {
-    let wsum: f64 = specs.iter().map(|s| s.weight).sum();
-    let mean_us: f64 = specs
-        .iter()
-        .map(|s| s.weight * eval.evaluate(&s.network, Design::RanaStarE5).time_us)
-        .sum::<f64>()
-        / wsum;
-    1e6 / mean_us
 }
 
 struct ScenarioResult {

@@ -13,6 +13,7 @@ use rana_core::designs::Design;
 use rana_core::energy::EnergyBreakdown;
 use rana_core::evaluate::{Evaluator, NetworkEnergy};
 use rana_core::report::{breakdown_header, breakdown_row, geomean, geomean_breakdown};
+use rana_serve::TenantSpec;
 use rana_zoo::Network;
 use std::path::{Path, PathBuf};
 
@@ -154,6 +155,18 @@ pub fn geomean_design(
     let norms: Vec<EnergyBreakdown> =
         rows.iter().filter(|(_, d, _)| *d == design).map(|(_, _, b)| *b).collect();
     geomean_breakdown(&norms)
+}
+
+/// Back-to-back capacity of one RANA*(E-5) die on a tenant mix,
+/// requests/s: the reciprocal of the weighted mean isolated latency.
+pub fn capacity_rps(eval: &Evaluator, specs: &[TenantSpec]) -> f64 {
+    let wsum: f64 = specs.iter().map(|s| s.weight).sum();
+    let mean_us: f64 = specs
+        .iter()
+        .map(|s| s.weight * eval.evaluate(&s.network, Design::RanaStarE5).time_us)
+        .sum::<f64>()
+        / wsum;
+    1e6 / mean_us
 }
 
 /// Percentage string helper: `-41.7%` style.

@@ -40,7 +40,8 @@ use crate::energy::{EnergyBreakdown, EnergyModel};
 use crate::evaluate::Evaluator;
 use crate::operating::{
     account_layer, check_refresh_weight, check_throttle, crit_us, hedged, keeps_base, quantize,
-    throttle, ThermalPolicy,
+    throttle, ThermalPolicy, LADDER_STEPS_PER_OCTAVE, RESCHEDULE_REFRESH_WEIGHT, RETENTION_MARGIN,
+    SENSOR_QUANTUM_C, THROTTLE_TEMP_C,
 };
 use crate::par::ScheduleCache;
 use crate::scheduler::{LayerSchedule, NetworkSchedule, Scheduler};
@@ -128,12 +129,12 @@ impl AdaptiveConfig {
     pub fn for_design(design: Design, fallback: FallbackPolicy, seed: u64) -> Self {
         Self {
             target_rate: design.failure_rate(),
-            retention_margin: 0.85,
-            sensor_quantum_c: 0.25,
-            ladder_steps_per_octave: 4,
+            retention_margin: RETENTION_MARGIN,
+            sensor_quantum_c: SENSOR_QUANTUM_C,
+            ladder_steps_per_octave: LADDER_STEPS_PER_OCTAVE,
             fallback,
-            throttle_temp_c: 85.0,
-            reschedule_refresh_weight: 4.0,
+            throttle_temp_c: THROTTLE_TEMP_C,
+            reschedule_refresh_weight: RESCHEDULE_REFRESH_WEIGHT,
             seed,
         }
     }

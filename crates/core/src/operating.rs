@@ -12,13 +12,14 @@
 //!   and the layer's Eq. 14 energy.
 //!
 //! [`AdaptiveRuntime`](crate::adaptive::AdaptiveRuntime) drives it per
-//! layer boundary, `rana-serve` and `rana-fleet` per batch through
+//! layer boundary, `rana-serve`'s serving loop per batch through
 //! [`ProfileCache`], and [`precompile`](crate::store::precompile) over the
 //! ladder's rungs ([`rung_us`]). Serving only ever runs at those rungs and
 //! both search through the same network walk, so a precompiled store's
-//! keys match serving's by construction. Where callers differ, the
-//! difference is an argument: who throttles ([`throttle`]), and which
-//! retention distribution the strategy sees.
+//! keys match serving's by construction. The knobs all three share are
+//! the constants below ([`LADDER_STEPS_PER_OCTAVE`] and friends). Where
+//! callers differ, the difference is an argument: who throttles
+//! ([`throttle`]), and which retention distribution the strategy sees.
 
 use crate::energy::EnergyBreakdown;
 use crate::evaluate::Evaluator;
@@ -31,6 +32,22 @@ use rana_policy::{LayerCtx, LayerDecision, RefreshStrategy, Strategy};
 use rana_zoo::Network;
 use std::borrow::Cow;
 use std::collections::HashMap;
+
+/// Safety margin on the tolerable retention time: covers sensor
+/// quantization and the heating within a layer or batch.
+pub const RETENTION_MARGIN: f64 = 0.85;
+/// Temperature sensor resolution, °C (samples quantize up).
+pub const SENSOR_QUANTUM_C: f64 = 0.25;
+/// Interval-ladder resolution, rungs per octave of derating. Serving and
+/// [`precompile`](crate::store::precompile) both default to it, so a
+/// precompiled store's rungs match serving's bit for bit.
+pub const LADDER_STEPS_PER_OCTAVE: u32 = 4;
+/// Thermal throttle cap, °C: the die idles back to it before launching
+/// work from above it.
+pub const THROTTLE_TEMP_C: f64 = 85.0;
+/// Refresh-cost hedge of online reschedules: refresh is priced at this
+/// multiple of its Table III cost.
+pub const RESCHEDULE_REFRESH_WEIGHT: f64 = 4.0;
 
 /// Panics unless the interval ladder has at least one rung per octave.
 pub(crate) fn check_ladder_steps(steps_per_octave: u32) {

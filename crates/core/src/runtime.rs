@@ -70,11 +70,6 @@ impl<'a> ControllerRuntime<'a> {
         self.issuer.advance(mem, to);
     }
 
-    /// Layers executed so far.
-    pub fn layers_run(&self) -> usize {
-        self.next_layer
-    }
-
     /// Current wall-clock, µs.
     pub fn now_us(&self) -> f64 {
         self.issuer.now_us()

@@ -68,6 +68,7 @@ use crate::energy::EnergyBreakdown;
 use crate::evaluate::Evaluator;
 use crate::operating::{
     check_ladder_steps, check_refresh_weight, hedged, quantize, rung_us, NetworkPlan,
+    LADDER_STEPS_PER_OCTAVE, RESCHEDULE_REFRESH_WEIGHT,
 };
 use crate::par::ScheduleCache;
 use crate::scheduler::{LayerSchedule, Scheduler};
@@ -676,8 +677,8 @@ impl Default for PrecompileSpec {
             designs: vec![Design::RanaStarE5],
             bank_counts: Vec::new(),
             ladder_octaves: 4,
-            ladder_steps_per_octave: 4,
-            reschedule_refresh_weight: 4.0,
+            ladder_steps_per_octave: LADDER_STEPS_PER_OCTAVE,
+            reschedule_refresh_weight: RESCHEDULE_REFRESH_WEIGHT,
             strategies: Vec::new(),
         }
     }

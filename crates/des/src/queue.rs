@@ -143,16 +143,6 @@ impl<E> EventQueue<E> {
         EventId(seq)
     }
 
-    /// Schedules `payload` at `delay` past the current clock.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `delay` is negative or not finite.
-    pub fn schedule_in(&mut self, delay: f64, class: u8, payload: E) -> EventId {
-        assert!(delay >= 0.0, "delay must be non-negative, got {delay}");
-        self.schedule(self.now + delay, class, payload)
-    }
-
     /// Cancels a scheduled event. Returns `true` if the event was still
     /// pending (it will never be delivered), `false` if it was already
     /// delivered or cancelled.

@@ -54,11 +54,6 @@ impl QFormat {
         f64::from(i16::MAX) / self.scale()
     }
 
-    /// Smallest (most negative) representable value.
-    pub fn min_value(&self) -> f64 {
-        f64::from(i16::MIN) / self.scale()
-    }
-
     /// Quantizes `x` to the nearest representable raw word, saturating at the
     /// format's range.
     pub fn quantize(&self, x: f64) -> i16 {

@@ -84,12 +84,6 @@ impl FaultContext {
         self.model.rate()
     }
 
-    /// Whether injection (or at least quantization) is active. A rate-0
-    /// context still quantizes, modeling 16-bit hardware exactly.
-    pub fn quantizing(&self) -> bool {
-        true
-    }
-
     /// Quantizes `t` to 16-bit fixed point, randomizes bits at the failure
     /// rate, and returns the dequantized tensor.
     pub fn corrupt(&mut self, t: &Tensor) -> Tensor {

@@ -33,13 +33,6 @@ impl Trainer {
         Self { lr, seed, batch: 16, step: 0, loss: SoftmaxCrossEntropy::new() }
     }
 
-    /// Sets the mini-batch size (default 16).
-    pub fn with_batch(mut self, batch: usize) -> Self {
-        assert!(batch > 0, "batch size must be positive");
-        self.batch = batch;
-        self
-    }
-
     /// Trains for `epochs` with retention failures injected at `fault_rate`
     /// during every forward pass. Returns the final epoch's training
     /// accuracy.

@@ -13,17 +13,17 @@
 //! Two stream modes exist ([`ArrivalStreams`]):
 //!
 //! * [`ArrivalStreams::Shared`] — one generator draws inter-arrival times
-//!   and tenant picks alternately ([`generate`]). This is the
-//!   legacy mode and stays the [`ServeConfig::paper`](crate::ServeConfig::paper)
-//!   default because the committed `baselines/BENCH_serve.json` was
-//!   recorded under it. Its flaw: adding a tenant re-deals every draw, so
-//!   *every* tenant's arrival sequence shifts.
+//!   and tenant picks alternately ([`generate`]). This is the legacy
+//!   mode, and [`Server`](crate::Server) always uses it because the
+//!   committed `baselines/BENCH_serve.json` was recorded under it. Its
+//!   flaw: adding a tenant re-deals every draw, so *every* tenant's
+//!   arrival sequence shifts.
 //! * [`ArrivalStreams::PerTenant`] — tenant `i` draws from its own
 //!   [`rana_des::Streams`] stream with id `i` ([`generate_per_tenant`]),
 //!   so a tenant's arrival process is a pure function of `(master seed,
 //!   tenant index, its own weight)`. Adding, removing or re-weighting
-//!   *other* tenants leaves it untouched. The fleet simulator and new
-//!   scenarios use this mode.
+//!   *other* tenants leaves it untouched. The fleet simulator uses this
+//!   mode.
 
 use rana_des::Streams;
 use rand::{rngs::StdRng, RngExt, SeedableRng};
@@ -89,25 +89,14 @@ impl TrafficModel {
 }
 
 /// How the arrival stream splits its randomness across tenants.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ArrivalStreams {
     /// One shared generator for the whole mix (legacy; the committed
     /// serving baselines were recorded in this mode).
-    #[default]
     Shared,
     /// Independent per-tenant streams split off the master seed by the
     /// [`rana_des::stream_seed`] rule: tenants never perturb each other.
     PerTenant,
-}
-
-impl ArrivalStreams {
-    /// Stable lowercase label (used in JSON and CSV output).
-    pub fn label(&self) -> &'static str {
-        match self {
-            ArrivalStreams::Shared => "shared",
-            ArrivalStreams::PerTenant => "per-tenant",
-        }
-    }
 }
 
 /// An exponential draw with the given mean (inverse-CDF of `1 − u`).

@@ -148,11 +148,6 @@ impl HistI64 {
         self.max = self.max.max(v);
     }
 
-    /// Sub-bucket precision in bits.
-    pub fn precision_bits(&self) -> u32 {
-        self.precision
-    }
-
     /// Total recorded values.
     pub fn count(&self) -> u64 {
         self.count

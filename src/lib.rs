@@ -21,11 +21,13 @@
 //!   refresh-flag generation, design points, the evaluation platform and
 //!   the persistent content-addressed schedule store ([`core::store`]).
 //! * [`serve`] — multi-tenant inference serving: traffic generation, eDRAM
-//!   bank partitioning, deadline-aware queueing and the thermal closed loop.
+//!   bank partitioning, deadline-aware queueing and the thermal closed loop,
+//!   in one discrete-event serving loop.
 //! * [`des`] — the generic discrete-event-simulation core: deterministic
 //!   event queue, typed cancellation and seeded per-actor RNG streams.
-//! * [`fleet`] — fleet-scale cluster simulation: routing policies, tenant
-//!   sharding and die failure/drain/rejoin over hundreds of dies.
+//! * [`fleet`] — the same serving loop at cluster scale (`rana_serve::fleet`):
+//!   routing policies, tenant sharding and die failure/drain/rejoin over
+//!   hundreds of dies.
 //! * [`metrics`] — opt-in streaming telemetry: log-linear histograms,
 //!   per-tenant SLO monitors and counters behind a zero-cost-when-off
 //!   session guard.
@@ -51,10 +53,10 @@ pub use rana_core as core;
 pub use rana_des as des;
 pub use rana_edram as edram;
 pub use rana_fixq as fixq;
-pub use rana_fleet as fleet;
 pub use rana_nn as nn;
 pub use rana_policy as policy;
 pub use rana_serve as serve;
+pub use rana_serve::fleet;
 pub use rana_trace as trace;
 pub use rana_trace::metrics;
 pub use rana_zoo as zoo;

@@ -92,3 +92,33 @@ fn untraced_fleet_run_is_silent_and_identical() {
     assert_eq!(silent, traced, "tracing must not perturb the simulation");
     assert_eq!(reg.counter("fleet.die_failures"), traced.die_failures);
 }
+
+/// The fleet runs the serving loop's one completion and purge path, so a
+/// metered fleet run feeds the same per-tenant latency histogram and SLO
+/// tracker as a metered serve run, with the same identities: one latency
+/// sample per served request, and one SLO observation per completion,
+/// deadline drop or unroutable drop.
+#[test]
+fn metered_fleet_run_tracks_per_tenant_slo() {
+    let eval = Evaluator::paper_platform();
+    // Confine the tenant to die 0 and crash it, so requests also go
+    // unroutable while it is down.
+    let mut cfg = disruption_config();
+    cfg.shard_size = Some(1);
+    cfg.failures.push(FailureEvent { at_us: 250_000.0, die: 0, kind: FailureKind::Crash });
+    cfg.failures.push(FailureEvent { at_us: 350_000.0, die: 0, kind: FailureKind::Rejoin });
+    let session = Session::start(TraceConfig::Metrics);
+    let report = FleetSim::new(&eval, cfg).run();
+    let reg = session.finish().metrics.expect("metered session");
+
+    let lat = reg
+        .hist_f64(MetricKey::new("serve.latency_us").label("tenant", "AlexNet"))
+        .expect("latency histogram populated");
+    assert_eq!(lat.count(), report.served);
+    let slo = reg.slo("AlexNet").expect("tenant SLO tracked");
+    assert!(report.deadline_drops > 0, "the overload must drop expired requests");
+    assert!(report.unroutable_drops > 0, "the crash must strand requests");
+    let dropped = report.deadline_drops + report.unroutable_drops;
+    assert_eq!(slo.requests(), report.served + dropped);
+    assert_eq!(slo.misses(), dropped + report.late_served);
+}
