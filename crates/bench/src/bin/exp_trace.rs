@@ -6,7 +6,12 @@
 //!    `Evaluator`), reconciling the trace's Eq. 14 energy ledger against
 //!    the evaluator totals to ≤ 1e-9 relative error;
 //! 2. a short two-tenant serving run (AlexNet + GoogLeNet Poisson mix),
-//!    capturing dispatch/thermal/refresh decisions.
+//!    capturing dispatch/thermal/refresh decisions;
+//!
+//! plus one counters-only run, an AlexNet retention sweep (eD+ID, eD+OD
+//! and RANA(E-5) at the six Figure 16 intervals through one
+//! `Evaluator::evaluate_refresh_many` batch), whose candidate counters
+//! gate the batch engine's shared Stage-2 scans.
 //!
 //! Emits byte-deterministic `results/trace_alexnet.jsonl`,
 //! `results/trace_serve.jsonl`, `results/trace_summary.csv` and
@@ -16,6 +21,7 @@
 //! of the worker pool and memo cache — the one intentionally
 //! non-deterministic artifact, for spotting sweep-time regressions.
 
+use rana_accel::{ControllerKind, RefreshModel};
 use rana_bench::{banner, result_path, seed_from_env, write_csv, write_result};
 use rana_core::designs::Design;
 use rana_core::evaluate::Evaluator;
@@ -47,6 +53,25 @@ fn run_alexnet_sweep() -> (TelemetryReport, EnergyLedger) {
         );
     }
     (session.finish(), expected)
+}
+
+/// The counters-only retention sweep: AlexNet under eD+ID, eD+OD and
+/// RANA(E-5) at the six Figure 16 intervals, as one batch.
+fn run_fig16_sweep() -> TelemetryReport {
+    let eval = Evaluator::paper_platform();
+    let net = rana_zoo::alexnet();
+    let points: Vec<_> = [45.0, 90.0, 180.0, 360.0, 720.0, 1440.0]
+        .into_iter()
+        .flat_map(|interval_us| {
+            [Design::EdId, Design::EdOd, Design::RanaE5].map(|design| {
+                (&net, design, RefreshModel { interval_us, kind: ControllerKind::Conventional })
+            })
+        })
+        .collect();
+    let session = Session::start(TraceConfig::CountersOnly);
+    let results = eval.evaluate_refresh_many(&points);
+    println!("  fig16 sweep: {} points, {} cache entries", results.len(), eval.cache().len());
+    session.finish()
 }
 
 /// The traced serving run: a 300 ms two-tenant Poisson mix, events
@@ -100,24 +125,29 @@ fn main() {
         serve.event_counts.get("thermal_sample").copied().unwrap_or(0),
     );
 
+    println!("\nCounters-only runs:");
+    let fig16 = run_fig16_sweep();
+
     // Deterministic artifacts: counters CSV + the aggregate report (span
     // counts only — no wall clock).
     let mut rows: Vec<String> = Vec::new();
-    for (name, report) in [("alexnet_sweep", &sweep), ("serve", &serve)] {
+    for (name, report) in [("alexnet_sweep", &sweep), ("serve", &serve), ("fig16_sweep", &fig16)] {
         rows.extend(report.counters_csv_rows().into_iter().map(|r| format!("{name},{r}")));
     }
     write_csv("trace_summary.csv", "run,counter,value", &rows);
 
     let bench = format!(
-        "{{\n\"seed\": {seed},\n\"ledger_rel_err\": {},\n\"alexnet_sweep\": {},\n\"serve\": {}\n}}\n",
+        "{{\n\"seed\": {seed},\n\"ledger_rel_err\": {},\n\"alexnet_sweep\": {},\n\"serve\": {},\n\"fig16_sweep\": {}\n}}\n",
         json_f64(err),
         sweep.to_json(true),
         serve.to_json(true),
+        fig16.to_json(true),
     );
     let timing = format!(
-        "{{\n\"alexnet_sweep\": {},\n\"serve\": {}\n}}\n",
+        "{{\n\"alexnet_sweep\": {},\n\"serve\": {},\n\"fig16_sweep\": {}\n}}\n",
         sweep.to_json(false),
         serve.to_json(false),
+        fig16.to_json(false),
     );
     write_result("BENCH_trace.json", &bench);
     write_result("BENCH_trace_timing.json", &timing);

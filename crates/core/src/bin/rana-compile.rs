@@ -25,6 +25,7 @@
 use rana_core::config_gen::LayerwiseConfig;
 use rana_core::designs::Design;
 use rana_core::evaluate::Evaluator;
+use rana_core::operating::rung_us;
 use rana_core::store::{precompile, PrecompileSpec, ScheduleStore};
 use rana_zoo::Network;
 use std::process::ExitCode;
@@ -121,6 +122,37 @@ fn load_network(name: &str, input_hw: Option<usize>, with_fc: bool) -> Result<Ne
     }
 }
 
+/// Rejects a precompile grid the library would panic on, loop on for
+/// hours, or compile into meaningless entries.
+fn check_grid(eval: &Evaluator, spec: &PrecompileSpec) -> Result<(), String> {
+    let steps = spec.ladder_steps_per_octave;
+    if steps == 0 {
+        return Err("--steps must be at least 1".to_string());
+    }
+    let weight = spec.reschedule_refresh_weight;
+    if !(weight.is_finite() && weight >= 1.0) {
+        return Err(format!("--weight must be a finite number of at least 1, got {weight}"));
+    }
+    let rungs = spec.rung_count().ok_or("--octaves x --steps overflows the rung count")?;
+    for &design in &spec.designs {
+        let template = eval.scheduler_for(design);
+        let full = template.cfg.buffer.num_banks;
+        if let Some(banks) = spec.bank_counts.iter().find(|&&b| b == 0 || b > full) {
+            return Err(format!("--banks {banks} is outside 1..={full} for {}", design.label()));
+        }
+        // The smallest rung must still be a divider ratio of at least one
+        // reference-clock cycle.
+        let smallest = rung_us(template.refresh.interval_us, steps, rungs - 1);
+        if template.cfg.frequency_hz * smallest * 1e-6 < 1.0 {
+            return Err(format!(
+                "the smallest rung ({smallest:e} us) of {} cannot be programmed as a divider",
+                design.label()
+            ));
+        }
+    }
+    Ok(())
+}
+
 /// Parses and runs `rana-compile precompile ...` (argv after the
 /// subcommand name).
 fn run_precompile(mut args: std::env::Args) -> Result<(), String> {
@@ -183,6 +215,7 @@ fn run_precompile(mut args: std::env::Args) -> Result<(), String> {
         networks.iter().map(|n| load_network(n, None, false)).collect::<Result<_, _>>()?;
 
     let eval = Evaluator::paper_platform();
+    check_grid(&eval, &spec).map_err(|msg| format!("{msg}\n{USAGE}"))?;
     let mut store = ScheduleStore::new();
     let stats = precompile(&eval, &nets, &spec, &mut store);
     store.save(std::path::Path::new(&out_path)).map_err(|e| e.to_string())?;

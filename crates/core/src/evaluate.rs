@@ -3,7 +3,7 @@
 
 use crate::designs::Design;
 use crate::energy::EnergyBreakdown;
-use crate::par::{par_map, ScheduleCache};
+use crate::par::ScheduleCache;
 use crate::scheduler::{NetworkSchedule, Scheduler};
 use rana_accel::{AcceleratorConfig, Pattern, RefreshModel, Tiling};
 use rana_edram::RetentionDistribution;
@@ -141,17 +141,25 @@ impl Evaluator {
         }
     }
 
-    /// Runs one scheduler on the memoized engine. `threads` as in
-    /// [`Scheduler::schedule_network_with`] (`0` = auto).
-    fn run(&self, scheduler: &Scheduler, net: &Network, threads: usize) -> NetworkSchedule {
-        scheduler.schedule_network_with(net, Some(&self.cache), threads)
+    /// Evaluates labeled `(network, scheduler)` points as one batch on the
+    /// memoized engine ([`Scheduler::schedule_network_with`] for one
+    /// point): each layer shape missing from the cache is searched once
+    /// for every point whose scheduler shares its search group, and the
+    /// searches fan over the worker pool.
+    fn evaluate_batch(&self, points: Vec<(&Network, Scheduler, String)>) -> Vec<NetworkEnergy> {
+        let runs: Vec<(&Scheduler, &Network)> =
+            points.iter().map(|(net, s, _)| (s, *net)).collect();
+        let schedules = Scheduler::schedule_networks(&runs, Some(&self.cache), 0);
+        points
+            .into_iter()
+            .zip(schedules)
+            .map(|((net, _, label), schedule)| Self::package(net, label, schedule))
+            .collect()
     }
 
     /// Evaluates `net` under `design`.
     pub fn evaluate(&self, net: &Network, design: Design) -> NetworkEnergy {
-        let scheduler = self.scheduler_for(design);
-        let schedule = self.run(&scheduler, net, 0);
-        Self::package(net, design.label().to_string(), schedule)
+        self.evaluate_many(&[(net, design)]).pop().expect("one point in, one result out")
     }
 
     /// Evaluates with an explicit refresh model (the Figure 16 retention
@@ -162,38 +170,44 @@ impl Evaluator {
         design: Design,
         refresh: RefreshModel,
     ) -> NetworkEnergy {
-        let mut scheduler = self.scheduler_for(design);
-        scheduler.refresh = refresh;
-        let schedule = self.run(&scheduler, net, 0);
-        Self::package(net, format!("{} @{}us", design.label(), refresh.interval_us), schedule)
+        self.evaluate_refresh_many(&[(net, design, refresh)])
+            .pop()
+            .expect("one point in, one result out")
     }
 
-    /// Evaluates every `(network, design)` point, fanning the points over
-    /// the worker pool while sharing one schedule cache. Results come
-    /// back in input order and are identical to calling
-    /// [`Self::evaluate`] point by point.
+    /// Evaluates every `(network, design)` point as one batch sharing one
+    /// schedule cache. Results come back in input order and are identical
+    /// to calling [`Self::evaluate`] point by point, and so are the
+    /// cache's hit, miss and entry counts and `scheduler.searches` (the
+    /// batch plans its lookups in input order). Only the candidate
+    /// counters fall: points whose schedulers differ only in their refresh
+    /// model share each layer's candidate scan.
     pub fn evaluate_many(&self, points: &[(&Network, Design)]) -> Vec<NetworkEnergy> {
-        par_map(points, |&(net, design)| {
-            let scheduler = self.scheduler_for(design);
-            // Inner searches stay single-threaded: the fan-out is here.
-            let schedule = self.run(&scheduler, net, 1);
-            Self::package(net, design.label().to_string(), schedule)
-        })
+        self.evaluate_batch(
+            points
+                .iter()
+                .map(|&(net, design)| (net, self.scheduler_for(design), design.label().to_string()))
+                .collect(),
+        )
     }
 
     /// [`Self::evaluate_many`] for explicit refresh models (retention
-    /// sweeps): evaluates every `(network, design, refresh)` point in
-    /// parallel, in input order.
+    /// sweeps): evaluates every `(network, design, refresh)` point as one
+    /// batch, in input order.
     pub fn evaluate_refresh_many(
         &self,
         points: &[(&Network, Design, RefreshModel)],
     ) -> Vec<NetworkEnergy> {
-        par_map(points, |&(net, design, refresh)| {
-            let mut scheduler = self.scheduler_for(design);
-            scheduler.refresh = refresh;
-            let schedule = self.run(&scheduler, net, 1);
-            Self::package(net, format!("{} @{}us", design.label(), refresh.interval_us), schedule)
-        })
+        self.evaluate_batch(
+            points
+                .iter()
+                .map(|&(net, design, refresh)| {
+                    let mut scheduler = self.scheduler_for(design);
+                    scheduler.refresh = refresh;
+                    (net, scheduler, format!("{} @{}us", design.label(), refresh.interval_us))
+                })
+                .collect(),
+        )
     }
 
     /// The original DaDianNao baseline: pure WD at the fixed tiling,
@@ -202,8 +216,8 @@ impl Evaluator {
     pub fn evaluate_dadiannao_baseline(&self, net: &Network) -> NetworkEnergy {
         let mut scheduler = self.scheduler_for(Design::EdOd);
         scheduler.patterns = vec![Pattern::Wd];
-        let schedule = self.run(&scheduler, net, 0);
-        Self::package(net, "DaDianNao".to_string(), schedule)
+        let point = (net, scheduler, "DaDianNao".to_string());
+        self.evaluate_batch(vec![point]).pop().expect("one point in, one result out")
     }
 }
 

@@ -24,7 +24,9 @@
 use crate::energy::EnergyBreakdown;
 use crate::evaluate::Evaluator;
 use crate::par::ScheduleCache;
-use crate::scheduler::{LayerSchedule, NetworkSchedule, Scheduler};
+use crate::scheduler::{
+    compose_key, LayerSchedule, NetworkSchedule, Planned, Scheduler, SearchBatch,
+};
 use rana_accel::{LayerSim, RefreshModel, SchedLayer};
 use rana_edram::thermal::ThermalModel;
 use rana_edram::{ClockDivider, RetentionDistribution};
@@ -233,22 +235,48 @@ impl NetworkPlan {
         Self { nominal, layers, base }
     }
 
-    /// Each layer's schedule at the interval `hedged` refreshes at: the
-    /// base schedule where [`keeps_base`] (borrowed), else a reschedule
-    /// through `cache` (owned).
+    /// Each rung's per-layer schedules, for the hedged schedulers `rungs`
+    /// (one per rung; they differ only in refresh interval, so they form
+    /// one search group): the base schedule where [`keeps_base`]
+    /// (borrowed), else a reschedule through `cache` (owned). Lookups are
+    /// planned rung by rung in layer order, then each layer shape is
+    /// searched once for every rung that reschedules it. Serving passes
+    /// one rung.
     pub(crate) fn choose<'p>(
         &'p self,
-        hedged: &'p Scheduler,
+        rungs: &'p [Scheduler],
         cache: &'p ScheduleCache,
-    ) -> impl Iterator<Item = Cow<'p, LayerSchedule>> + 'p {
-        let interval_us = hedged.refresh.interval_us;
-        self.base.layers.iter().zip(&self.layers).map(move |(base, layer)| {
-            if keeps_base(base, interval_us) {
-                Cow::Borrowed(base)
-            } else {
-                Cow::Owned(hedged.schedule_layer_memo(layer, cache))
-            }
-        })
+    ) -> Vec<Vec<Cow<'p, LayerSchedule>>> {
+        let mut batch = SearchBatch::new(Some(cache));
+        let planned: Vec<Vec<Option<Planned>>> = rungs
+            .iter()
+            .map(|hedged| {
+                let (ctx, search_key) = (hedged.fingerprint(), hedged.search_key());
+                let interval_us = hedged.refresh.interval_us;
+                self.base
+                    .layers
+                    .iter()
+                    .zip(&self.layers)
+                    .map(|(base, layer)| {
+                        (!keeps_base(base, interval_us))
+                            .then(|| batch.plan(hedged, search_key, compose_key(ctx, layer), layer))
+                    })
+                    .collect()
+            })
+            .collect();
+        let searched = batch.run(None);
+        planned
+            .iter()
+            .map(|row| {
+                row.iter()
+                    .zip(self.base.layers.iter().zip(&self.layers))
+                    .map(|(planned, (base, layer))| match planned {
+                        Some(p) => Cow::Owned(searched.get(*p, &layer.name)),
+                        None => Cow::Borrowed(base),
+                    })
+                    .collect()
+            })
+            .collect()
     }
 }
 
@@ -330,10 +358,10 @@ impl ProfileBuilder<'_> {
         let cache = self.eval.cache();
         let misses_before = cache.misses();
         let plan = NetworkPlan::new(&self.template, banks, net, cache);
-        let hedged = hedged(&plan.nominal, interval_us, self.weight);
+        let hedged = [hedged(&plan.nominal, interval_us, self.weight)];
         let mut p = Profile::default();
         let mut reload_words = 0u64;
-        for chosen in plan.choose(&hedged, cache) {
+        for chosen in plan.choose(&hedged, cache).swap_remove(0) {
             let (sim, retention) = (&chosen.sim, self.eval.retention());
             let scope = || format!("{}{tenant}", self.scope);
             let (decision, energy) =

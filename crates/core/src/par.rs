@@ -178,6 +178,19 @@ impl ScheduleCache {
         } else {
             self.misses.fetch_add(1, Ordering::Relaxed);
         }
+        Self::trace_lookup(key, hit);
+        found.map(|s| s.sched)
+    }
+
+    /// Counts a lookup of `key` that a search batch answers with a search
+    /// it planned earlier: the in-process hit the lookup would be once
+    /// that search had been stored.
+    pub(crate) fn count_planned_hit(&self, key: u64) {
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        Self::trace_lookup(key, true);
+    }
+
+    fn trace_lookup(key: u64, hit: bool) {
         if rana_trace::enabled() {
             rana_trace::count(if hit { "cache.schedule.hit" } else { "cache.schedule.miss" }, 1);
             rana_trace::emit(|| rana_trace::Event::CacheLookup {
@@ -186,7 +199,6 @@ impl ScheduleCache {
                 hit,
             });
         }
-        found.map(|s| s.sched)
     }
 
     /// Stores a finished search. Last write wins; concurrent writers for

@@ -124,23 +124,24 @@ impl Scheduler {
         }
     }
 
-    /// Evaluates one candidate completely.
-    fn candidate(&self, layer: &SchedLayer, pattern: Pattern, tiling: Tiling) -> LayerSchedule {
-        let sim = analyze(layer, pattern, tiling, &self.cfg);
-        let refresh_words = layer_refresh_words(&sim, &self.cfg, &self.refresh);
-        let energy = self.model.layer_energy(&sim, refresh_words, &self.cfg);
-        LayerSchedule { sim, refresh_words, energy }
+    /// Refresh words and Eq. 14 energy of an analyzed candidate under this
+    /// scheduler's refresh model and energy costs.
+    fn price(&self, sim: &LayerSim) -> (u64, EnergyBreakdown) {
+        let refresh_words = layer_refresh_words(sim, &self.cfg, &self.refresh);
+        (refresh_words, self.model.layer_energy(sim, refresh_words, &self.cfg))
     }
 
-    /// Whether a candidate satisfies the optional bandwidth constraint.
-    fn meets_perf(&self, s: &LayerSchedule) -> bool {
+    /// Whether an analyzed candidate satisfies the optional bandwidth
+    /// constraint.
+    fn meets_perf(&self, sim: &LayerSim) -> bool {
         match &self.bandwidth {
             None => true,
-            Some(ddr) => !rana_accel::dram::LayerPerformance::of(&s.sim, ddr).memory_bound(),
+            Some(ddr) => !rana_accel::dram::LayerPerformance::of(sim, ddr).memory_bound(),
         }
     }
 
-    /// The selection predicate: does `cand` replace the incumbent?
+    /// The selection predicate: does a candidate of this `energy` and
+    /// `cycles` replace the incumbent?
     ///
     /// Prefer candidates meeting the bandwidth constraint, then minimize
     /// energy; within a 1% energy band (energy is nearly flat in some
@@ -151,15 +152,20 @@ impl Scheduler {
     /// inside the band), so the scan over candidates must always run in
     /// the canonical candidate order — which is why the parallel path
     /// evaluates concurrently but folds serially.
-    fn improves(best: &Option<(LayerSchedule, bool)>, cand: &LayerSchedule, cand_ok: bool) -> bool {
+    fn improves(
+        best: &Option<(LayerSchedule, bool)>,
+        energy: &EnergyBreakdown,
+        cycles: u64,
+        cand_ok: bool,
+    ) -> bool {
         match best {
             None => true,
             Some((b, b_ok)) => {
                 if cand_ok != *b_ok {
                     cand_ok
                 } else {
-                    let (e, be) = (cand.energy.total_j(), b.energy.total_j());
-                    e < be * 0.99 || (e <= be * 1.01 && cand.sim.cycles < b.sim.cycles)
+                    let (e, be) = (energy.total_j(), b.energy.total_j());
+                    e < be * 0.99 || (e <= be * 1.01 && cycles < b.sim.cycles)
                 }
             }
         }
@@ -185,16 +191,20 @@ impl Scheduler {
         out
     }
 
-    /// A lower bound on a candidate's Eq. 14 energy, cheaper than the
-    /// full [`Scheduler::candidate`].
+    /// A lower bound on a candidate's Eq. 14 energy, cheaper than a full
+    /// analysis.
     ///
     /// Admissible by construction: the computing, buffer, and off-chip
     /// terms are *exact* — they share [`rana_accel::storage_and_traffic`],
     /// the closed-form traffic core of `analyze()`, including overflow
     /// reload/spill penalties — and only the refresh term is bounded by
-    /// its floor of 0. The bound therefore equals the true energy minus
-    /// the candidate's refresh energy, and skips the name/cycle/lifetime
-    /// bookkeeping plus the refresh-word simulation of a full evaluation.
+    /// its floor of 0. The bound is `(computing + buffer) + offchip`, the
+    /// true energy `((computing + buffer) + refresh) + offchip` without
+    /// its refresh term; floating-point rounding is monotone, so the
+    /// bound never exceeds the true energy, bit for bit. It skips the
+    /// name/cycle/lifetime bookkeeping plus the refresh-word simulation of
+    /// a full evaluation, and it depends on neither the refresh model nor
+    /// the refresh cost, so every member of a search group shares it.
     fn energy_lower_bound(&self, layer: &SchedLayer, pattern: Pattern, tiling: Tiling) -> f64 {
         let (_, _, traffic) = rana_accel::storage_and_traffic(layer, pattern, tiling, &self.cfg);
         let pj = 1e-12;
@@ -205,40 +215,71 @@ impl Scheduler {
             + traffic.dram_total() as f64 * self.model.costs.ddr_access_pj * pj
     }
 
-    /// The serial candidate scan, optionally pruned by the energy lower
-    /// bound. Pruning is only sound without a bandwidth constraint (a
-    /// high-energy candidate may still be the only compute-bound one), and
-    /// only skips candidates whose bound already exceeds the incumbent's
-    /// 1% tie-break band — exactly the condition under which the selection
-    /// predicate could never pick them, so the result is identical to the
-    /// exhaustive scan.
-    fn search_layer(&self, layer: &SchedLayer, prune: bool) -> LayerSchedule {
-        let prune = prune && self.bandwidth.is_none();
-        let mut best: Option<(LayerSchedule, bool)> = None;
+    /// The canonical candidate scan, run once for a whole *search group*:
+    /// schedulers with equal [`Self::search_key`]s, which differ only in
+    /// `refresh` and `model.costs.edram_refresh_pj`. Each candidate of the
+    /// name-less `shape` is analyzed once, priced for every member exactly
+    /// as that member's own scan prices it, and folded into the member's
+    /// own incumbent by the unchanged selection predicate. Every member
+    /// sees the same candidates in the same order at bit-identical prices,
+    /// so its fold *is* its own scan. A group of one is the plain scan.
+    ///
+    /// With `prune` (and no bandwidth constraint: a high-energy candidate
+    /// may still be the only compute-bound one) a candidate is skipped
+    /// without analysis only when the admissible energy lower bound
+    /// exceeds `1.01 ×` *every* member's incumbent energy. No member's
+    /// predicate could then accept it, so skipping changes no fold state
+    /// and each result equals the exhaustive scan's.
+    ///
+    /// Returns one schedule per member, in member order, named as `shape`.
+    fn search_group(group: &[&Scheduler], shape: &SchedLayer, prune: bool) -> Vec<LayerSchedule> {
+        let lead = group[0];
+        let prune = prune && lead.bandwidth.is_none();
+        let mut best: Vec<Option<(LayerSchedule, bool)>> = vec![None; group.len()];
+        // The skip bar: 1.01 × the largest incumbent energy, once every
+        // member has an incumbent.
+        let mut bar: Option<f64> = None;
         let mut evaluated = 0u64;
         let mut pruned = 0u64;
-        for (pattern, tiling) in self.candidate_space(layer) {
-            if prune {
-                if let Some((b, _)) = &best {
-                    if self.energy_lower_bound(layer, pattern, tiling) > b.energy.total_j() * 1.01 {
-                        pruned += 1;
-                        continue;
-                    }
-                }
+        for (pattern, tiling) in lead.candidate_space(shape) {
+            if bar.is_some_and(|bar| lead.energy_lower_bound(shape, pattern, tiling) > bar) {
+                pruned += 1;
+                continue;
             }
             evaluated += 1;
-            let cand = self.candidate(layer, pattern, tiling);
-            let cand_ok = self.meets_perf(&cand);
-            if Self::improves(&best, &cand, cand_ok) {
-                best = Some((cand, cand_ok));
+            let sim = analyze(shape, pattern, tiling, &lead.cfg);
+            let ok = lead.meets_perf(&sim);
+            let mut moved = false;
+            for (member, incumbent) in group.iter().zip(&mut best) {
+                let (refresh_words, energy) = member.price(&sim);
+                if Self::improves(incumbent, &energy, sim.cycles, ok) {
+                    *incumbent =
+                        Some((LayerSchedule { sim: sim.clone(), refresh_words, energy }, ok));
+                    moved = true;
+                }
+            }
+            if prune && moved {
+                bar = best.iter().try_fold(f64::NEG_INFINITY, |bar, b| {
+                    b.as_ref().map(|(s, _)| bar.max(s.energy.total_j() * 1.01))
+                });
             }
         }
         if rana_trace::enabled() {
-            rana_trace::count("scheduler.searches", 1);
+            rana_trace::count("scheduler.searches", group.len() as u64);
             rana_trace::count("scheduler.candidates_evaluated", evaluated);
             rana_trace::count("scheduler.candidates_pruned", pruned);
         }
-        best.expect("tiling candidate list is never empty").0
+        best.into_iter().map(|b| b.expect("tiling candidate list is never empty").0).collect()
+    }
+
+    /// One layer through [`Self::search_group`] as a group of one: the scan
+    /// runs on a name-less copy (no per-candidate name clone) and only the
+    /// winner gets the name.
+    fn search_layer(&self, layer: &SchedLayer, prune: bool) -> LayerSchedule {
+        let mut best = Self::search_group(&[self], &nameless(layer), prune);
+        let mut winner = best.pop().expect("one member, one schedule");
+        winner.sim.layer = layer.name.clone();
+        winner
     }
 
     /// Schedules one layer: the minimum-energy `(pattern, tiling)`.
@@ -256,10 +297,29 @@ impl Scheduler {
     }
 
     /// [`Self::schedule_layer`] without lower-bound pruning: analyzes
-    /// every candidate. The reference implementation the pruned and
-    /// parallel paths are tested against.
+    /// every candidate. The reference implementation the pruned, grouped
+    /// and parallel paths are tested against.
     pub fn schedule_layer_exhaustive(&self, layer: &SchedLayer) -> LayerSchedule {
         self.search_layer(layer, false)
+    }
+
+    /// Schedules one layer for every member of a search group in one
+    /// candidate scan (see [`Self::search_key`]). Member `i`'s schedule is
+    /// exactly `group[i].schedule_layer_exhaustive(layer)`, and the scan
+    /// visits each candidate at most once, however many members share it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the group is empty, its members' search keys differ, or
+    /// the pattern list is empty.
+    pub fn schedule_layer_group(group: &[&Scheduler], layer: &SchedLayer) -> Vec<LayerSchedule> {
+        let key = group.first().expect("a search group needs a member").search_key();
+        assert!(group.iter().all(|s| s.search_key() == key), "members of a search group differ");
+        let mut out = Self::search_group(group, &nameless(layer), true);
+        for s in &mut out {
+            s.sim.layer = layer.name.clone();
+        }
+        out
     }
 
     /// Canonical fingerprint of everything a layer search's *result*
@@ -268,10 +328,31 @@ impl Scheduler {
     /// `interlayer_forwarding` is deliberately excluded — it post-processes
     /// the network schedule and never changes a per-layer search.
     pub fn fingerprint(&self) -> u64 {
+        self.context_walk(true)
+    }
+
+    /// The [`Self::fingerprint`] walk without the refresh model and
+    /// `model.costs.edram_refresh_pj`. Schedulers with equal search keys
+    /// form a *search group*: they analyze every candidate identically and
+    /// share its admissible energy bound, and differ only in how they
+    /// price refresh, so one candidate scan serves them all
+    /// ([`Self::schedule_layer_group`]).
+    pub fn search_key(&self) -> u64 {
+        self.context_walk(false)
+    }
+
+    /// The context walk behind [`Self::fingerprint`] (`priced`) and
+    /// [`Self::search_key`] (refresh model left out, refresh cost zeroed).
+    fn context_walk(&self, priced: bool) -> u64 {
         let mut h = Fnv1a::new();
         self.cfg.fingerprint_into(&mut h);
-        self.refresh.fingerprint_into(&mut h);
-        self.model.costs.fingerprint_into(&mut h);
+        let mut costs = self.model.costs;
+        if priced {
+            self.refresh.fingerprint_into(&mut h);
+        } else {
+            costs.edram_refresh_pj = 0.0;
+        }
+        costs.fingerprint_into(&mut h);
         h.write_usize(self.patterns.len());
         for p in &self.patterns {
             p.fingerprint_into(&mut h);
@@ -297,10 +378,7 @@ impl Scheduler {
     /// fingerprint composed with the layer's shape fingerprint (the layer
     /// *name* is excluded, so repeated shapes share an entry).
     pub fn layer_key(&self, layer: &SchedLayer) -> u64 {
-        let mut h = Fnv1a::new();
-        h.write_u64(self.fingerprint());
-        layer.fingerprint_into(&mut h);
-        h.finish()
+        compose_key(self.fingerprint(), layer)
     }
 
     /// Schedules one layer through `cache`: a hit returns the finished
@@ -366,61 +444,91 @@ impl Scheduler {
         sched
     }
 
-    /// The parallel + memoized network engine. Produces a schedule
-    /// bit-identical to [`Self::schedule_network`]:
-    ///
-    /// * repeated layer shapes are deduplicated by [`Self::layer_key`] and
-    ///   searched once (ResNet-50 collapses 53 searches to ~half);
-    /// * the unique searches fan across `threads` workers (`0` = auto);
-    /// * with a `cache`, finished searches are reused across calls,
-    ///   networks, and design points.
-    ///
-    /// Determinism: unique shapes keep first-encounter order, workers
-    /// return results by input index, and forwarding runs serially after
-    /// assembly — no step depends on thread scheduling.
+    /// The parallel + memoized network engine for one network: the
+    /// one-point case of the batch engine behind
+    /// [`Evaluator::evaluate_many`](crate::evaluate::Evaluator::evaluate_many).
+    /// Produces a schedule bit-identical to [`Self::schedule_network`];
+    /// `threads` workers (`0` = auto) share the searches, and with a
+    /// `cache` finished searches are reused across calls, networks, and
+    /// design points.
     pub fn schedule_network_with(
         &self,
         net: &Network,
         cache: Option<&ScheduleCache>,
         threads: usize,
     ) -> NetworkSchedule {
+        Self::schedule_networks(&[(self, net)], cache, threads)
+            .pop()
+            .expect("one point in, one schedule out")
+    }
+
+    /// The batch network engine. Schedules every `(scheduler, network)`
+    /// point, each bit-identical to [`Self::schedule_network`], in three
+    /// steps:
+    ///
+    /// 1. *Plan*, serially in input order. Within a network repeated layer
+    ///    shapes collapse onto their first occurrence (ResNet-50's 53
+    ///    layers need about half as many searches); every other layer is
+    ///    looked up in `cache` — or found planned by an earlier point,
+    ///    which counts as the hit it would be if the points ran one by
+    ///    one — and a miss joins the *search unit* of its (search key,
+    ///    layer shape).
+    /// 2. *Search*: each unit is one [`Self::search_group`] scan; the
+    ///    units fan across `threads` workers (`0` = auto), and the results
+    ///    are stored in `cache`.
+    /// 3. *Assemble*, serially in input order: name each layer, apply
+    ///    forwarding, and emit the point's trace events.
+    ///
+    /// No step depends on thread scheduling. The schedules, the cache's
+    /// hit, miss and entry counts, `scheduler.searches` and the trace
+    /// events equal a point-by-point run's at any thread count (the
+    /// lookup events all come first, from the plan); only the candidate
+    /// counters are lower, one scan per unit.
+    pub(crate) fn schedule_networks(
+        points: &[(&Scheduler, &Network)],
+        cache: Option<&ScheduleCache>,
+        threads: usize,
+    ) -> Vec<NetworkSchedule> {
         let threads = if threads == 0 { par::thread_count() } else { threads };
-        let layers_in: Vec<SchedLayer> = net.conv_layers().map(SchedLayer::from_conv).collect();
-
-        // Dedup repeated shapes, preserving first-encounter order.
-        let mut slot_by_key: HashMap<u64, usize> = HashMap::new();
-        let mut unique: Vec<&SchedLayer> = Vec::new();
-        let mut slot_of: Vec<usize> = Vec::with_capacity(layers_in.len());
-        for layer in &layers_in {
-            let key = self.layer_key(layer);
-            let next_slot = unique.len();
-            let slot = *slot_by_key.entry(key).or_insert(next_slot);
-            if slot == next_slot {
-                unique.push(layer);
-            }
-            slot_of.push(slot);
-        }
-
-        let searched: Vec<LayerSchedule> = par::par_map_with(&unique, threads, |l| match cache {
-            Some(c) => self.schedule_layer_memo(l, c),
-            None => self.schedule_layer(l),
-        });
-
-        let mut layers: Vec<LayerSchedule> = layers_in
+        let mut batch = SearchBatch::new(cache);
+        let plans: Vec<(Vec<usize>, Vec<Planned>)> = points
             .iter()
-            .zip(&slot_of)
-            .map(|(layer, &slot)| {
-                let mut sched = searched[slot].clone();
-                sched.sim.layer = layer.name.clone();
-                sched
+            .map(|&(s, net)| {
+                let (ctx, search_key) = (s.fingerprint(), s.search_key());
+                let mut slot_by_key: HashMap<u64, usize> = HashMap::new();
+                let mut planned = Vec::new();
+                let slot_of = net
+                    .conv_layers()
+                    .map(|conv| {
+                        let layer = SchedLayer::from_conv(conv);
+                        let key = compose_key(ctx, &layer);
+                        *slot_by_key.entry(key).or_insert_with(|| {
+                            planned.push(batch.plan(s, search_key, key, &layer));
+                            planned.len() - 1
+                        })
+                    })
+                    .collect();
+                (slot_of, planned)
             })
             .collect();
-        if self.interlayer_forwarding {
-            self.apply_forwarding(net, &mut layers);
-        }
-        let sched = NetworkSchedule { network: net.name().to_string(), layers };
-        Self::trace_network(&sched);
-        sched
+        let searched = batch.run(Some(threads));
+        points
+            .iter()
+            .zip(plans)
+            .map(|(&(s, net), (slot_of, planned))| {
+                let mut out: Vec<LayerSchedule> = net
+                    .conv_layers()
+                    .zip(slot_of)
+                    .map(|(conv, slot)| searched.get(planned[slot], &conv.name))
+                    .collect();
+                if s.interlayer_forwarding {
+                    s.apply_forwarding(net, &mut out);
+                }
+                let sched = NetworkSchedule { network: net.name().to_string(), layers: out };
+                Self::trace_network(&sched);
+                sched
+            })
+            .collect()
     }
 
     /// Inter-layer activation residency: when a layer's activations fit in
@@ -457,6 +565,133 @@ impl Scheduler {
             prod.energy = self.model.layer_energy(&prod.sim, prod.refresh_words, &self.cfg);
             cons.energy = self.model.layer_energy(&cons.sim, cons.refresh_words, &self.cfg);
         }
+    }
+}
+
+/// `layer` without its name: what a scan analyzes, so no candidate clones
+/// the name.
+fn nameless(layer: &SchedLayer) -> SchedLayer {
+    SchedLayer { name: String::new(), ..*layer }
+}
+
+/// [`Scheduler::layer_key`] from an already computed context fingerprint.
+pub(crate) fn compose_key(ctx: u64, layer: &SchedLayer) -> u64 {
+    let mut h = Fnv1a::new();
+    h.write_u64(ctx);
+    layer.fingerprint_into(&mut h);
+    h.finish()
+}
+
+/// Where a planned layer search finds its schedule.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Planned {
+    /// Cache hit number `.0` of the batch.
+    Cached(usize),
+    /// Member `.1` of search unit `.0`.
+    Unit(usize, usize),
+}
+
+/// One layer shape and the search-group members that need it searched.
+struct Unit<'a> {
+    shape: SchedLayer,
+    members: Vec<&'a Scheduler>,
+    /// Per member: its cache key and the name of the layer that planned
+    /// it (the name a cache entry carries).
+    keys: Vec<(u64, String)>,
+}
+
+/// Layer searches planned in input order, then run one search-group scan
+/// per (search key, layer shape) unit.
+pub(crate) struct SearchBatch<'a> {
+    cache: Option<&'a ScheduleCache>,
+    hits: Vec<LayerSchedule>,
+    planned: HashMap<u64, (usize, usize)>,
+    unit_of: HashMap<(u64, SchedLayer), usize>,
+    units: Vec<Unit<'a>>,
+}
+
+impl<'a> SearchBatch<'a> {
+    pub(crate) fn new(cache: Option<&'a ScheduleCache>) -> Self {
+        Self {
+            cache,
+            hits: Vec::new(),
+            planned: HashMap::new(),
+            unit_of: HashMap::new(),
+            units: Vec::new(),
+        }
+    }
+
+    /// Plans the search of `layer` (cache key `key`) under `s` (search key
+    /// `search_key`), counting the lookup as the hit or miss that
+    /// [`Scheduler::schedule_layer_memo`] would count at this point of a
+    /// serial run.
+    pub(crate) fn plan(
+        &mut self,
+        s: &'a Scheduler,
+        search_key: u64,
+        key: u64,
+        layer: &SchedLayer,
+    ) -> Planned {
+        if let Some(&(unit, member)) = self.planned.get(&key) {
+            if let Some(cache) = self.cache {
+                cache.count_planned_hit(key);
+            }
+            return Planned::Unit(unit, member);
+        }
+        if let Some(hit) = self.cache.and_then(|c| c.get(key)) {
+            self.hits.push(hit);
+            return Planned::Cached(self.hits.len() - 1);
+        }
+        let units = &mut self.units;
+        let unit =
+            *self.unit_of.entry((search_key, nameless(layer))).or_insert_with_key(|(_, shape)| {
+                units.push(Unit { shape: shape.clone(), members: Vec::new(), keys: Vec::new() });
+                units.len() - 1
+            });
+        let u = &mut self.units[unit];
+        u.members.push(s);
+        u.keys.push((key, layer.name.clone()));
+        let slot = (unit, u.members.len() - 1);
+        self.planned.insert(key, slot);
+        Planned::Unit(slot.0, slot.1)
+    }
+
+    /// Scans every unit — over `threads` pool workers, or inline (no
+    /// `par.map` span) for `None` — and stores the results in the cache.
+    pub(crate) fn run(self, threads: Option<usize>) -> Searched {
+        let scan = |u: &Unit<'a>| Scheduler::search_group(&u.members, &u.shape, true);
+        let mut found = match threads {
+            Some(threads) => par::par_map_with(&self.units, threads, scan),
+            None => self.units.iter().map(scan).collect(),
+        };
+        for (unit, schedules) in self.units.into_iter().zip(&mut found) {
+            for ((key, name), s) in unit.keys.into_iter().zip(schedules) {
+                s.sim.layer = name;
+                if let Some(cache) = self.cache {
+                    cache.insert(key, s.clone());
+                }
+            }
+        }
+        Searched { hits: self.hits, found }
+    }
+}
+
+/// The schedules a [`SearchBatch`] planned: its cache hits, and what each
+/// unit's scan found per member.
+pub(crate) struct Searched {
+    hits: Vec<LayerSchedule>,
+    found: Vec<Vec<LayerSchedule>>,
+}
+
+impl Searched {
+    /// The schedule `planned` points at, named `name`.
+    pub(crate) fn get(&self, planned: Planned, name: &str) -> LayerSchedule {
+        let mut s = match planned {
+            Planned::Cached(hit) => self.hits[hit].clone(),
+            Planned::Unit(unit, member) => self.found[unit][member].clone(),
+        };
+        s.sim.layer = name.to_owned();
+        s
     }
 }
 

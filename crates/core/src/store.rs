@@ -695,6 +695,15 @@ pub struct PrecompileStats {
     pub rungs: usize,
 }
 
+impl PrecompileSpec {
+    /// Ladder rungs per (design, banks) point, nominal included:
+    /// `ladder_octaves × ladder_steps_per_octave + 1`, or `None` when that
+    /// overflows `u32`.
+    pub fn rung_count(&self) -> Option<u32> {
+        self.ladder_octaves.checked_mul(self.ladder_steps_per_octave)?.checked_add(1)
+    }
+}
+
 /// Runs the Stage-2 searches for `networks` across `spec`'s grid and
 /// inserts every finished schedule into `store`.
 ///
@@ -702,12 +711,13 @@ pub struct PrecompileStats {
 /// `rana-serve` and `rana-fleet` run online, then walks every ladder rung
 /// ([`rung_us`], divider-quantized) through it. Serving only ever operates
 /// at those rungs, so the keys of a warm-started run agree with the
-/// store's by construction.
+/// store's by construction. The rungs of one walk form one search group:
+/// each layer is searched once for every rung that reschedules it.
 ///
 /// # Panics
 ///
-/// Panics if the ladder has no step per octave or the refresh weight is
-/// below 1.
+/// Panics if the ladder has no step per octave, its rung count overflows
+/// `u32`, or the refresh weight is below 1.
 pub fn precompile(
     eval: &Evaluator,
     networks: &[Network],
@@ -716,11 +726,11 @@ pub fn precompile(
 ) -> PrecompileStats {
     check_ladder_steps(spec.ladder_steps_per_octave);
     check_refresh_weight(spec.reschedule_refresh_weight);
+    let rungs = spec.rung_count().expect("ladder rung count overflows u32");
     let cache = ScheduleCache::new();
     // key → ((layer_fp, ctx_fp, interval), strategy) provenance, recorded
     // alongside every search so the harvest below can annotate entries.
     let mut meta = HashMap::new();
-    let rungs = spec.ladder_octaves * spec.ladder_steps_per_octave + 1;
 
     for &design in &spec.designs {
         let template = eval.scheduler_for(design);
@@ -733,6 +743,17 @@ pub fn precompile(
         let full = template.cfg.buffer.num_banks;
         let banks_list: Vec<usize> =
             if spec.bank_counts.is_empty() { vec![full] } else { spec.bank_counts.clone() };
+        // The divider-quantized rung intervals, nominal first. Adjacent
+        // rungs that quantize to one divider are one scheduling context,
+        // so each is walked once.
+        let mut intervals: Vec<f64> = Vec::new();
+        for k in 0..rungs {
+            let rung = rung_us(template.refresh.interval_us, spec.ladder_steps_per_octave, k);
+            let interval_us = quantize(template.cfg.frequency_hz, rung).1;
+            if intervals.last() != Some(&interval_us) {
+                intervals.push(interval_us);
+            }
+        }
 
         for &banks in &banks_list {
             for net in networks {
@@ -744,14 +765,14 @@ pub fn precompile(
                 for l in &plan.layers {
                     record(&plan.nominal, l);
                 }
-                for k in 0..rungs {
-                    let rung =
-                        rung_us(template.refresh.interval_us, spec.ladder_steps_per_octave, k);
-                    let interval_us = quantize(template.cfg.frequency_hz, rung).1;
-                    let hedged = hedged(&plan.nominal, interval_us, spec.reschedule_refresh_weight);
-                    for (l, chosen) in plan.layers.iter().zip(plan.choose(&hedged, &cache)) {
+                let ladder: Vec<Scheduler> = intervals
+                    .iter()
+                    .map(|&iv| hedged(&plan.nominal, iv, spec.reschedule_refresh_weight))
+                    .collect();
+                for (hedged, chosen) in ladder.iter().zip(plan.choose(&ladder, &cache)) {
+                    for (l, chosen) in plan.layers.iter().zip(chosen) {
                         if let Cow::Owned(_) = chosen {
-                            record(&hedged, l);
+                            record(hedged, l);
                         }
                     }
                 }

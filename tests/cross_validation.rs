@@ -1,9 +1,15 @@
 //! Property-based cross-validation: the closed-form analysis and the
 //! tile-trace simulator must agree on cycles and traffic for arbitrary
-//! layers and tilings, on both buffer sizes and both PE organizations.
+//! layers and tilings, on both buffer sizes and both PE organizations;
+//! and one Stage-2 scan shared by a search group must equal every
+//! member's own exhaustive scan.
 
 use proptest::prelude::*;
+use rana_repro::accel::dram::Ddr3Model;
 use rana_repro::accel::{analyze, trace::trace, AcceleratorConfig, Pattern, SchedLayer, Tiling};
+use rana_repro::accel::{ControllerKind, RefreshModel};
+use rana_repro::core::scheduler::Scheduler;
+use rana_repro::core::trace::{Session, TraceConfig};
 
 fn arb_layer() -> impl Strategy<Value = SchedLayer> {
     (1usize..=48, 4usize..=30, 1usize..=48, prop_oneof![Just(1usize), Just(3), Just(5)], 1usize..=2)
@@ -100,5 +106,70 @@ proptest! {
         prop_assert_eq!(wd.storage.weight_words, layer.weight_words());
         let id = analyze(&layer, Pattern::Id, tiling, &cfg);
         prop_assert_eq!(id.storage.input_words, layer.input_words());
+    }
+}
+
+/// One search-group member: refresh interval (5–3000 µs, log-uniform so
+/// that the small layers' few-µs runtimes often span a pulse), whether its
+/// controller is refresh-optimized, and its refresh-cost weight.
+fn arb_member() -> impl Strategy<Value = (f64, bool, u32)> {
+    (0.0f64..1.0, any::<bool>(), 1u32..=8)
+        .prop_map(|(u, optimized, weight)| (5.0 * 600f64.powf(u), optimized, weight))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// A search group (one accelerator, pattern space and tiling policy;
+    /// members differing in interval, controller and refresh weight) is
+    /// scanned once, and every member gets exactly its own exhaustive
+    /// scan's schedule, with explored or fixed tiling and with or without
+    /// a bandwidth constraint.
+    #[test]
+    fn group_scan_equals_each_exhaustive_scan(
+        layer in arb_layer(),
+        scale in 0.25f64..8.0,
+        members in proptest::collection::vec(arb_member(), 1..9),
+        patterns in 0usize..3,
+        fixed_tiling in any::<bool>(),
+        bandwidth in any::<bool>(),
+    ) {
+        let cfg = AcceleratorConfig::paper_edram_scaled(scale);
+        let natural = Tiling::new(cfg.pe_rows, cfg.pe_rows, 1, cfg.pe_cols);
+        let mut template = Scheduler::rana(cfg, RefreshModel::conventional_45us());
+        template.patterns = [Pattern::RANA_SPACE.to_vec(), Pattern::ALL.to_vec(), vec![Pattern::Id]]
+            [patterns]
+            .clone();
+        template.fixed_tiling = fixed_tiling.then_some(natural);
+        template.bandwidth = bandwidth.then(|| Ddr3Model::ddr3_1600().scaled(0.1));
+        let group: Vec<Scheduler> = members
+            .iter()
+            .map(|&(interval_us, optimized, weight)| {
+                let mut s = template.clone();
+                let kind = if optimized {
+                    ControllerKind::RefreshOptimized
+                } else {
+                    ControllerKind::Conventional
+                };
+                s.refresh = RefreshModel { interval_us, kind };
+                s.model.costs.edram_refresh_pj *= f64::from(weight);
+                s
+            })
+            .collect();
+        let refs: Vec<&Scheduler> = group.iter().collect();
+
+        let session = Session::start(TraceConfig::CountersOnly);
+        let scanned = Scheduler::schedule_layer_group(&refs, &layer);
+        let report = session.finish();
+
+        for (s, got) in group.iter().zip(&scanned) {
+            prop_assert_eq!(got, &s.schedule_layer_exhaustive(&layer));
+        }
+        let tilings =
+            if fixed_tiling { 1 } else { Tiling::candidates(&layer, &template.cfg).len() };
+        let visited = report.counter("scheduler.candidates_evaluated")
+            + report.counter("scheduler.candidates_pruned");
+        prop_assert_eq!(visited, (tilings * template.patterns.len()) as u64);
+        prop_assert_eq!(report.counter("scheduler.searches"), group.len() as u64);
     }
 }

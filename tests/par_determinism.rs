@@ -140,3 +140,87 @@ fn evaluate_many_matches_pointwise() {
         assert_schedules_identical(&got.schedule, &expect.schedule, &expect.design);
     }
 }
+
+/// The batch engine's bookkeeping on an `evaluate_refresh_many` mix: two
+/// networks sharing layer shapes (AlexNet's CONV layers open
+/// AlexNet+FC), six intervals and both controllers. The batch equals
+/// point-by-point `evaluate_with_refresh` in its schedules, its cache
+/// hits, misses and entries, and its `scheduler.searches`, while it scans
+/// each (search key, layer shape) once.
+#[test]
+fn refresh_batch_matches_pointwise_and_scans_each_shape_once() {
+    use rana_repro::accel::{ControllerKind, Tiling};
+    use rana_repro::core::trace::{Session, TraceConfig};
+    use std::collections::HashSet;
+
+    let (alex, alex_fc) = (zoo::alexnet(), zoo::alexnet_with_fc());
+    let mut points = Vec::new();
+    for net in [&alex, &alex_fc] {
+        for interval_us in [45.0, 90.0, 180.0, 360.0, 720.0, 1440.0] {
+            for kind in [ControllerKind::Conventional, ControllerKind::RefreshOptimized] {
+                for design in [Design::EdOd, Design::RanaE5] {
+                    points.push((net, design, RefreshModel { interval_us, kind }));
+                }
+            }
+        }
+    }
+
+    let batched = Evaluator::paper_platform();
+    let session = Session::start(TraceConfig::CountersOnly);
+    let many = batched.evaluate_refresh_many(&points);
+    let batch = session.finish();
+
+    let pointwise = Evaluator::paper_platform();
+    let session = Session::start(TraceConfig::CountersOnly);
+    let one_by_one: Vec<_> =
+        points.iter().map(|&(net, d, r)| pointwise.evaluate_with_refresh(net, d, r)).collect();
+    let serial = session.finish();
+
+    for (got, expect) in many.iter().zip(&one_by_one) {
+        assert_eq!(got.design, expect.design);
+        assert_schedules_identical(&got.schedule, &expect.schedule, &expect.design);
+    }
+    let counts = |e: &Evaluator| (e.cache().hits(), e.cache().misses(), e.cache().len());
+    assert_eq!(counts(&batched), counts(&pointwise), "cache hits, misses and entries");
+    assert!(batched.cache().hits() > 0, "AlexNet+FC's CONV layers must hit AlexNet's searches");
+    assert_eq!(batch.counter("scheduler.searches"), serial.counter("scheduler.searches"));
+
+    // One scan per (search key, layer shape): every candidate of it is
+    // either analyzed or pruned, once.
+    let mut units = HashSet::new();
+    let mut space = 0u64;
+    for &(net, design, refresh) in &points {
+        let mut s = batched.scheduler_for(design);
+        s.refresh = refresh;
+        for conv in net.conv_layers() {
+            let layer = SchedLayer::from_conv(conv);
+            if units.insert((s.search_key(), layer.n, layer.h, layer.l, layer.m, layer.k, layer.s))
+            {
+                let tilings = match s.fixed_tiling {
+                    Some(_) => 1,
+                    None => Tiling::candidates(&layer, &s.cfg).len(),
+                };
+                space += (tilings * s.patterns.len()) as u64;
+            }
+        }
+    }
+    let scanned = |r: &rana_repro::core::trace::TelemetryReport| {
+        r.counter("scheduler.candidates_evaluated") + r.counter("scheduler.candidates_pruned")
+    };
+    assert_eq!(scanned(&batch), space, "the batch scans each (search key, shape) once");
+    assert!(scanned(&serial) > space, "point by point rescans shapes for every interval");
+}
+
+/// Persisted stores are addressed by `Scheduler::layer_key`: pin two keys
+/// so a refactor of the fingerprint walk cannot silently orphan them.
+#[test]
+fn layer_keys_are_pinned() {
+    let eval = Evaluator::paper_platform();
+    let conv1 = SchedLayer::from_conv(zoo::alexnet().conv("conv1").unwrap());
+    let res4a = SchedLayer::from_conv(zoo::resnet50().conv("res4a_branch1").unwrap());
+    assert_eq!(
+        eval.scheduler_for(Design::RanaStarE5).layer_key(&conv1),
+        15_092_657_228_089_540_336
+    );
+    assert_eq!(eval.scheduler_for(Design::SId).layer_key(&res4a), 5_429_009_543_013_634_295);
+}

@@ -87,9 +87,8 @@ fn session_report_counts_past_ring_overflow() {
     assert_eq!(shared.dropped(), 8);
 }
 
-/// The Figure 15 AlexNet row as `Evaluator::evaluate_many` runs it, with
-/// the pool width pinned to `threads`: the design points fan over the
-/// pool and every network search runs on one thread.
+/// The Figure 15 AlexNet row with its design points fanned over a pool
+/// pinned to `threads` workers, every network search on one thread.
 fn sweep(threads: usize) -> Vec<NetworkSchedule> {
     let eval = Evaluator::paper_platform();
     let net = rana_zoo::alexnet();
