@@ -19,21 +19,33 @@
 //! * [`Engine::Scalar`] — the straight-line reference: one buffer read
 //!   per operand, one MAC at a time. Kept as the golden model.
 //! * [`Engine::Blocked`] — the default: resolves charge decay once per
-//!   buffer *row* (with per-word access multiplicities so read/fault
-//!   accounting matches the scalar engine exactly), then runs the MAC
-//!   nest over contiguous scratch rows with rounded products accumulated
-//!   in 32-bit lanes the compiler autovectorizes. All reads in a tile
-//!   resolve at the same timestamp and resolution is pure, so hoisting
-//!   them is observationally equivalent.
+//!   buffer word, reading each of a tile's operand boxes (inputs, weights,
+//!   output partials) in as few contiguous pieces as it allows, with
+//!   per-word access multiplicities so read/fault accounting matches the
+//!   scalar engine exactly. All reads in a tile resolve at the same
+//!   timestamp and resolution is pure, so hoisting them is observationally
+//!   equivalent. It then runs each (input channel, u, v) step of the tile
+//!   as one rank-1 update with rounded products accumulated in 32-bit
+//!   lanes the compiler autovectorizes. The lanes are the tile's output
+//!   channels, the axis the PE array's rows compute in parallel, over
+//!   weights transposed once per tile — unless the tile's output columns
+//!   form the longer axis and are not strided, as in a depthwise group
+//!   (one channel) or a 1×1 layer on a wide map; then the columns are the
+//!   lanes. Each product is rounded before it is summed and the sums are
+//!   exact, so the summation order cannot change a bit.
 //!
 //! Both engines resolve decay through `EdramArray`. Its weakest-cell
 //! filter returns a word as stored whenever the failure rate of the word's
 //! age is at or below a power-of-two floor under its weakest cell's
 //! retention quantile. That is exact, since no bit of such a word can
 //! fail, so only the rare words with a failing cell pay for the 16 per-bit
-//! retention hashes. Each word computes its floor once, on its first
-//! decayed resolution. Refresh pulses resolve a bank in runs of words
-//! that share a write timestamp.
+//! retention hashes. The floors live in a [`WeakestCellMap`] with one
+//! floor per word and one per block of 64 words; row reads and refresh
+//! pulses, which work on runs of words that share a write timestamp, copy
+//! or skip a whole block whose weakest cell outlives the run's failure
+//! rate. One call builds one map and every channel group's buffer shares
+//! it, as do the images of a `rana_core::execute_layer_batch` call, so
+//! each block is filled once per call.
 //!
 //! Scope: the resident sets must fit the buffer (no spill modeling here —
 //! use small layers or a big buffer; the analytic engines cover spills).
@@ -42,7 +54,9 @@ use crate::config::AcceleratorConfig;
 use crate::kernel;
 use crate::layer::SchedLayer;
 use crate::pattern::{LoopDim, Pattern, TileAxis, Tiling};
-use rana_edram::{EdramArray, RefreshConfig, RetentionDistribution};
+use rana_edram::{EdramArray, RefreshConfig, RetentionDistribution, WeakestCellMap};
+use std::ops::Range;
+use std::sync::Arc;
 
 /// Memory behaviour of the functional buffer.
 #[derive(Debug, Clone)]
@@ -61,6 +75,25 @@ pub enum BufferModel {
     },
 }
 
+impl BufferModel {
+    /// A fresh weakest-cell map of this model's cells on `cfg`'s buffer:
+    /// what the buffer simulations of one functional call share (see
+    /// [`execute_layer_grouped_on`]).
+    pub fn cell_map(&self, cfg: &AcceleratorConfig) -> Arc<WeakestCellMap> {
+        let words = cfg.buffer.num_banks * cfg.buffer.bank_words;
+        Arc::new(WeakestCellMap::new(self.cell_seed(), words))
+    }
+
+    /// The per-cell retention seed (0 for ideal storage, whose cells never
+    /// fail).
+    fn cell_seed(&self) -> u64 {
+        match self {
+            BufferModel::Ideal => 0,
+            BufferModel::Edram { seed, .. } => *seed,
+        }
+    }
+}
+
 /// Result of a functional layer execution.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FunctionalResult {
@@ -71,9 +104,11 @@ pub struct FunctionalResult {
     pub cycles: u64,
     /// Words refreshed by the controller during execution.
     pub refresh_words: u64,
-    /// Bit faults injected over the run — on buffer reads, and on late
-    /// refreshes that lock corrupted bits in (each decayed bit counted
-    /// once, at the access that first resolves it).
+    /// Bit faults injected over the run, counted per access: every buffer
+    /// read counts the flipped bits of the word it returns, so a decayed
+    /// word read twice counts them twice, and a late refresh counts the
+    /// bits it locks in. Per-access counting is what makes
+    /// `faults / (reads × 16)` a per-bit rate.
     pub faults: u64,
     /// Buffer words read by the compute (refresh resolutions excluded).
     /// `faults / (reads × 16)` is the realized per-bit failure rate the
@@ -167,7 +202,8 @@ pub enum Engine {
 /// # Panics
 ///
 /// Panics if the operand lengths do not match the layer shape, if
-/// `layer.groups != 1`, or if the resident sets overflow the buffer.
+/// `layer.groups != 1`, if the resident sets overflow the buffer, or if
+/// the model's refresh interval is not finite and positive.
 #[allow(clippy::too_many_arguments)] // mirrors the hardware interface: layer, mapping, machine, operands
 pub fn execute_layer(
     layer: &SchedLayer,
@@ -229,9 +265,218 @@ pub fn execute_layer_with(
     model: &BufferModel,
 ) -> FunctionalResult {
     assert_eq!(layer.groups, 1, "the functional engine runs one channel group");
-    assert_eq!(inputs.len(), (layer.n * layer.h * layer.l), "input length mismatch");
-    assert_eq!(weights.len(), layer.m * layer.n * layer.k * layer.k, "weight length mismatch");
+    execute_layer_grouped_with(engine, layer, pattern, tiling, cfg, inputs, weights, formats, model)
+}
 
+/// Executes a CONV layer functionally, handling grouped convolutions.
+///
+/// Channel groups are independent sub-convolutions (AlexNet conv2/4/5,
+/// depthwise layers): each group runs the tile loop on a buffer of its
+/// own (the groups share one weakest-cell map, see
+/// [`execute_layer_grouped_on`]), outputs are concatenated in group
+/// order, and cycles/statistics sum across groups. With
+/// `layer.groups == 1` this is exactly [`execute_layer`].
+///
+/// `inputs` is `groups × n × h × l` row-major, `weights` is
+/// `groups × m × n × k × k` (per-group channel counts, as
+/// [`SchedLayer`] carries them); outputs are `groups × m × r × c`.
+///
+/// # Example
+///
+/// ```
+/// use rana_accel::exec::{execute_layer_grouped, BufferModel, Formats};
+/// use rana_accel::{AcceleratorConfig, Pattern, SchedLayer, Tiling};
+///
+/// let layer = SchedLayer {
+///     name: "grouped".into(), n: 1, h: 2, l: 2, m: 1, k: 1, s: 1,
+///     r: 2, c: 2, pad: 0, groups: 2,
+/// };
+/// let cfg = AcceleratorConfig::paper_edram();
+/// let inputs: Vec<i16> = (0..8).collect(); // two groups of 1x2x2
+/// // Group 0 multiplies by 1.0 (Q3.12 raw 4096), group 1 by 2.0.
+/// let r = execute_layer_grouped(&layer, Pattern::Od, Tiling::new(16, 16, 1, 16),
+///     &cfg, &inputs, &[4096, 8192], Formats::default(), &BufferModel::Ideal);
+/// assert_eq!(r.outputs, vec![0, 1, 2, 3, 8, 10, 12, 14]);
+/// ```
+///
+/// # Panics
+///
+/// Panics if the operand lengths do not match the grouped layer shape, if
+/// a group's resident set overflows the buffer, or if the model's refresh
+/// interval is not finite and positive.
+#[allow(clippy::too_many_arguments)]
+pub fn execute_layer_grouped(
+    layer: &SchedLayer,
+    pattern: Pattern,
+    tiling: Tiling,
+    cfg: &AcceleratorConfig,
+    inputs: &[i16],
+    weights: &[i16],
+    formats: Formats,
+    model: &BufferModel,
+) -> FunctionalResult {
+    execute_layer_grouped_with(
+        Engine::default(),
+        layer,
+        pattern,
+        tiling,
+        cfg,
+        inputs,
+        weights,
+        formats,
+        model,
+    )
+}
+
+/// [`execute_layer_grouped`] with an explicit tile-compute [`Engine`].
+///
+/// # Panics
+///
+/// Same contract as [`execute_layer_grouped`].
+#[allow(clippy::too_many_arguments)]
+pub fn execute_layer_grouped_with(
+    engine: Engine,
+    layer: &SchedLayer,
+    pattern: Pattern,
+    tiling: Tiling,
+    cfg: &AcceleratorConfig,
+    inputs: &[i16],
+    weights: &[i16],
+    formats: Formats,
+    model: &BufferModel,
+) -> FunctionalResult {
+    execute_layer_grouped_on(
+        &model.cell_map(cfg),
+        engine,
+        layer,
+        pattern,
+        tiling,
+        cfg,
+        inputs,
+        weights,
+        formats,
+        model,
+    )
+}
+
+/// [`execute_layer_grouped_with`] on a caller-built weakest-cell map: the
+/// one entry every functional run goes through.
+///
+/// Every channel group's buffer simulation resolves decay through `cells`,
+/// so a block of cells is filled once per map rather than once per group.
+/// A caller that runs several images of one layer builds one map with
+/// [`BufferModel::cell_map`] and passes it to every image, as
+/// `rana_core::execute_layer_batch` does. The map holds only pure
+/// functions of the cell seed and address, so the result is the one a
+/// fresh map gives.
+///
+/// ```
+/// use rana_accel::exec::{execute_layer_grouped_on, execute_layer_grouped_with};
+/// use rana_accel::exec::{BufferModel, Engine, Formats};
+/// use rana_accel::{AcceleratorConfig, Pattern, SchedLayer, Tiling};
+/// use rana_edram::{RefreshConfig, RetentionDistribution};
+///
+/// let layer = SchedLayer {
+///     name: "tiny".into(), n: 1, h: 4, l: 4, m: 1, k: 1, s: 1,
+///     r: 4, c: 4, pad: 0, groups: 1,
+/// };
+/// let cfg = AcceleratorConfig::paper_edram();
+/// let model = BufferModel::Edram {
+///     dist: RetentionDistribution::kong2008(),
+///     seed: 7,
+///     refresh: Some(RefreshConfig::conventional(45.0)),
+/// };
+/// let cells = model.cell_map(&cfg);
+/// let args = (&layer, Pattern::Od, Tiling::new(16, 16, 1, 16), &cfg);
+/// for image in [[3i16; 16], [-5; 16]] {
+///     let shared = execute_layer_grouped_on(&cells, Engine::Blocked, args.0, args.1,
+///         args.2, args.3, &image, &[4096], Formats::default(), &model);
+///     let fresh = execute_layer_grouped_with(Engine::Blocked, args.0, args.1, args.2,
+///         args.3, &image, &[4096], Formats::default(), &model);
+///     assert_eq!(shared, fresh);
+/// }
+/// ```
+///
+/// # Panics
+///
+/// Same contract as [`execute_layer_grouped`]; also panics if `cells` is
+/// on another cell seed than the model or covers fewer words than the
+/// buffer holds.
+#[allow(clippy::too_many_arguments)]
+pub fn execute_layer_grouped_on(
+    cells: &Arc<WeakestCellMap>,
+    engine: Engine,
+    layer: &SchedLayer,
+    pattern: Pattern,
+    tiling: Tiling,
+    cfg: &AcceleratorConfig,
+    inputs: &[i16],
+    weights: &[i16],
+    formats: Formats,
+    model: &BufferModel,
+) -> FunctionalResult {
+    if let BufferModel::Edram { refresh: Some(rc), .. } = model {
+        // A zero interval would never finish issuing pulses, and a
+        // negative or NaN one would silently issue none.
+        assert!(
+            rc.interval_us.is_finite() && rc.interval_us > 0.0,
+            "refresh interval must be finite and positive, got {} us",
+            rc.interval_us
+        );
+    }
+    assert_eq!(cells.seed(), model.cell_seed(), "weakest-cell map built for another cell seed");
+    let g = layer.groups;
+    let in_g = layer.n * layer.h * layer.l;
+    let w_g = layer.m * layer.n * layer.k * layer.k;
+    let o_g = layer.m * layer.r * layer.c;
+    assert_eq!(inputs.len(), g * in_g, "input length mismatch");
+    assert_eq!(weights.len(), g * w_g, "weight length mismatch");
+
+    let sub = SchedLayer { groups: 1, ..layer.clone() };
+    let mut total = FunctionalResult {
+        outputs: Vec::with_capacity(g * o_g),
+        cycles: 0,
+        refresh_words: 0,
+        faults: 0,
+        reads: 0,
+    };
+    for gi in 0..g {
+        let r = run_group(
+            cells,
+            engine,
+            &sub,
+            pattern,
+            tiling,
+            cfg,
+            &inputs[gi * in_g..(gi + 1) * in_g],
+            &weights[gi * w_g..(gi + 1) * w_g],
+            formats,
+            model,
+        );
+        total.outputs.extend_from_slice(&r.outputs);
+        total.cycles += r.cycles;
+        total.refresh_words += r.refresh_words;
+        total.faults += r.faults;
+        total.reads += r.reads;
+    }
+    total
+}
+
+/// One channel group through the tile loop nest, on a buffer whose cells
+/// decay through `cells`.
+#[allow(clippy::too_many_arguments)]
+fn run_group(
+    cells: &Arc<WeakestCellMap>,
+    engine: Engine,
+    layer: &SchedLayer,
+    pattern: Pattern,
+    tiling: Tiling,
+    cfg: &AcceleratorConfig,
+    inputs: &[i16],
+    weights: &[i16],
+    formats: Formats,
+    model: &BufferModel,
+) -> FunctionalResult {
     let t = tiling.clamped_to(layer);
     let (n_words, w_words, o_words) = (inputs.len(), weights.len(), layer.m * layer.r * layer.c);
     let capacity = cfg.buffer.num_banks * cfg.buffer.bank_words;
@@ -246,11 +491,16 @@ pub fn execute_layer_with(
     let w_base = n_words;
     let o_base = n_words + w_words;
 
-    let (dist, seed, refresh) = match model {
-        BufferModel::Ideal => (ideal_distribution(), 0, None),
-        BufferModel::Edram { dist, seed, refresh } => (dist.clone(), *seed, refresh.clone()),
+    let (dist, refresh) = match model {
+        BufferModel::Ideal => (ideal_distribution(), None),
+        BufferModel::Edram { dist, refresh, .. } => (dist.clone(), refresh.as_ref()),
     };
-    let mut mem = EdramArray::new(cfg.buffer.num_banks, cfg.buffer.bank_words, dist, seed);
+    let mut mem = EdramArray::with_cells(
+        cfg.buffer.num_banks,
+        cfg.buffer.bank_words,
+        dist,
+        Arc::clone(cells),
+    );
     let mut refresh_words = 0u64;
     let mut last_pulse_idx: i64 = 0;
 
@@ -369,7 +619,7 @@ pub fn execute_layer_with(
 
                 // Refresh runs concurrently with compute: issue every pulse
                 // due by the end of this iteration before its reads resolve.
-                if let Some(rc) = &refresh {
+                if let Some(rc) = refresh {
                     let due = (end / rc.interval_us).floor() as i64;
                     while last_pulse_idx < due {
                         last_pulse_idx += 1;
@@ -411,9 +661,10 @@ pub fn execute_layer_with(
     }
 
     // Fault/read accounting comes from the memory model itself: reads are
-    // the compute-side accesses (refresh resolutions don't count reads),
-    // faults include bits a late refresh locked in — counted once, at the
-    // refresh — so the realized rate reflects end-to-end corruption.
+    // the compute-side accesses (refresh resolutions don't count reads);
+    // faults count a decayed word's flipped bits at every access that
+    // resolves them, each read again and a late refresh once, so
+    // `faults / (reads × 16)` is a per-bit rate of end-to-end corruption.
     let stats = mem.stats();
     if rana_trace::enabled() {
         rana_trace::emit(|| rana_trace::Event::ExecCompleted {
@@ -433,122 +684,6 @@ pub fn execute_layer_with(
         faults: stats.faults,
         reads: stats.reads,
     }
-}
-
-/// Executes a CONV layer functionally, handling grouped convolutions.
-///
-/// Channel groups are independent sub-convolutions (AlexNet conv2/4/5,
-/// depthwise layers): each group runs through [`execute_layer`] with its
-/// own buffer residency, outputs are concatenated in group order, and
-/// cycles/statistics sum across groups. With `layer.groups == 1` this is
-/// exactly [`execute_layer`].
-///
-/// `inputs` is `groups × n × h × l` row-major, `weights` is
-/// `groups × m × n × k × k` (per-group channel counts, as
-/// [`SchedLayer`] carries them); outputs are `groups × m × r × c`.
-///
-/// # Example
-///
-/// ```
-/// use rana_accel::exec::{execute_layer_grouped, BufferModel, Formats};
-/// use rana_accel::{AcceleratorConfig, Pattern, SchedLayer, Tiling};
-///
-/// let layer = SchedLayer {
-///     name: "grouped".into(), n: 1, h: 2, l: 2, m: 1, k: 1, s: 1,
-///     r: 2, c: 2, pad: 0, groups: 2,
-/// };
-/// let cfg = AcceleratorConfig::paper_edram();
-/// let inputs: Vec<i16> = (0..8).collect(); // two groups of 1x2x2
-/// // Group 0 multiplies by 1.0 (Q3.12 raw 4096), group 1 by 2.0.
-/// let r = execute_layer_grouped(&layer, Pattern::Od, Tiling::new(16, 16, 1, 16),
-///     &cfg, &inputs, &[4096, 8192], Formats::default(), &BufferModel::Ideal);
-/// assert_eq!(r.outputs, vec![0, 1, 2, 3, 8, 10, 12, 14]);
-/// ```
-///
-/// # Panics
-///
-/// Panics if the operand lengths do not match the grouped layer shape or
-/// a group's resident set overflows the buffer.
-#[allow(clippy::too_many_arguments)]
-pub fn execute_layer_grouped(
-    layer: &SchedLayer,
-    pattern: Pattern,
-    tiling: Tiling,
-    cfg: &AcceleratorConfig,
-    inputs: &[i16],
-    weights: &[i16],
-    formats: Formats,
-    model: &BufferModel,
-) -> FunctionalResult {
-    execute_layer_grouped_with(
-        Engine::default(),
-        layer,
-        pattern,
-        tiling,
-        cfg,
-        inputs,
-        weights,
-        formats,
-        model,
-    )
-}
-
-/// [`execute_layer_grouped`] with an explicit tile-compute [`Engine`].
-///
-/// # Panics
-///
-/// Same contract as [`execute_layer_grouped`].
-#[allow(clippy::too_many_arguments)]
-pub fn execute_layer_grouped_with(
-    engine: Engine,
-    layer: &SchedLayer,
-    pattern: Pattern,
-    tiling: Tiling,
-    cfg: &AcceleratorConfig,
-    inputs: &[i16],
-    weights: &[i16],
-    formats: Formats,
-    model: &BufferModel,
-) -> FunctionalResult {
-    let g = layer.groups;
-    if g == 1 {
-        return execute_layer_with(
-            engine, layer, pattern, tiling, cfg, inputs, weights, formats, model,
-        );
-    }
-    let in_g = layer.n * layer.h * layer.l;
-    let w_g = layer.m * layer.n * layer.k * layer.k;
-    let o_g = layer.m * layer.r * layer.c;
-    assert_eq!(inputs.len(), g * in_g, "grouped input length mismatch");
-    assert_eq!(weights.len(), g * w_g, "grouped weight length mismatch");
-
-    let sub = SchedLayer { groups: 1, ..layer.clone() };
-    let mut total = FunctionalResult {
-        outputs: Vec::with_capacity(g * o_g),
-        cycles: 0,
-        refresh_words: 0,
-        faults: 0,
-        reads: 0,
-    };
-    for gi in 0..g {
-        let r = execute_layer_with(
-            engine,
-            &sub,
-            pattern,
-            tiling,
-            cfg,
-            &inputs[gi * in_g..(gi + 1) * in_g],
-            &weights[gi * w_g..(gi + 1) * w_g],
-            formats,
-            model,
-        );
-        total.outputs.extend_from_slice(&r.outputs);
-        total.cycles += r.cycles;
-        total.refresh_words += r.refresh_words;
-        total.faults += r.faults;
-        total.reads += r.reads;
-    }
-    total
 }
 
 /// Applies the fixed-point product shift with round-half-up, exactly as
@@ -609,20 +744,30 @@ struct ExecArena {
     u_cnt: Vec<u64>,
     /// V(v): valid oj count per kernel column.
     v_cnt: Vec<u64>,
-    /// U(u)·V(v) per weight word of a k×k block.
+    /// A(iy)·B(ix) per word of the input footprint.
+    in_mult: Vec<u64>,
+    /// U(u)·V(v) per weight word of one contiguous piece of the tile's
+    /// weights.
     w_mult: Vec<u64>,
-    /// Decay-resolved input rows of the tile footprint.
-    in_rows: Vec<i16>,
-    /// Decay-resolved k×k weight blocks of the tile.
-    w_block: Vec<i16>,
-    /// 32-bit accumulator lanes (one per output column of the tile).
+    /// Per kernel column v: the valid output-column lanes and the offset of
+    /// the first one's input column in the footprint row.
+    col_lanes: Vec<(usize, usize, usize)>,
+    /// Decay-resolved input footprint (channel, row, column).
+    in_box: Vec<i16>,
+    /// Decay-resolved weights (output channel, input channel, u, v).
+    w_box: Vec<i16>,
+    /// The weights transposed: one row of `tm_e` output channels per
+    /// (input channel, u, v) step.
+    w_cols: Vec<i16>,
+    /// 32-bit accumulator lanes of one output row: output column-major,
+    /// output channel-minor.
     acc32: Vec<i32>,
-    /// 64-bit accumulators the lanes drain into.
+    /// 64-bit accumulators the lanes drain into (same layout).
     acc64: Vec<i64>,
-    /// Output-partial row scratch.
-    part_row: Vec<i16>,
-    /// Clamped writeback row scratch.
-    clamp_row: Vec<i16>,
+    /// Output partials of the tile (channel, row, column).
+    part: Vec<i16>,
+    /// Clamped writeback values of the tile (same layout).
+    clamp: Vec<i16>,
 }
 
 /// Grows `v` to at least `n` elements and returns the `n`-sized prefix.
@@ -631,6 +776,28 @@ fn grown<T: Clone + Default>(v: &mut Vec<T>, n: usize) -> &mut [T] {
         v.resize(n, T::default());
     }
     &mut v[..n]
+}
+
+/// The contiguous pieces of the box `lo + [0, ext)` of a row-major array
+/// shaped `[_, h, l]`, as `(array offset, dense range)` pairs in the
+/// box's own row-major order: rows spanning all `l` columns merge into
+/// one piece per plane, and planes spanning all `h` rows into one piece.
+fn box_spans(
+    [h, l]: [usize; 2],
+    lo: [usize; 3],
+    ext: [usize; 3],
+) -> impl Iterator<Item = (usize, Range<usize>)> {
+    let run = if ext[2] < l {
+        ext[2]
+    } else if ext[1] < h {
+        ext[1] * l
+    } else {
+        ext[0] * h * l
+    };
+    (0..ext[0] * ext[1] * ext[2]).step_by(run.max(1)).map(move |o| {
+        let (plane, row, col) = (o / (ext[1] * ext[2]), o / ext[2] % ext[1], o % ext[2]);
+        (((lo[0] + plane) * h + lo[1] + row) * l + lo[2] + col, o..o + run)
+    })
 }
 
 /// The reference tile compute: per-word buffer reads, one MAC at a time.
@@ -695,9 +862,10 @@ fn scalar_tile(ctx: &TileCtx<'_>, mem: &mut EdramArray, outputs: &mut [i16]) {
     }
 }
 
-/// The blocked tile compute: charge decay resolved once per buffer row
-/// into arena scratch (with exact access multiplicities), then a
-/// lane-parallel MAC nest over contiguous rows.
+/// The blocked tile compute: charge decay resolved once per buffer word
+/// into arena scratch (with exact access multiplicities), then a MAC nest
+/// that runs each (input channel, u, v) step as one rank-1 update of an
+/// output row's accumulators.
 ///
 /// Equivalence to [`scalar_tile`] rests on two facts: every read of this
 /// tile resolves at the same timestamp `end`, and resolution is a pure
@@ -705,7 +873,19 @@ fn scalar_tile(ctx: &TileCtx<'_>, mem: &mut EdramArray, outputs: &mut [i16]) {
 /// reusing the value is indistinguishable from re-reading it, as long as
 /// reads/faults are accounted with the scalar engine's multiplicities:
 /// input word (ch, iy, ix) is read `tm_e · A(iy) · B(ix)` times, weight
-/// word (m, ch, u, v) `U(u) · V(v)` times.
+/// word (m, ch, u, v) `U(u) · V(v)` times. Distinct words never interact,
+/// so the tile reads each operand box, and reads and writes its output
+/// partials, in as few contiguous pieces as the boxes allow. Each product
+/// is rounded before it is summed and the sums are exact, so any summation
+/// order gives the same bits.
+///
+/// The vector lanes are the tile's output channels, the axis the PE
+/// array's rows compute in parallel: a step adds one input value times a
+/// row of `tm_e` weights to each output column. When the output columns
+/// are the longer axis and unit-stride, as in a depthwise group (one
+/// channel) or a 1×1 layer on a wide map, they are the lanes instead: a
+/// step adds one weight times a row of input values to each channel. The
+/// axis comes from the tile's shape alone.
 fn blocked_tile(
     ctx: &TileCtx<'_>,
     mem: &mut EdramArray,
@@ -716,14 +896,15 @@ fn blocked_tile(
     let (k, s, pad) = (ly.k, ly.s, ly.pad as isize);
     let k2 = k * k;
     let end = ctx.end;
+    let (tm_e, tn_e, tr_e, tc_e) = (ctx.tm_e, ctx.tn_e, ctx.tr_e, ctx.tc_e);
 
     // Tile input footprint, clipped to the feature map.
     let iy_min = (ctx.r0 * s) as isize - pad;
-    let iy_max = ((ctx.r0 + ctx.tr_e - 1) * s + k - 1) as isize - pad;
+    let iy_max = ((ctx.r0 + tr_e - 1) * s + k - 1) as isize - pad;
     let iy_lo = iy_min.max(0) as usize;
     let n_iy = (iy_max.min(ly.h as isize - 1) + 1 - iy_lo as isize).max(0) as usize;
     let ix_min = (ctx.c0 * s) as isize - pad;
-    let ix_max = ((ctx.c0 + ctx.tc_e - 1) * s + k - 1) as isize - pad;
+    let ix_max = ((ctx.c0 + tc_e - 1) * s + k - 1) as isize - pad;
     let ix_lo = ix_min.max(0) as usize;
     let n_ix = (ix_max.min(ly.l as isize - 1) + 1 - ix_lo as isize).max(0) as usize;
     let row_w = n_ix;
@@ -733,13 +914,16 @@ fn blocked_tile(
         b_mult,
         u_cnt,
         v_cnt,
+        in_mult,
         w_mult,
-        in_rows,
-        w_block,
+        col_lanes,
+        in_box,
+        w_box,
+        w_cols,
         acc32,
         acc64,
-        part_row,
-        clamp_row,
+        part,
+        clamp,
     } = arena;
 
     // Access multiplicities of the scalar loop nest over this tile.
@@ -747,7 +931,7 @@ fn blocked_tile(
     let u_cnt = grown(u_cnt, k);
     a_cnt.fill(0);
     u_cnt.fill(0);
-    for oi_ in 0..ctx.tr_e {
+    for oi_ in 0..tr_e {
         for (u, uc) in u_cnt.iter_mut().enumerate() {
             let iy = ((ctx.r0 + oi_) * s + u) as isize - pad;
             if (0..ly.h as isize).contains(&iy) {
@@ -760,7 +944,7 @@ fn blocked_tile(
     let v_cnt = grown(v_cnt, k);
     b_mult.fill(0);
     v_cnt.fill(0);
-    for oj_ in 0..ctx.tc_e {
+    for oj_ in 0..tc_e {
         for (v, vc) in v_cnt.iter_mut().enumerate() {
             let ix = ((ctx.c0 + oj_) * s + v) as isize - pad;
             if (0..ly.l as isize).contains(&ix) {
@@ -769,154 +953,194 @@ fn blocked_tile(
             }
         }
     }
-    let w_mult = grown(w_mult, k2);
-    for u in 0..k {
-        for v in 0..k {
-            w_mult[u * k + v] = u_cnt[u] * v_cnt[v];
-        }
+    let in_words = tn_e * n_iy * row_w;
+    let in_mult = grown(in_mult, in_words);
+    let row_mults = a_cnt.iter().flat_map(|&a| b_mult.iter().map(move |&b| a * b));
+    for (m, ab) in in_mult.iter_mut().zip(row_mults.cycle()) {
+        *m = ab;
     }
-
-    // Resolve the tile's input rows and weight blocks once each, with the
-    // multiplicities above charged to the access statistics.
-    let in_rows = grown(in_rows, ctx.tn_e * n_iy * row_w);
-    for ci in 0..ctx.tn_e {
-        let ch = ctx.n0 + ci;
-        for (yi, &a) in a_cnt.iter().enumerate() {
-            if a == 0 {
-                continue; // row never touched by this tile (stride gap)
+    // Every weight piece holds whole k×k blocks of the same U(u)·V(v).
+    let w_words = tm_e * tn_e * k2;
+    let w_spans = || box_spans([ly.n, k2], [ctx.m0, ctx.n0, 0], [tm_e, tn_e, k2]);
+    let w_mult = grown(w_mult, w_spans().next().map_or(0, |(_, words)| words.len()));
+    for block in w_mult.chunks_exact_mut(k2) {
+        for u in 0..k {
+            for v in 0..k {
+                block[u * k + v] = u_cnt[u] * v_cnt[v];
             }
-            let addr = ctx.in_base + (ch * ly.h + iy_lo + yi) * ly.l + ix_lo;
-            let dst = &mut in_rows[(ci * n_iy + yi) * row_w..][..row_w];
-            mem.read_row_weighted(addr, end, dst, b_mult, ctx.tm_e as u64 * a);
-        }
-    }
-    let w_block = grown(w_block, ctx.tm_e * ctx.tn_e * k2);
-    for mi_ in 0..ctx.tm_e {
-        for ci in 0..ctx.tn_e {
-            let addr = ctx.w_base + ((ctx.m0 + mi_) * ly.n + ctx.n0 + ci) * k2;
-            let dst = &mut w_block[(mi_ * ctx.tn_e + ci) * k2..][..k2];
-            mem.read_row_weighted(addr, end, dst, w_mult, 1);
         }
     }
 
-    let acc32 = grown(acc32, ctx.tc_e);
-    let acc64 = grown(acc64, ctx.tc_e);
-    let part_row = grown(part_row, ctx.tc_e);
-    let clamp_row = grown(clamp_row, ctx.tc_e);
+    // Resolve the tile's input footprint and weights once each, with the
+    // multiplicities above charged to the access statistics. (Stride-gap
+    // rows no output reads carry multiplicity 0: resolved, not counted.)
+    let in_box = grown(in_box, in_words);
+    let in_spans = box_spans([ly.h, ly.l], [ctx.n0, iy_lo, ix_lo], [tn_e, n_iy, n_ix]);
+    for (addr, words) in in_spans {
+        let (dst, mult) = (&mut in_box[words.clone()], &in_mult[words]);
+        mem.read_row_weighted(ctx.in_base + addr, end, dst, mult, tm_e as u64);
+    }
+    let w_box = grown(w_box, w_words);
+    for (addr, words) in w_spans() {
+        let mult = &w_mult[..words.len()];
+        mem.read_row_weighted(ctx.w_base + addr, end, &mut w_box[words], mult, 1);
+    }
+    // Transposed, step (ci, u, v) owns one row of tm_e lanes.
+    let w_cols = grown(w_cols, w_words);
+    for (mi, weights) in w_box.chunks_exact(tn_e * k2).enumerate() {
+        for (step, &w) in weights.iter().enumerate() {
+            w_cols[step * tm_e + mi] = w;
+        }
+    }
 
-    for mi_ in 0..ctx.tm_e {
-        let m = ctx.m0 + mi_;
-        for oi_ in 0..ctx.tr_e {
-            let oi = ctx.r0 + oi_;
-            let out_row = (m * ly.r + oi) * ly.c + ctx.c0;
-            if ctx.first_n {
-                acc64.fill(0);
-            } else {
-                match ctx.pattern {
-                    Pattern::Od => {
-                        mem.read_row_into(ctx.o_base + out_row, end, part_row);
-                        for (a, &p) in acc64.iter_mut().zip(part_row.iter()) {
-                            *a = i64::from(p);
-                        }
-                    }
-                    Pattern::Id | Pattern::Wd => {
-                        for (a, &p) in acc64.iter_mut().zip(&outputs[out_row..out_row + ctx.tc_e]) {
-                            *a = i64::from(p);
-                        }
-                    }
+    // Per kernel column v, the output-column lanes lo..hi whose input
+    // column ix = base_ix + lane·s lies in [0, l), lane lo at offset `off`
+    // of the footprint row (lo == hi: none).
+    let col_lanes = grown(col_lanes, k);
+    for (v, lanes) in col_lanes.iter_mut().enumerate() {
+        let base_ix = (ctx.c0 * s + v) as isize - pad;
+        let lo = if base_ix >= 0 { 0 } else { ((-base_ix) as usize).div_ceil(s) };
+        let hi = if base_ix >= ly.l as isize {
+            0
+        } else {
+            ((ly.l as isize - base_ix) as usize).div_ceil(s).min(tc_e)
+        };
+        *lanes = if lo < hi {
+            (lo, hi, (base_ix + (lo * s) as isize) as usize - ix_lo)
+        } else {
+            (0, 0, 0)
+        };
+    }
+
+    // Running partials: OD reads them back from the buffer (the
+    // self-refreshing reread), ID/WD from the stash in `outputs`.
+    let out_spans = || box_spans([ly.r, ly.c], [ctx.m0, ctx.r0, ctx.c0], [tm_e, tr_e, tc_e]);
+    let tile_words = tm_e * tr_e * tc_e;
+    let part = grown(part, tile_words);
+    if !ctx.first_n {
+        for (addr, words) in out_spans() {
+            match ctx.pattern {
+                Pattern::Od => mem.read_row_into(ctx.o_base + addr, end, &mut part[words]),
+                Pattern::Id | Pattern::Wd => {
+                    part[words.clone()].copy_from_slice(&outputs[addr..addr + words.len()]);
                 }
             }
-            acc32.fill(0);
-            let mut terms = 0usize;
-            for ci in 0..ctx.tn_e {
-                for u in 0..k {
-                    let iy = (oi * s + u) as isize - pad;
-                    if !(0..ly.h as isize).contains(&iy) {
+        }
+    }
+
+    // The lanes run along the longer of the tile's output channels and its
+    // output columns, so a step makes the fewest kernel calls, except that
+    // strided columns, which do not vectorize, never beat two or more
+    // channels. Accumulator (oj, mi) sits at oj·col_step + mi·ch_step, so
+    // each lane row is contiguous.
+    let column_lanes = tm_e == 1 || (s == 1 && tc_e > tm_e);
+    let (col_step, ch_step) = if column_lanes { (1, tc_e) } else { (tm_e, 1) };
+    let acc32 = grown(acc32, tc_e * tm_e);
+    let acc64 = grown(acc64, tc_e * tm_e);
+    let clamp = grown(clamp, tile_words);
+    for oi_ in 0..tr_e {
+        let oi = ctx.r0 + oi_;
+        // Dense (channel, row, column) index of (mi, oi, column 0).
+        let at = |mi: usize| (mi * tr_e + oi_) * tc_e;
+        if ctx.first_n {
+            acc64.fill(0);
+        } else {
+            for mi in 0..tm_e {
+                for (oj, &p) in part[at(mi)..at(mi) + tc_e].iter().enumerate() {
+                    acc64[oj * col_step + mi * ch_step] = i64::from(p);
+                }
+            }
+        }
+        acc32.fill(0);
+        let mut terms = 0usize;
+        for ci in 0..tn_e {
+            for u in 0..k {
+                let iy = (oi * s + u) as isize - pad;
+                if !(0..ly.h as isize).contains(&iy) {
+                    continue;
+                }
+                let x_row = &in_box[(ci * n_iy + (iy as usize - iy_lo)) * row_w..][..row_w];
+                for (v, &(lo, hi, off)) in col_lanes.iter().enumerate() {
+                    if lo == hi {
                         continue;
                     }
-                    let x_row = &in_rows[(ci * n_iy + (iy as usize - iy_lo)) * row_w..][..row_w];
-                    for v in 0..k {
-                        let w = w_block[(mi_ * ctx.tn_e + ci) * k2 + u * k + v];
-                        // Output-column lanes whose input column is in
-                        // bounds: ix = base_ix + lane·s ∈ [0, l).
-                        let base_ix = (ctx.c0 * s + v) as isize - pad;
-                        let lane_lo =
-                            if base_ix >= 0 { 0 } else { ((-base_ix) as usize).div_ceil(s) };
-                        let lane_hi = if base_ix >= ly.l as isize {
-                            0
-                        } else {
-                            ((ly.l as isize - base_ix) as usize).div_ceil(s).min(ctx.tc_e)
-                        };
-                        if lane_lo >= lane_hi {
-                            continue;
-                        }
-                        let off0 = (base_ix + (lane_lo * s) as isize) as usize - ix_lo;
-                        match ctx.i32_path {
-                            Some(p) => {
-                                let lanes = &mut acc32[lane_lo..lane_hi];
-                                if s == 1 {
-                                    kernel::mac_row_s1(
-                                        lanes,
-                                        &x_row[off0..off0 + (lane_hi - lane_lo)],
-                                        w,
-                                        p.shift,
-                                        p.half,
-                                    );
-                                } else {
-                                    kernel::mac_row_strided(
-                                        lanes,
-                                        &x_row[off0..],
-                                        s,
-                                        w,
-                                        p.shift,
-                                        p.half,
-                                    );
+                    let ws = &w_cols[((ci * k + u) * k + v) * tm_e..][..tm_e];
+                    match ctx.i32_path {
+                        Some(p) => {
+                            if !column_lanes {
+                                for j in 0..hi - lo {
+                                    let lanes = &mut acc32[(lo + j) * tm_e..][..tm_e];
+                                    let x = x_row[off + j * s];
+                                    kernel::mac_row(lanes, ws, x, p.shift, p.half);
                                 }
-                                // Lanes gain at most one term per kernel
-                                // call: drain before an i32 could overflow.
-                                terms += 1;
-                                if terms == p.max_terms {
-                                    terms = 0;
-                                    for (a64, a32) in acc64.iter_mut().zip(acc32.iter_mut()) {
-                                        *a64 += i64::from(*a32);
-                                        *a32 = 0;
+                            } else {
+                                for (mi, &w) in ws.iter().enumerate() {
+                                    let lanes = &mut acc32[mi * tc_e + lo..mi * tc_e + hi];
+                                    if s == 1 {
+                                        let xs = &x_row[off..off + hi - lo];
+                                        kernel::mac_row(lanes, xs, w, p.shift, p.half);
+                                    } else {
+                                        let xs = &x_row[off..];
+                                        kernel::mac_row_strided(lanes, xs, s, w, p.shift, p.half);
                                     }
                                 }
                             }
-                            None => {
-                                let wv = i64::from(w);
-                                for (j, a64) in acc64[lane_lo..lane_hi].iter_mut().enumerate() {
-                                    let x = i64::from(x_row[off0 + j * s]);
-                                    *a64 += shift_product(x * wv, ctx.prod_shift);
+                            // Lanes gain at most one term per step: drain
+                            // before an i32 could overflow.
+                            terms += 1;
+                            if terms == p.max_terms {
+                                terms = 0;
+                                drain(acc64, acc32);
+                            }
+                        }
+                        None => {
+                            for j in lo..hi {
+                                let x = i64::from(x_row[off + (j - lo) * s]);
+                                for (mi, &w) in ws.iter().enumerate() {
+                                    acc64[j * col_step + mi * ch_step] +=
+                                        shift_product(x * i64::from(w), ctx.prod_shift);
                                 }
                             }
                         }
                     }
                 }
             }
-            for (a64, a32) in acc64.iter_mut().zip(acc32.iter_mut()) {
-                *a64 += i64::from(*a32);
-                *a32 = 0;
-            }
-            for (c, &a) in clamp_row.iter_mut().zip(acc64.iter()) {
-                *c = a.clamp(i64::from(i16::MIN), i64::from(i16::MAX)) as i16;
-            }
-            match ctx.pattern {
-                Pattern::Od => {
-                    mem.write_slice(ctx.o_base + out_row, clamp_row, end);
-                    if ctx.last_n {
-                        mem.read_row_into(ctx.o_base + out_row, end, part_row);
-                        outputs[out_row..out_row + ctx.tc_e].copy_from_slice(part_row);
-                    }
-                }
-                Pattern::Id | Pattern::Wd => {
-                    if ctx.last_n {
-                        mem.write_slice(ctx.o_base + out_row, clamp_row, end);
-                    }
-                    outputs[out_row..out_row + ctx.tc_e].copy_from_slice(clamp_row);
-                }
+        }
+        drain(acc64, acc32);
+        for mi in 0..tm_e {
+            for oj in 0..tc_e {
+                let a = acc64[oj * col_step + mi * ch_step];
+                clamp[at(mi) + oj] = a.clamp(i64::from(i16::MIN), i64::from(i16::MAX)) as i16;
             }
         }
+    }
+
+    for (addr, words) in out_spans() {
+        let (clamped, out) = (&clamp[words.clone()], &mut outputs[addr..addr + words.len()]);
+        match ctx.pattern {
+            Pattern::Od => {
+                // Partials written back every pass (the accumulation that
+                // self-refreshes).
+                mem.write_slice(ctx.o_base + addr, clamped, end);
+                if ctx.last_n {
+                    mem.read_row_into(ctx.o_base + addr, end, out);
+                }
+            }
+            Pattern::Id | Pattern::Wd => {
+                if ctx.last_n {
+                    mem.write_slice(ctx.o_base + addr, clamped, end);
+                }
+                out.copy_from_slice(clamped);
+            }
+        }
+    }
+}
+
+/// Adds the 32-bit lanes into their 64-bit accumulators and clears them.
+fn drain(acc64: &mut [i64], acc32: &mut [i32]) {
+    for (a64, a32) in acc64.iter_mut().zip(acc32.iter_mut()) {
+        *a64 += i64::from(*a32);
+        *a32 = 0;
     }
 }
 
@@ -1415,5 +1639,106 @@ mod tests {
             &model,
         );
         assert_ne!(id.outputs, golden, "ID's whole-layer input lifetime must corrupt");
+    }
+
+    /// The small layer under conventional refresh every `interval_us`.
+    fn run_with_refresh_interval(interval_us: f64) -> FunctionalResult {
+        let (layer, inputs, weights) = small_layer();
+        let model = BufferModel::Edram {
+            dist: RetentionDistribution::kong2008(),
+            seed: 7,
+            refresh: Some(RefreshConfig::conventional(interval_us)),
+        };
+        execute_layer(
+            &layer,
+            Pattern::Od,
+            Tiling::new(16, 16, 1, 16),
+            &AcceleratorConfig::paper_edram(),
+            &inputs,
+            &weights,
+            Formats::default(),
+            &model,
+        )
+    }
+
+    #[test]
+    #[should_panic(expected = "refresh interval must be finite and positive")]
+    fn zero_refresh_interval_panics() {
+        // Would otherwise issue pulses forever.
+        run_with_refresh_interval(0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "refresh interval must be finite and positive")]
+    fn negative_refresh_interval_panics() {
+        // Would otherwise issue no pulse and report zero refresh words.
+        run_with_refresh_interval(-45.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "refresh interval must be finite and positive")]
+    fn nan_refresh_interval_panics() {
+        run_with_refresh_interval(f64::NAN);
+    }
+
+    #[test]
+    fn grouped_run_on_one_map_equals_groups_on_fresh_maps() {
+        // The slow clock ages the buffer past the sharp knee, so faults
+        // occur both on reads and at the 400 µs refresh pulses: the shared
+        // map's buckets decide real decay.
+        let (sub, inputs, weights) = small_layer();
+        let g = 3;
+        let layer = SchedLayer { groups: g, ..sub.clone() };
+        let grouped_inputs: Vec<i16> = (0..g as i16)
+            .flat_map(|gi| inputs.iter().map(move |&x| x.wrapping_add(5 * gi)))
+            .collect();
+        let grouped_weights: Vec<i16> =
+            (0..g as i16).flat_map(|gi| weights.iter().map(move |&w| w.wrapping_sub(gi))).collect();
+        let cfg = slow_cfg(1e6);
+        let model = BufferModel::Edram {
+            dist: sharp_dist(),
+            seed: 11,
+            refresh: Some(RefreshConfig::conventional(400.0)),
+        };
+        let tiling = Tiling::new(4, 2, 3, 5);
+        for pattern in Pattern::ALL {
+            let grouped = execute_layer_grouped(
+                &layer,
+                pattern,
+                tiling,
+                &cfg,
+                &grouped_inputs,
+                &grouped_weights,
+                Formats::default(),
+                &model,
+            );
+            assert!(grouped.faults > 0, "{pattern}: the run must decay");
+            let (in_g, w_g) = (inputs.len(), weights.len());
+            let mut want = FunctionalResult {
+                outputs: Vec::new(),
+                cycles: 0,
+                refresh_words: 0,
+                faults: 0,
+                reads: 0,
+            };
+            for gi in 0..g {
+                let r = execute_layer(
+                    &sub,
+                    pattern,
+                    tiling,
+                    &cfg,
+                    &grouped_inputs[gi * in_g..(gi + 1) * in_g],
+                    &grouped_weights[gi * w_g..(gi + 1) * w_g],
+                    Formats::default(),
+                    &model,
+                );
+                want.outputs.extend(r.outputs);
+                want.cycles += r.cycles;
+                want.refresh_words += r.refresh_words;
+                want.faults += r.faults;
+                want.reads += r.reads;
+            }
+            assert_eq!(grouped, want, "{pattern}");
+        }
     }
 }

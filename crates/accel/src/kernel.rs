@@ -1,43 +1,47 @@
 //! Inner MAC row kernels of the blocked functional engine.
 //!
-//! Each kernel multiplies a row of 16-bit activations by one 16-bit
-//! weight and accumulates the *rounded, shifted* products into 32-bit
-//! lanes: `acc[j] += (x[j·step] · w + half) >> shift`. The shift and
-//! rounding happen per product, exactly as the scalar engine does, so
-//! the blocked engine stays bit-identical while the compiler gets a
+//! Each kernel multiplies a row of one 16-bit operand by one value of the
+//! other and accumulates the *rounded, shifted* products into 32-bit
+//! lanes: `acc[j] += (row[j·step] · v + half) >> shift`. The row is either
+//! a tile's weights along its output channels (times one input value) or
+//! a row of input values along its output columns (times one weight); the
+//! product commutes, so one kernel serves both lane axes. The shift and
+//! rounding happen per product, exactly as the scalar engine does, so the
+//! blocked engine stays bit-identical while the compiler gets a
 //! branch-free, contiguous loop it can autovectorize.
 
-/// Unit-stride row MAC: `acc[j] += (xs[j] · w + half) >> shift`.
+/// Unit-stride row MAC: `acc[j] += (row[j] · v + half) >> shift`.
 ///
 /// `shift` must be in `0..=30` and `half` must be the matching rounding
 /// constant (`1 << (shift - 1)`, or `0` when `shift == 0`); the caller
 /// guarantees the accumulators cannot overflow (bounded term count).
 #[inline]
-pub(crate) fn mac_row_s1(acc: &mut [i32], xs: &[i16], w: i16, shift: u32, half: i32) {
-    debug_assert_eq!(acc.len(), xs.len());
-    let w = i32::from(w);
-    for (a, &x) in acc.iter_mut().zip(xs) {
-        *a += (i32::from(x) * w + half) >> shift;
+pub(crate) fn mac_row(acc: &mut [i32], row: &[i16], v: i16, shift: u32, half: i32) {
+    debug_assert_eq!(acc.len(), row.len());
+    let v = i32::from(v);
+    for (a, &x) in acc.iter_mut().zip(row) {
+        *a += (i32::from(x) * v + half) >> shift;
     }
 }
 
-/// Strided row MAC: `acc[j] += (xs[j · step] · w + half) >> shift`.
+/// Strided row MAC: `acc[j] += (row[j · step] · v + half) >> shift`.
 ///
-/// Used when the layer stride exceeds 1, so consecutive output columns
-/// sample non-adjacent input columns. Same contract as [`mac_row_s1`].
+/// Used for output-column lanes when the layer stride exceeds 1, so
+/// consecutive output columns sample non-adjacent input columns. Same
+/// contract as [`mac_row`].
 #[inline]
 pub(crate) fn mac_row_strided(
     acc: &mut [i32],
-    xs: &[i16],
+    row: &[i16],
     step: usize,
-    w: i16,
+    v: i16,
     shift: u32,
     half: i32,
 ) {
-    debug_assert!(acc.is_empty() || (acc.len() - 1) * step < xs.len());
-    let w = i32::from(w);
+    debug_assert!(acc.is_empty() || (acc.len() - 1) * step < row.len());
+    let v = i32::from(v);
     for (j, a) in acc.iter_mut().enumerate() {
-        *a += (i32::from(xs[j * step]) * w + half) >> shift;
+        *a += (i32::from(row[j * step]) * v + half) >> shift;
     }
 }
 
@@ -63,7 +67,7 @@ mod tests {
                 let half = if shift > 0 { 1i32 << (shift - 1) } else { 0 };
                 let mut got = vec![5i32; n];
                 let mut want = got.clone();
-                mac_row_s1(&mut got, &xs[..n], w, shift, half);
+                mac_row(&mut got, &xs[..n], w, shift, half);
                 reference(&mut want, &xs[..n], 1, w, shift, half);
                 assert_eq!(got, want, "n={n} w={w} shift={shift}");
             }

@@ -8,8 +8,17 @@
 //! `results/BENCH_exec.json` (checksums + counters) and quarantined
 //! `results/BENCH_exec_timing.json` (wall-clock).
 //!
-//! `--smoke`: runs the identity checks on a synthetic mini-net (plain,
-//! grouped and strided CONV layers) without writing any files.
+//! The timing rows also carry each layer's blocked-engine time, so a
+//! layer shape that slows down cannot hide under a network-level gain.
+//!
+//! `--smoke`: runs the identity checks on a synthetic mini-net without
+//! writing any files. Its layers cover both lane axes of the blocked
+//! engine: plain, grouped and strided layers, depthwise layers (one
+//! channel per group, so output-column lanes) with stride 1 and 2, a 1×1
+//! pointwise layer on a 1×1 map (one column, output-channel lanes) and a
+//! layer wider than the column tile (several channels on column lanes).
+//! Each also runs as a two-image batch whose image 0 must equal the
+//! single run.
 
 use rana_accel::exec::{
     execute_layer_grouped_with, BufferModel, Engine, Formats, FunctionalResult,
@@ -94,6 +103,7 @@ fn bench_network(net: &Network, seed: u64, batch: usize) -> NetReport {
     let mut reads = 0u64;
     let mut faults = 0u64;
     let mut layers = 0usize;
+    let mut layer_ms = Vec::new();
     let mut fnv = Fnv1a::new();
     let formats = Formats::default();
 
@@ -139,7 +149,10 @@ fn bench_network(net: &Network, seed: u64, batch: usize) -> NetReport {
             formats,
             &model,
         );
-        blocked_ms += ms(t);
+        let blocked_layer_ms = ms(t);
+        blocked_ms += blocked_layer_ms;
+        layer_ms
+            .push(format!("{{\"layer\":\"{}\",\"blocked_ms\":{blocked_layer_ms:.3}}}", ly.name));
         assert_eq!(
             blocked,
             scalar,
@@ -202,66 +215,47 @@ fn bench_network(net: &Network, seed: u64, batch: usize) -> NetReport {
         timing: format!(
             concat!(
                 "{{\"network\":\"{}\",\"scalar_ms\":{:.3},\"blocked_ms\":{:.3},",
-                "\"speedup\":{:.2},\"images_per_s_scalar\":{:.3},\"images_per_s\":{:.3}}}"
+                "\"speedup\":{:.2},\"images_per_s_scalar\":{:.3},\"images_per_s\":{:.3},",
+                "\"layers\":[{}]}}"
             ),
             net.name(),
             scalar_ms,
             blocked_ms,
             speedup,
             images_per_s_scalar,
-            images_per_s
+            images_per_s,
+            layer_ms.join(",")
         ),
         speedup,
     }
 }
 
-/// Mini-net identity check for `--smoke`: one plain, one grouped, one
-/// strided CONV layer through both engines on the decayed buffer.
+/// A mini CONV layer; `r`/`c` follow the convolution arithmetic.
+fn mini(
+    name: &str,
+    (n, hw, m, k, s, pad, groups): (usize, usize, usize, usize, usize, usize, usize),
+) -> SchedLayer {
+    let out = (hw + 2 * pad - k) / s + 1;
+    SchedLayer { name: name.into(), n, h: hw, l: hw, m, k, s, r: out, c: out, pad, groups }
+}
+
+/// Mini-net identity check for `--smoke`: every mini layer through both
+/// engines on the decayed buffer, and through a two-image batch.
 fn smoke(seed: u64) {
     let mini = [
-        SchedLayer {
-            name: "plain3x3".into(),
-            n: 4,
-            h: 10,
-            l: 10,
-            m: 6,
-            k: 3,
-            s: 1,
-            r: 10,
-            c: 10,
-            pad: 1,
-            groups: 1,
-        },
-        SchedLayer {
-            name: "grouped".into(),
-            n: 2,
-            h: 8,
-            l: 8,
-            m: 2,
-            k: 3,
-            s: 1,
-            r: 8,
-            c: 8,
-            pad: 1,
-            groups: 2,
-        },
-        SchedLayer {
-            name: "strided5x5".into(),
-            n: 3,
-            h: 11,
-            l: 11,
-            m: 4,
-            k: 5,
-            s: 2,
-            r: 6,
-            c: 6,
-            pad: 2,
-            groups: 1,
-        },
+        mini("plain3x3", (4, 10, 6, 3, 1, 1, 1)),
+        mini("grouped", (2, 8, 2, 3, 1, 1, 2)),
+        mini("strided5x5", (3, 11, 4, 5, 2, 2, 1)),
+        mini("depthwise", (1, 9, 1, 3, 1, 1, 4)),
+        mini("depthwise_s2", (1, 11, 1, 3, 2, 1, 3)),
+        mini("pointwise1x1", (24, 1, 20, 1, 1, 0, 1)),
+        mini("wide", (2, 40, 3, 3, 1, 1, 1)),
     ];
+    assert!(mini[6].c > tiling().tc, "the wide layer must span several column tiles");
     for (idx, ly) in mini.iter().enumerate() {
         let layer_seed = seed.wrapping_add(idx as u64);
-        let (inputs, weights) = layer_operands(ly, layer_seed, 0);
+        let images: Vec<Vec<i16>> = (0..2).map(|b| layer_operands(ly, layer_seed, b).0).collect();
+        let weights = layer_operands(ly, layer_seed, 0).1;
         let cfg = cfg_for(ly);
         let model = model_for(layer_seed);
         let run = |engine| -> FunctionalResult {
@@ -271,7 +265,7 @@ fn smoke(seed: u64) {
                 PATTERN,
                 tiling(),
                 &cfg,
-                &inputs,
+                &images[0],
                 &weights,
                 Formats::default(),
                 &model,
@@ -280,15 +274,29 @@ fn smoke(seed: u64) {
         let scalar = run(Engine::Scalar);
         let blocked = run(Engine::Blocked);
         assert_eq!(blocked, scalar, "{}: engines diverged", ly.name);
+        let (batch, _) = execute_layer_batch(
+            Engine::Blocked,
+            ly,
+            PATTERN,
+            tiling(),
+            &cfg,
+            &images,
+            &weights,
+            Formats::default(),
+            &model,
+        );
+        assert_eq!(batch[0], scalar, "{}: batch image 0 diverged", ly.name);
         println!(
-            "  {:<10} identical: outputs {} words, reads {}, faults {}",
+            "  {:<12} identical: outputs {} words, reads {}, faults {}",
             ly.name,
             scalar.outputs.len(),
             scalar.reads,
             scalar.faults
         );
     }
-    println!("smoke OK: blocked engine bit-identical to scalar on all mini layers");
+    println!(
+        "smoke OK: blocked engine and batch image 0 bit-identical to scalar on all mini layers"
+    );
 }
 
 fn main() {

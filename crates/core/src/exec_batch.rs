@@ -5,14 +5,16 @@
 //! each image owns its buffer simulation — so [`execute_layer_batch`]
 //! fans the images out over [`crate::par::par_map`] workers
 //! (`RANA_THREADS` honored) and returns per-image
-//! [`FunctionalResult`]s in input order plus summed statistics. Results
-//! are bit-identical to running the images serially: each image's
-//! simulation is self-contained and `par_map` preserves order.
+//! [`FunctionalResult`]s in input order plus summed statistics. The
+//! images share one thing: a weakest-cell map of the layer's buffer
+//! cells, built once per call, so each block of cells is filled once for
+//! the whole batch. Every bucket in it is a pure function of the cell
+//! seed and address, whichever image fills it, so results are
+//! bit-identical to running each image alone on a fresh map, and
+//! `par_map` preserves order.
 
 use crate::par;
-use rana_accel::exec::{
-    execute_layer_grouped_with, BufferModel, Engine, Formats, FunctionalResult,
-};
+use rana_accel::exec::{execute_layer_grouped_on, BufferModel, Engine, Formats, FunctionalResult};
 use rana_accel::{AcceleratorConfig, Pattern, SchedLayer, Tiling};
 
 /// Summed statistics of a batch execution.
@@ -46,9 +48,10 @@ impl BatchSummary {
 /// on the worker pool, with the given tile-compute [`Engine`].
 ///
 /// `images` holds one input feature map per image
-/// (`groups × n × h × l` words each, as [`execute_layer_grouped_with`]
-/// expects); all images share `weights`. Returns the per-image results
-/// in input order and the batch totals.
+/// (`groups × n × h × l` words each, as
+/// [`rana_accel::exec::execute_layer_grouped_with`] expects); all images
+/// share `weights`. Returns the per-image results in input order and the
+/// batch totals.
 ///
 /// # Example
 ///
@@ -73,8 +76,9 @@ impl BatchSummary {
 ///
 /// # Panics
 ///
-/// Panics if any image's length does not match the layer shape (same
-/// contract as [`execute_layer_grouped_with`]).
+/// Panics if any image's length does not match the layer shape or the
+/// model's refresh interval is not finite and positive (same contract as
+/// [`rana_accel::exec::execute_layer_grouped_with`]).
 #[allow(clippy::too_many_arguments)] // mirrors the single-image entry point plus the batch
 pub fn execute_layer_batch(
     engine: Engine,
@@ -87,9 +91,38 @@ pub fn execute_layer_batch(
     formats: Formats,
     model: &BufferModel,
 ) -> (Vec<FunctionalResult>, BatchSummary) {
-    let results = par::par_map(images, |inputs| {
-        execute_layer_grouped_with(
-            engine, layer, pattern, tiling, cfg, inputs, weights, formats, model,
+    execute_layer_batch_on(
+        par::thread_count(),
+        engine,
+        layer,
+        pattern,
+        tiling,
+        cfg,
+        images,
+        weights,
+        formats,
+        model,
+    )
+}
+
+/// [`execute_layer_batch`] on `threads` workers.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn execute_layer_batch_on(
+    threads: usize,
+    engine: Engine,
+    layer: &SchedLayer,
+    pattern: Pattern,
+    tiling: Tiling,
+    cfg: &AcceleratorConfig,
+    images: &[Vec<i16>],
+    weights: &[i16],
+    formats: Formats,
+    model: &BufferModel,
+) -> (Vec<FunctionalResult>, BatchSummary) {
+    let cells = model.cell_map(cfg);
+    let results = par::par_map_with(images, threads, |inputs| {
+        execute_layer_grouped_on(
+            &cells, engine, layer, pattern, tiling, cfg, inputs, weights, formats, model,
         )
     });
     let mut summary = BatchSummary::default();
@@ -102,6 +135,8 @@ pub fn execute_layer_batch(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rana_accel::exec::execute_layer_grouped_with;
+    use rana_edram::{RefreshConfig, RetentionDistribution};
 
     fn layer() -> (SchedLayer, Vec<Vec<i16>>, Vec<i16>) {
         let layer = SchedLayer {
@@ -124,49 +159,73 @@ mod tests {
         (layer, images, weights)
     }
 
+    /// A 100 kHz machine with a small buffer whose cells decay past a sharp
+    /// knee at 100 µs, long before the layer ends: faults occur on reads
+    /// and at the 400 µs refresh pulses.
+    fn decaying() -> (AcceleratorConfig, BufferModel) {
+        let mut cfg = AcceleratorConfig::paper_edram();
+        cfg.frequency_hz = 1e5;
+        cfg.buffer.num_banks = 2;
+        cfg.buffer.bank_words = 1024;
+        let dist =
+            RetentionDistribution::from_anchors(vec![(100.0, 1e-7), (150.0, 1e-2), (1e3, 1.0)])
+                .expect("valid anchors");
+        let refresh = Some(RefreshConfig::conventional(400.0));
+        (cfg, BufferModel::Edram { dist, seed: 5, refresh })
+    }
+
     #[test]
     fn batch_matches_serial_execution() {
         let (layer, images, weights) = layer();
-        let cfg = AcceleratorConfig::paper_edram();
         let f = Formats::default();
-        let (results, summary) = execute_layer_batch(
-            Engine::Blocked,
-            &layer,
-            Pattern::Od,
-            Tiling::new(4, 2, 3, 4),
-            &cfg,
-            &images,
-            &weights,
-            f,
-            &BufferModel::Ideal,
-        );
-        assert_eq!(summary.images, images.len());
-        let mut cycles = 0;
-        for (img, got) in images.iter().zip(&results) {
-            let want = execute_layer_grouped_with(
-                Engine::Scalar,
+        let tiling = Tiling::new(4, 2, 3, 4);
+        let (decaying_cfg, decaying_model) = decaying();
+        let runs = [
+            (AcceleratorConfig::paper_edram(), BufferModel::Ideal, false),
+            (decaying_cfg, decaying_model, true),
+        ];
+        for (cfg, model, decays) in &runs {
+            let (results, summary) = execute_layer_batch(
+                Engine::Blocked,
                 &layer,
                 Pattern::Od,
-                Tiling::new(4, 2, 3, 4),
-                &cfg,
-                img,
+                tiling,
+                cfg,
+                &images,
                 &weights,
                 f,
-                &BufferModel::Ideal,
+                model,
             );
-            assert_eq!(got, &want);
-            cycles += want.cycles;
+            assert_eq!(summary.faults > 0, *decays);
+            // Each image alone, on a map of its own, through the scalar
+            // reference engine.
+            let mut want = BatchSummary::default();
+            for (img, got) in images.iter().zip(&results) {
+                let alone = execute_layer_grouped_with(
+                    Engine::Scalar,
+                    &layer,
+                    Pattern::Od,
+                    tiling,
+                    cfg,
+                    img,
+                    &weights,
+                    f,
+                    model,
+                );
+                assert_eq!(got, &alone);
+                want.add(&alone);
+            }
+            assert_eq!(summary, want);
         }
-        assert_eq!(summary.cycles, cycles);
     }
 
     #[test]
     fn batch_is_deterministic_across_thread_counts() {
         let (layer, images, weights) = layer();
-        let cfg = AcceleratorConfig::paper_edram();
-        let f = Formats::default();
-        let run = || {
-            execute_layer_batch(
+        let (cfg, model) = decaying();
+        let run = |threads| {
+            execute_layer_batch_on(
+                threads,
                 Engine::Blocked,
                 &layer,
                 Pattern::Wd,
@@ -174,13 +233,14 @@ mod tests {
                 &cfg,
                 &images,
                 &weights,
-                f,
-                &BufferModel::Ideal,
+                Formats::default(),
+                &model,
             )
         };
-        let (r1, s1) = run();
-        let (r2, s2) = run();
-        assert_eq!(r1, r2);
-        assert_eq!(s1, s2);
+        let (one, one_summary) = run(1);
+        let (three, three_summary) = run(3);
+        assert!(one_summary.faults > 0, "the buffer must decay");
+        assert_eq!(one, three);
+        assert_eq!(one_summary, three_summary);
     }
 }

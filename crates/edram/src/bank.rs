@@ -18,25 +18,157 @@
 //! data of age `t` loses bit `bit` iff `q` is below the failure rate
 //! `failure_rate(t)`; a failed bit reads an epoch-keyed random value. That
 //! per-bit loop (16 hashes per word) is the only decay semantics. Rates of
-//! at most 10⁻⁹ count as zero, so young data is returned as stored.
+//! at most 10⁻⁹ count as zero, so young data is returned as stored; that
+//! test comes first at every caller.
 //!
 //! Within the tolerable retention almost no word has a failing cell (at
-//! 734 µs, 10⁻⁵ of cells fail), so each word also keeps a one-byte
-//! *weakest-cell bucket*, filled on its first decayed resolution: the
-//! smallest of its 16 quantiles rounded down to a power of two. When the
-//! rate is at or below that floor, no quantile lies below the rate, so no
-//! bit fails and the stored word is the loop's result. The random bit is
-//! consulted only for failing bits, so skipping the loop is exact: every
-//! value and every fault count is the one the per-bit loop gives. Row reads
-//! and bank refreshes look the rate up once per run of words that share a
-//! write timestamp and apply the filter word by word.
+//! 734 µs, 10⁻⁵ of cells fail), so a [`WeakestCellMap`] keeps a one-byte
+//! *weakest-cell bucket* per word: the smallest of its 16 quantiles rounded
+//! down to a power of two. When the rate is at or below that floor, no
+//! quantile lies below the rate, so no bit fails and the stored word is the
+//! loop's result. The random bit is consulted only for failing bits, so
+//! skipping the loop is exact: every value and every fault count is the one
+//! the per-bit loop gives.
+//!
+//! The map also keeps one bucket per block of 64 words: the block's weakest
+//! word. A block's floor is at most the floor of every word in it, so row
+//! reads and bank refreshes look the rate up once per run of words that
+//! share a write timestamp and then copy (or, refreshing, skip) every block
+//! whose floor the rate does not exceed; only the words of the other blocks
+//! meet the per-word filter. A block is filled on its first decayed
+//! resolution, all 64 word buckets at once.
+//!
+//! A bucket is a pure function of `(seed, addr)`, so every array on the same
+//! cell seed can share one map (an `Arc`): the channel groups of a layer and
+//! the images of a batch fill each block once between them instead of once
+//! each. The buckets are `AtomicU8`s accessed with `Relaxed` operations, and
+//! that suffices: 0 means "not computed yet", two threads that race on a
+//! fill store the same byte, and a reader that sees 0 recomputes it. No
+//! byte publishes another, so no ordering between them is needed.
+//!
+//! Images of a batch run the same tile sequence in lockstep, so their
+//! threads tend to reach an unfilled block together. One of them claims the
+//! block (a `Relaxed` compare-exchange to a "filling" mark) and fills it
+//! from its first word; any other resolves that block's words one by one
+//! from its last word, filling the word buckets it meets. The two meet in
+//! the middle instead of both computing all 64, and nobody waits: the claim
+//! only elects who fills the block bucket, and every word bucket stays
+//! computable by anyone.
 
 use crate::retention::RetentionDistribution;
 use crate::stats::MemoryStats;
+use std::ops::Range;
+use std::sync::atomic::{AtomicU8, Ordering::Relaxed};
+use std::sync::Arc;
 
 /// Per-bit failure rates at or below this count as zero — even a billion
 /// bit reads would expect no flip — which keeps young-data reads cheap.
 const NEGLIGIBLE_RATE: f64 = 1e-9;
+
+/// Words per block of a [`WeakestCellMap`].
+const BLOCK_WORDS: usize = 64;
+
+/// Block-bucket mark of a block another thread is filling (no bucket is
+/// above 54).
+const FILLING: u8 = u8::MAX;
+
+/// Weakest-cell buckets of one cell seed, filled lazily and shared by every
+/// [`EdramArray`] on that seed.
+///
+/// Word bucket `w` in `1..=54` means all 16 cell quantiles of the word are
+/// at least `2^-w` (0 for `w == 54`); a block's bucket is the largest (the
+/// weakest) of its words' buckets. 0 means "not computed yet", so the map
+/// starts as zeroed memory that is never touched for young data. See the
+/// [module docs](self) for why sharing it across threads is exact.
+///
+/// ```
+/// use rana_edram::{EdramArray, RetentionDistribution, WeakestCellMap};
+/// use std::sync::Arc;
+///
+/// let cells = Arc::new(WeakestCellMap::new(42, 2 * 1024));
+/// let dist = RetentionDistribution::kong2008();
+/// let mut a = EdramArray::with_cells(2, 1024, dist.clone(), Arc::clone(&cells));
+/// let mut b = EdramArray::with_cells(2, 1024, dist, cells);
+/// a.write(10, 0x1234, 0.0);
+/// b.write(10, 0x1234, 0.0);
+/// // Both arrays decay the same cells; the second reuses the first's fills.
+/// assert_eq!(a.read(10, 2400.0), b.read(10, 2400.0));
+/// ```
+#[derive(Debug)]
+pub struct WeakestCellMap {
+    seed: u64,
+    /// Bucket per word.
+    words: Box<[AtomicU8]>,
+    /// Bucket per block of [`BLOCK_WORDS`] words: its weakest word's bucket.
+    blocks: Box<[AtomicU8]>,
+}
+
+impl WeakestCellMap {
+    /// An empty map of the cells of `capacity_words` words on cell `seed`.
+    pub fn new(seed: u64, capacity_words: usize) -> Self {
+        // Collected zeros compile to one zeroed allocation.
+        let zeroed = |n| std::iter::repeat_with(|| AtomicU8::new(0)).take(n).collect();
+        Self {
+            seed,
+            words: zeroed(capacity_words),
+            blocks: zeroed(capacity_words.div_ceil(BLOCK_WORDS)),
+        }
+    }
+
+    /// The cell seed.
+    pub fn seed(&self) -> u64 {
+        self.seed
+    }
+
+    /// Words the map covers.
+    fn capacity_words(&self) -> usize {
+        self.words.len()
+    }
+
+    /// Bucket of word `addr`, computed and stored on first use.
+    fn word_bucket(&self, addr: usize) -> u8 {
+        let slot = &self.words[addr];
+        match slot.load(Relaxed) {
+            0 => {
+                let w = weakest_bucket(self.seed, addr as u64);
+                slot.store(w, Relaxed);
+                w
+            }
+            w => w,
+        }
+    }
+
+    /// Bucket of block `block`, filling the block's word buckets on first
+    /// use; `None` while another thread fills it.
+    fn block_bucket(&self, block: usize) -> Option<u8> {
+        let slot = &self.blocks[block];
+        let w = match slot.load(Relaxed) {
+            0 => match slot.compare_exchange(0, FILLING, Relaxed, Relaxed) {
+                Ok(_) => {
+                    let words =
+                        block * BLOCK_WORDS..((block + 1) * BLOCK_WORDS).min(self.words.len());
+                    let w = words.map(|addr| self.word_bucket(addr)).max().expect("non-empty");
+                    slot.store(w, Relaxed);
+                    w
+                }
+                Err(w) => w,
+            },
+            w => w,
+        };
+        (w != FILLING).then_some(w)
+    }
+
+    /// The parts of `words` whose block may hold a cell failing at `rate`
+    /// (or is being filled by another thread): every word outside them is
+    /// intact at that rate. Callers resolve a part's words last to first.
+    fn suspects(&self, words: Range<usize>, rate: f64) -> impl Iterator<Item = Range<usize>> + '_ {
+        (words.start / BLOCK_WORDS..words.end.div_ceil(BLOCK_WORDS))
+            .filter(move |&block| self.block_bucket(block).is_none_or(|w| rate > floor(w)))
+            .map(move |block| {
+                (block * BLOCK_WORDS).max(words.start)..((block + 1) * BLOCK_WORDS).min(words.end)
+            })
+    }
+}
 
 /// A banked eDRAM array with per-word write timestamps.
 ///
@@ -58,13 +190,9 @@ pub struct EdramArray {
     /// Time of last write or refresh per word; `NEG_INFINITY` = never
     /// written (reads as an aged-out cell).
     written_at: Vec<f64>,
-    /// Weakest-cell bucket per word, filled on the word's first decayed
-    /// resolution: `w` in `1..=54` means all 16 cell quantiles are at
-    /// least `2^-w` (0 for `w == 54`); 0 means not computed yet (so the
-    /// table starts as zeroed memory that is never touched for young data).
-    weakest: Vec<u8>,
+    /// Weakest-cell buckets of the array's cells (carries the cell seed).
+    cells: Arc<WeakestCellMap>,
     dist: RetentionDistribution,
-    seed: u64,
     stats: MemoryStats,
     /// One-entry memo for the age → failure-rate lookup: reads within a
     /// tile share their timestamp, so this removes nearly all of the
@@ -74,7 +202,8 @@ pub struct EdramArray {
 }
 
 impl EdramArray {
-    /// Creates an array of `num_banks` banks of `bank_words` 16-bit words.
+    /// Creates an array of `num_banks` banks of `bank_words` 16-bit words,
+    /// with its own [`WeakestCellMap`] on cell `seed`.
     ///
     /// # Panics
     ///
@@ -85,16 +214,37 @@ impl EdramArray {
         dist: RetentionDistribution,
         seed: u64,
     ) -> Self {
+        let cells = Arc::new(WeakestCellMap::new(seed, num_banks * bank_words));
+        Self::with_cells(num_banks, bank_words, dist, cells)
+    }
+
+    /// [`new`](EdramArray::new) on a shared [`WeakestCellMap`], whose seed
+    /// is the array's cell seed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either dimension is zero or the map covers fewer words
+    /// than the array holds.
+    pub fn with_cells(
+        num_banks: usize,
+        bank_words: usize,
+        dist: RetentionDistribution,
+        cells: Arc<WeakestCellMap>,
+    ) -> Self {
         assert!(num_banks > 0 && bank_words > 0, "array dimensions must be positive");
         let total = num_banks * bank_words;
+        assert!(
+            cells.capacity_words() >= total,
+            "weakest-cell map covers {} words, the array holds {total}",
+            cells.capacity_words()
+        );
         Self {
             num_banks,
             bank_words,
             words: vec![0; total],
             written_at: vec![f64::NEG_INFINITY; total],
-            weakest: vec![0; total],
+            cells,
             dist,
-            seed,
             stats: MemoryStats::default(),
             cached_age: f64::NAN,
             cached_rate: 0.0,
@@ -142,15 +292,21 @@ impl EdramArray {
         self.stats.writes += 1;
     }
 
-    /// Writes a slice of words starting at `addr`.
+    /// Writes a slice of words starting at `addr`, recharging their cells.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slice extends past the end of the array.
     pub fn write_slice(&mut self, addr: usize, values: &[i16], now_us: f64) {
-        for (i, &v) in values.iter().enumerate() {
-            self.write(addr + i, v, now_us);
-        }
+        let words = addr..addr + values.len();
+        self.words[words.clone()].copy_from_slice(values);
+        self.written_at[words].fill(now_us);
+        self.stats.writes += values.len() as u64;
     }
 
     /// Reads a word, injecting retention faults for cells older than their
-    /// sampled retention time.
+    /// sampled retention time. Every read counts the word's flipped bits in
+    /// the fault statistics, so a decayed word read twice counts them twice.
     ///
     /// # Panics
     ///
@@ -178,8 +334,8 @@ impl EdramArray {
     /// decay resolution is deterministic and has no observable side
     /// effects, so the values, fault counts, and read counts are
     /// identical — but the age → failure-rate lookup is resolved once per
-    /// run of words sharing a write timestamp, and young runs are copied
-    /// wholesale.
+    /// run of words sharing a write timestamp, and young runs and blocks
+    /// whose weakest cell outlives the rate are copied wholesale.
     ///
     /// ```
     /// use rana_edram::{EdramArray, RetentionDistribution};
@@ -232,7 +388,8 @@ impl EdramArray {
     }
 
     /// Shared body of the row reads: resolves runs of words that share a
-    /// write timestamp with one failure-rate lookup each.
+    /// write timestamp with one failure-rate lookup each, and decays only
+    /// the words of blocks whose weakest cell may fail.
     fn read_row_impl(
         &mut self,
         addr: usize,
@@ -243,25 +400,24 @@ impl EdramArray {
     ) {
         let n = out.len();
         assert!(addr + n <= self.words.len(), "row [{addr}, {}) out of bounds", addr + n);
-        let acc_reads = |m: Option<&[u64]>, i: usize| m.map_or(1, |m| m[i]).wrapping_mul(scale);
+        let acc_reads = |i: usize| mult.map_or(1, |m| m[i]).wrapping_mul(scale);
+        out.copy_from_slice(&self.words[addr..addr + n]);
         let mut i = 0;
         while i < n {
             let j = self.run_end(addr + i, addr + n) - addr;
             let rate = self.rate_since(self.written_at[addr + i], now_us);
-            if rate <= NEGLIGIBLE_RATE {
-                out[i..j].copy_from_slice(&self.words[addr + i..addr + j]);
-            } else {
-                for (t, o) in (i..j).zip(&mut out[i..j]) {
-                    let (value, faults) = self.decay(addr + t, rate);
-                    *o = value;
-                    self.stats.faults += u64::from(faults) * acc_reads(mult, t);
+            if rate > NEGLIGIBLE_RATE {
+                for words in self.cells.suspects(addr + i..addr + j, rate) {
+                    for a in words.rev() {
+                        let (value, faults) = self.decay(a, rate);
+                        out[a - addr] = value;
+                        self.stats.faults += u64::from(faults) * acc_reads(a - addr);
+                    }
                 }
-            }
-            for t in i..j {
-                self.stats.reads += acc_reads(mult, t);
             }
             i = j;
         }
+        self.stats.reads += (0..n).map(acc_reads).sum::<u64>();
     }
 
     /// Refreshes one bank: every written word is resolved at `now_us`
@@ -269,7 +425,8 @@ impl EdramArray {
     /// words stay unwritten. Returns the number of refreshed words.
     ///
     /// Like the row reads, this works on runs of words sharing a write
-    /// timestamp: one failure-rate lookup and one timestamp `fill` per run.
+    /// timestamp: one failure-rate lookup and one timestamp `fill` per run,
+    /// and blocks whose weakest cell outlives the rate are left as stored.
     pub fn refresh_bank(&mut self, bank: usize, now_us: f64) -> usize {
         assert!(bank < self.num_banks, "bank {bank} out of range");
         let end = (bank + 1) * self.bank_words;
@@ -280,10 +437,12 @@ impl EdramArray {
             if wa != f64::NEG_INFINITY {
                 let rate = self.rate_since(wa, now_us);
                 if rate > NEGLIGIBLE_RATE {
-                    for addr in i..j {
-                        let (value, faults) = self.decay(addr, rate);
-                        self.words[addr] = value;
-                        self.stats.faults += u64::from(faults);
+                    for words in self.cells.suspects(i..j, rate) {
+                        for addr in words.rev() {
+                            let (value, faults) = self.decay(addr, rate);
+                            self.words[addr] = value;
+                            self.stats.faults += u64::from(faults);
+                        }
                     }
                 }
                 self.written_at[i..j].fill(now_us);
@@ -299,7 +458,12 @@ impl EdramArray {
     /// never-written words group too.
     fn run_end(&self, start: usize, end: usize) -> usize {
         let wa = self.written_at[start];
-        start + 1 + self.written_at[start + 1..end].iter().take_while(|&&t| t == wa).count()
+        let rest = &self.written_at[start + 1..end];
+        // Whole chunks first, each compared without an early exit so the
+        // comparison vectorizes.
+        let same = |chunk: &[f64]| chunk.iter().fold(true, |all, &t| all & (t == wa));
+        let chunks = rest.chunks_exact(8).take_while(|&chunk| same(chunk)).count() * 8;
+        start + 1 + chunks + rest[chunks..].iter().take_while(|&&t| t == wa).count()
     }
 
     /// Resolves `addr` under a per-bit failure `rate` above
@@ -312,20 +476,21 @@ impl EdramArray {
     /// stored word is returned without evaluating the 16 per-bit hashes.
     /// The random value of a failed bit is consulted only for failing
     /// bits, so skipping the loop is exact.
-    fn decay(&mut self, addr: usize, rate: f64) -> (i16, u32) {
-        if rate <= self.weakest_floor(addr) {
+    fn decay(&self, addr: usize, rate: f64) -> (i16, u32) {
+        if rate <= floor(self.cells.word_bucket(addr)) {
             return (self.words[addr], 0);
         }
+        let seed = self.cells.seed;
         let mut value = self.words[addr] as u16;
         let mut faults = 0;
         // A write epoch keys the "random" value a failed cell reads, so two
         // reads of the same decayed cell agree but a rewrite re-rolls it.
         let epoch = self.written_at[addr].to_bits();
         for bit in 0..16u32 {
-            let q = hash01(self.seed, addr as u64, u64::from(bit));
+            let q = hash01(seed, addr as u64, u64::from(bit));
             if q < rate {
                 let random_bit =
-                    (hash01(self.seed ^ 0x9E37_79B9_7F4A_7C15, addr as u64 ^ epoch, u64::from(bit))
+                    (hash01(seed ^ 0x9E37_79B9_7F4A_7C15, addr as u64 ^ epoch, u64::from(bit))
                         > 0.5) as u16;
                 let old = (value >> bit) & 1;
                 if old != random_bit {
@@ -336,9 +501,7 @@ impl EdramArray {
         }
         (value as i16, faults)
     }
-}
 
-impl EdramArray {
     /// Per-bit failure rate of data written at `written_at` and resolved at
     /// `now_us` (0 for non-positive ages), through a one-entry memo: reads
     /// within a tile share their timestamp, so this removes nearly all of
@@ -356,22 +519,16 @@ impl EdramArray {
             r
         }
     }
+}
 
-    /// The floor `2^-w` under the 16 cell quantiles of `addr` (exact; 0
-    /// for bucket 54), computing and storing the word's bucket `w` on
-    /// first use.
-    fn weakest_floor(&mut self, addr: usize) -> f64 {
-        let mut w = self.weakest[addr];
-        if w == 0 {
-            w = weakest_bucket(self.seed, addr as u64);
-            self.weakest[addr] = w;
-        }
-        if w > 53 {
-            0.0
-        } else {
-            // Biased exponent 1023 − w over a zero mantissa: exactly 2^-w.
-            f64::from_bits(u64::from(1023 - u16::from(w)) << 52)
-        }
+/// The floor `2^-w` under the cell quantiles of bucket `w` (exact; 0 for
+/// bucket 54).
+fn floor(w: u8) -> f64 {
+    if w > 53 {
+        0.0
+    } else {
+        // Biased exponent 1023 − w over a zero mantissa: exactly 2^-w.
+        f64::from_bits(u64::from(1023 - u16::from(w)) << 52)
     }
 }
 
@@ -408,6 +565,8 @@ fn hash53(a: u64, b: u64, c: u64) -> u64 {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use proptest::TestCaseResult;
+    use std::sync::Barrier;
 
     fn array() -> EdramArray {
         EdramArray::new(4, 256, RetentionDistribution::kong2008(), 7)
@@ -776,6 +935,158 @@ mod tests {
             prop_assert_eq!(&mem.words, &reference.words);
             let bits = |v: &[f64]| v.iter().map(|t| t.to_bits()).collect::<Vec<_>>();
             prop_assert_eq!(bits(&mem.written_at), bits(&reference.written_at));
+        }
+    }
+
+    /// Drives `mem` and a fresh per-bit reference through the preload and
+    /// steps of `access_paths_match_the_per_bit_reference`, checking every
+    /// step's values and statistics and the final words and timestamps.
+    fn matches_reference(
+        mem: &mut EdramArray,
+        runs: &[(usize, usize, u64)],
+        steps: &[(u8, u64, usize)],
+        free_age: f64,
+    ) -> TestCaseResult {
+        let (num_banks, bank_words) = (mem.num_banks(), mem.bank_words());
+        let mut reference =
+            Reference::new(num_banks, bank_words, mem.dist.clone(), mem.cells.seed());
+        let total = num_banks * bank_words;
+        let age = |k: usize| AGES.get(k).copied().unwrap_or(free_age);
+        let mut addr = 0;
+        for &(len, k, values) in runs {
+            let len = len.min(total - addr);
+            if k < AGES.len() {
+                for i in 0..len {
+                    let v = (values.rotate_left(7 * i as u32) >> 17) as i16;
+                    mem.write(addr + i, v, -AGES[k]);
+                    reference.write(addr + i, v, -AGES[k]);
+                }
+            }
+            addr += len;
+        }
+        for &(kind, r, k) in steps {
+            let now = age(k);
+            let at = (r % total as u64) as usize;
+            let len = 1 + ((r >> 32) % (total - at) as u64) as usize;
+            let mut got = vec![0i16; len];
+            match kind {
+                0 => {
+                    let v = (r >> 48) as i16;
+                    mem.write(at, v, now);
+                    reference.write(at, v, now);
+                }
+                1 => prop_assert_eq!(mem.read(at, now), reference.read_row(at, now, 1, None, 1)[0]),
+                2 => {
+                    mem.read_row_into(at, now, &mut got);
+                    prop_assert_eq!(got, reference.read_row(at, now, len, None, 1));
+                }
+                3 => {
+                    let mult: Vec<u64> = (0..len).map(|i| (r >> (i % 48)) & 3).collect();
+                    let scale = 1 + (r >> 60);
+                    mem.read_row_weighted(at, now, &mut got, &mult, scale);
+                    prop_assert_eq!(got, reference.read_row(at, now, len, Some(&mult), scale));
+                }
+                _ => {
+                    mem.refresh_bank(at % num_banks, now);
+                    reference.refresh_bank(at % num_banks, now);
+                }
+            }
+            prop_assert_eq!(mem.stats(), &reference.stats, "after step {:?}", (kind, r, k));
+        }
+        prop_assert_eq!(&mem.words, &reference.words);
+        let bits = |v: &[f64]| v.iter().map(|t| t.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(bits(&mem.written_at), bits(&reference.written_at));
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// A second array on the map the first array filled reproduces the
+        /// reference as well: a stored bucket answers exactly as the fill
+        /// that computed it. Arrays span up to eight 64-word blocks, the
+        /// last one often partial, and preloaded runs of up to 99 words
+        /// straddle block edges.
+        #[test]
+        fn an_array_on_a_filled_map_matches_the_per_bit_reference(
+            seed in any::<u64>(),
+            shape in (1usize..=3, 1usize..=160),
+            free_age in 0.0f64..25_000.0,
+            runs in proptest::collection::vec((1usize..100, 0..=AGES.len(), any::<u64>()), 1..12),
+            steps in proptest::collection::vec((0u8..5, any::<u64>(), 0..=AGES.len()), 1..40),
+        ) {
+            let (num_banks, bank_words) = shape;
+            let cells = Arc::new(WeakestCellMap::new(seed, num_banks * bank_words));
+            for _ in 0..2 {
+                let dist = RetentionDistribution::kong2008();
+                let mut mem = EdramArray::with_cells(num_banks, bank_words, dist, Arc::clone(&cells));
+                matches_reference(&mut mem, &runs, &steps, free_age)?;
+            }
+        }
+    }
+
+    /// Two threads released together by a barrier fill the same blocks of
+    /// one map, each through its own array reading every word at an age
+    /// where most blocks hold a failing cell. Both read what an array on a
+    /// single-threaded map reads, the two maps hold the same buckets, and
+    /// every bucket is the one its definition gives.
+    #[test]
+    fn racing_threads_fill_one_map_exactly() {
+        // 193 blocks, the last partial: long enough a read that both
+        // threads are still filling when the later one starts.
+        let (num_banks, bank_words) = (3, 4100);
+        let words = num_banks * bank_words;
+        let dist = RetentionDistribution::kong2008();
+        let preloaded = |cells: &Arc<WeakestCellMap>| {
+            let mut mem =
+                EdramArray::with_cells(num_banks, bank_words, dist.clone(), Arc::clone(cells));
+            for addr in 0..words {
+                mem.write(addr, (addr as i16).wrapping_mul(-311), 0.0);
+            }
+            mem
+        };
+        let read_all = |mem: &mut EdramArray| {
+            let mut row = vec![0i16; words];
+            mem.read_row_into(0, 4400.0, &mut row); // rate 1e-3
+            (row, *mem.stats())
+        };
+        for seed in 0..8 {
+            let single = Arc::new(WeakestCellMap::new(seed, words));
+            let want = read_all(&mut preloaded(&single));
+            assert!(want.1.faults > 0, "the age must decay some words");
+            let shared = Arc::new(WeakestCellMap::new(seed, words));
+            let barrier = Barrier::new(2);
+            std::thread::scope(|scope| {
+                let racers: Vec<_> = (0..2)
+                    .map(|_| {
+                        scope.spawn(|| {
+                            let mut mem = preloaded(&shared);
+                            barrier.wait();
+                            read_all(&mut mem)
+                        })
+                    })
+                    .collect();
+                for racer in racers {
+                    assert_eq!(racer.join().expect("racer panicked"), want, "seed {seed}");
+                }
+            });
+            let buckets = |map: &WeakestCellMap, which: fn(&WeakestCellMap) -> &[AtomicU8]| {
+                which(map).iter().map(|b| b.load(Relaxed)).collect::<Vec<_>>()
+            };
+            let word_buckets = buckets(&shared, |m| &m.words);
+            let block_buckets = buckets(&shared, |m| &m.blocks);
+            assert_eq!(word_buckets, buckets(&single, |m| &m.words), "seed {seed}");
+            assert_eq!(block_buckets, buckets(&single, |m| &m.blocks), "seed {seed}");
+            for (addr, &w) in word_buckets.iter().enumerate() {
+                // Bucket w: the weakest quantile lies in [2^-w, 2^(1-w)),
+                // or is 0 for w = 54.
+                let q = (0..16).map(|bit| ref_hash01(seed, addr as u64, bit)).fold(1.0, f64::min);
+                let fits = floor(w) <= q && (w == 54 || q < 2.0 * floor(w));
+                assert!(fits, "word {addr}: bucket {w}, quantile {q}");
+            }
+            for (block, words) in word_buckets.chunks(BLOCK_WORDS).enumerate() {
+                assert_eq!(block_buckets[block], *words.iter().max().unwrap(), "block {block}");
+            }
         }
     }
 }

@@ -48,7 +48,7 @@ pub mod retention;
 pub mod stats;
 pub mod thermal;
 
-pub use bank::EdramArray;
+pub use bank::{EdramArray, WeakestCellMap};
 pub use buffer::{BankAllocation, DataType, UnifiedBuffer};
 pub use controller::{ClockDivider, RefreshConfig, RefreshPattern};
 pub use energy::{EnergyCosts, MemoryCharacteristics};

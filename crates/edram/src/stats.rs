@@ -11,7 +11,9 @@ pub struct MemoryStats {
     pub writes: u64,
     /// Words refreshed.
     pub refresh_words: u64,
-    /// Bits corrupted by retention failures (observed on reads/refreshes).
+    /// Bits corrupted by retention failures, counted per access: every
+    /// read counts the flipped bits of the word it returns (again on each
+    /// read of a decayed word), and every refresh the bits it locks in.
     pub faults: u64,
 }
 

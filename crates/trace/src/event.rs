@@ -159,7 +159,8 @@ pub enum Event {
         reads: u64,
         /// Words refreshed during execution.
         refresh_words: u64,
-        /// Bit faults observed.
+        /// Bit faults observed, counted at every access that resolves
+        /// them: a decayed word read twice counts its flipped bits twice.
         faults: u64,
     },
     /// A fleet die crashed: its queue and any in-flight batch are lost to
