@@ -153,8 +153,9 @@ fn ceil_div(a: usize, b: usize) -> u64 {
 
 /// Storage requirement, buffer fit, and word traffic of one candidate:
 /// the closed-form core of [`analyze`], exposed separately so the
-/// scheduler's pruning bound can price a candidate without paying for
-/// the name/cycle/lifetime bookkeeping of the full analysis.
+/// scheduler can price a candidate's refresh-free energy (its pruning
+/// bound) before paying for the cycle and lifetime analysis, which
+/// [`analyze_from`] then finishes from these same parts.
 pub fn storage_and_traffic(
     layer: &SchedLayer,
     pattern: Pattern,
@@ -275,6 +276,19 @@ pub fn analyze(
     tiling: Tiling,
     cfg: &AcceleratorConfig,
 ) -> LayerSim {
+    analyze_from(layer, pattern, tiling, cfg, storage_and_traffic(layer, pattern, tiling, cfg))
+}
+
+/// [`analyze`] from the candidate's already computed
+/// [`storage_and_traffic`] `parts`: adds the cycles and lifetimes.
+pub fn analyze_from(
+    layer: &SchedLayer,
+    pattern: Pattern,
+    tiling: Tiling,
+    cfg: &AcceleratorConfig,
+    parts: (Storage, bool, Traffic),
+) -> LayerSim {
+    let (storage, fits_buffer, traffic) = parts;
     let t = tiling.clamped_to(layer);
     let g = layer.groups as u64;
     let k2 = (layer.k * layer.k) as u64;
@@ -312,9 +326,6 @@ pub fn analyze(
     // --- level times (full-tile residencies, per group, in cycles) ------
     let t3 = cycles_group;
     let us = |c: u64| cfg.cycles_to_us(c);
-
-    // --- per-pattern storage, fit, and traffic ---------------------------
-    let (storage, fits_buffer, traffic) = storage_and_traffic(layer, pattern, tiling, cfg);
 
     let lifetimes = match pattern {
         Pattern::Id => {

@@ -2,11 +2,10 @@
 //!
 //! The scheduler's output for a layer is a pure function of the layer's
 //! *shape* and of the scheduling context (accelerator configuration,
-//! refresh model, energy costs, pattern space, tiling policy, bandwidth
-//! constraint). Networks reuse the same CONV shape dozens of times
-//! (ResNet-50's residual blocks, GoogLeNet's inception columns), so a
-//! schedule cache keyed by these fingerprints collapses the repeated
-//! searches to one.
+//! refresh model, energy costs, pattern space, tiling policy). Networks
+//! reuse the same CONV shape dozens of times (ResNet-50's residual blocks,
+//! GoogLeNet's inception columns), so a schedule cache keyed by these
+//! fingerprints collapses the repeated searches to one.
 //!
 //! Keys are 64-bit FNV-1a digests over a canonical byte serialization:
 //! every field that the analysis reads is hashed, and *only* those —
@@ -16,7 +15,6 @@
 //! platform-independent (no epsilon comparisons, `-0.0 ≠ 0.0`).
 
 use crate::config::{AcceleratorConfig, BufferConfig, PeOrganization};
-use crate::dram::{Ddr3Model, DdrMapping};
 use crate::layer::SchedLayer;
 use crate::pattern::{Pattern, Tiling};
 use crate::refresh::{ControllerKind, RefreshModel};
@@ -179,19 +177,6 @@ impl Fingerprint for RefreshModel {
     fn fingerprint_into(&self, h: &mut Fnv1a) {
         h.write_f64(self.interval_us);
         self.kind.fingerprint_into(h);
-    }
-}
-
-impl Fingerprint for Ddr3Model {
-    fn fingerprint_into(&self, h: &mut Fnv1a) {
-        h.write_f64(self.io_clock_hz);
-        h.write_usize(self.bus_bytes);
-        h.write_f64(self.efficiency);
-        h.write_u8(match self.mapping {
-            DdrMapping::RowBankCol => 0,
-            DdrMapping::BankRowCol => 1,
-            DdrMapping::RowColBank => 2,
-        });
     }
 }
 

@@ -63,7 +63,18 @@ impl RefreshModel {
 /// Returns 0 for SRAM buffers (no refresh), and 0 when every data type's
 /// critical interval is below the refresh interval (the paper's
 /// "Data Lifetime < Retention Time" condition).
+///
+/// # Panics
+///
+/// Panics if the refresh interval is not finite and positive.
 pub fn layer_refresh_words(sim: &LayerSim, cfg: &AcceleratorConfig, model: &RefreshModel) -> u64 {
+    // A zero interval would count an unbounded number of pulses (wrapping
+    // the word count), and a negative or NaN one would silently count none.
+    assert!(
+        model.interval_us.is_finite() && model.interval_us > 0.0,
+        "refresh interval must be finite and positive, got {} us",
+        model.interval_us
+    );
     if cfg.buffer.tech == BufferTech::Sram {
         return 0;
     }
@@ -177,6 +188,30 @@ mod tests {
         );
         // Halving the pulse rate halves refresh (Fig. 16's eD+ID trend).
         assert!((w45 as f64 / w90 as f64 - 2.0).abs() < 0.05);
+    }
+
+    #[test]
+    #[should_panic(expected = "refresh interval must be finite and positive")]
+    fn zero_refresh_interval_panics() {
+        let (sim, cfg) = layer_a_sim(Pattern::Id);
+        let model = RefreshModel { interval_us: 0.0, kind: ControllerKind::Conventional };
+        layer_refresh_words(&sim, &cfg, &model);
+    }
+
+    #[test]
+    #[should_panic(expected = "refresh interval must be finite and positive")]
+    fn negative_refresh_interval_panics() {
+        let (sim, cfg) = layer_a_sim(Pattern::Id);
+        let model = RefreshModel { interval_us: -45.0, kind: ControllerKind::Conventional };
+        layer_refresh_words(&sim, &cfg, &model);
+    }
+
+    #[test]
+    #[should_panic(expected = "refresh interval must be finite and positive")]
+    fn nan_refresh_interval_panics() {
+        let (sim, cfg) = layer_a_sim(Pattern::Id);
+        let model = RefreshModel { interval_us: f64::NAN, kind: ControllerKind::RefreshOptimized };
+        layer_refresh_words(&sim, &cfg, &model);
     }
 
     #[test]

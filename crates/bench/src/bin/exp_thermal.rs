@@ -63,8 +63,8 @@ fn validation_json(v: &ValidationSummary) -> String {
 fn run_network(eval: &Evaluator, net: &Network, seed: u64) -> NetResult {
     let design = Design::RanaStarE5;
     let thermal = ThermalModel::embedded_65nm();
-    let config = AdaptiveConfig::for_design(design, FallbackPolicy::Reschedule, seed);
-    let target = config.target_rate;
+    let config = AdaptiveConfig { fallback: FallbackPolicy::Reschedule, seed };
+    let target = design.failure_rate();
     let kind = design.refresh_model(eval.retention()).kind;
     let model = EnergyModel::paper_65nm();
 

@@ -39,12 +39,11 @@ use crate::designs::Design;
 use crate::energy::{EnergyBreakdown, EnergyModel};
 use crate::evaluate::Evaluator;
 use crate::operating::{
-    account_layer, check_refresh_weight, check_throttle, crit_us, hedged, keeps_base, quantize,
-    throttle, ThermalPolicy, LADDER_STEPS_PER_OCTAVE, RESCHEDULE_REFRESH_WEIGHT, RETENTION_MARGIN,
-    SENSOR_QUANTUM_C, THROTTLE_TEMP_C,
+    account_layer, check_throttle, crit_us, hedged, keeps_base, quantize, throttle, ThermalPolicy,
+    LADDER_STEPS_PER_OCTAVE, RESCHEDULE_REFRESH_WEIGHT, RETENTION_MARGIN, THROTTLE_TEMP_C,
 };
 use crate::par::ScheduleCache;
-use crate::scheduler::{LayerSchedule, NetworkSchedule, Scheduler};
+use crate::scheduler::{LayerSchedule, NetworkSchedule, Scheduler, SearchBatch};
 use rana_accel::exec::{execute_layer, BufferModel, Formats};
 use rana_accel::{
     layer_refresh_words, AcceleratorConfig, Fnv1a, Pattern, RefreshModel, SchedLayer, Tiling,
@@ -81,63 +80,18 @@ impl FallbackPolicy {
     }
 }
 
-/// Tuning of the adaptive policy.
-#[derive(Debug, Clone)]
+/// Tuning of the adaptive policy. The rest of the policy is fixed: the
+/// target is the design's Stage-1 failure rate, and the retention margin,
+/// sensor resolution, interval ladder, throttle cap and reschedule refresh
+/// weight are the constants of [`crate::operating`], which serving shares.
+#[derive(Debug, Clone, Copy)]
 pub struct AdaptiveConfig {
-    /// Stage-1 tolerable bit-failure-rate target.
-    pub target_rate: f64,
-    /// Safety margin applied to the tolerable retention time before
-    /// quantization (`0 < margin ≤ 1`); covers sensor quantization and the
-    /// heating that happens *within* a layer, after its boundary sample.
-    pub retention_margin: f64,
-    /// Temperature sensor resolution, °C. Samples are quantized *up* (the
-    /// pessimistic side for retention).
-    pub sensor_quantum_c: f64,
-    /// Interval-ladder resolution: rung `k` is `nominal · 2^(−k/steps)`.
-    /// Coarser ladders retune less and maximize memo-cache reuse; finer
-    /// ladders track the safe interval more tightly.
-    pub ladder_steps_per_octave: u32,
     /// What to do when a layer's data lifetime exceeds the safe interval.
     pub fallback: FallbackPolicy,
-    /// Thermal throttle: when the junction exceeds this cap at a layer
-    /// boundary, the runtime duty-cycles — idles until the die cools back
-    /// to the cap before launching the layer (DVFS-style thermal
-    /// protection). Bounds the interval-tightening feedback loop: entry
-    /// temperature, and with it the chosen rung and refresh power, can
-    /// never spiral. Must be above ambient.
-    pub throttle_temp_c: f64,
-    /// Refresh-energy weight applied by the *online* reschedule search
-    /// (`≥ 1`). Under a heating transient the refresh bill of a candidate
-    /// grows as the interval keeps tightening (pulses ∝ 1/interval) while
-    /// its MAC/buffer/off-chip terms stay fixed, so the online search
-    /// hedges by pricing refresh at `weight ×` its Table III cost; `4.0`
-    /// prices two further octaves of derating, which also keeps the
-    /// config choice stable across neighbouring rungs (a cheap-refresh
-    /// pick at a loose cold rung would otherwise flip to a lean pick one
-    /// rung later, paying the difference twice). Accounting and reports
-    /// always use the unweighted model.
-    pub reschedule_refresh_weight: f64,
     /// Seed for the Monte-Carlo validation probes. The control loop itself
     /// is seed-free (fully deterministic); the seed only selects the
     /// per-cell retention draw of [`run_probes`].
     pub seed: u64,
-}
-
-impl AdaptiveConfig {
-    /// The default policy for a design point: the design's Stage-1 failure
-    /// rate, 0.85 retention margin, 0.25 °C sensor, quarter-octave ladder.
-    pub fn for_design(design: Design, fallback: FallbackPolicy, seed: u64) -> Self {
-        Self {
-            target_rate: design.failure_rate(),
-            retention_margin: RETENTION_MARGIN,
-            sensor_quantum_c: SENSOR_QUANTUM_C,
-            ladder_steps_per_octave: LADDER_STEPS_PER_OCTAVE,
-            fallback,
-            throttle_temp_c: THROTTLE_TEMP_C,
-            reschedule_refresh_weight: RESCHEDULE_REFRESH_WEIGHT,
-            seed,
-        }
-    }
 }
 
 /// Which schedule a layer execution came from.
@@ -259,8 +213,8 @@ impl PassRecord {
 pub struct AdaptiveReport {
     /// Network name.
     pub network: String,
-    /// Design label.
-    pub design: String,
+    /// The design point the run adapted.
+    pub design: Design,
     /// The policy configuration the run used.
     pub config: AdaptiveConfig,
     /// The thermal plant constants.
@@ -349,12 +303,12 @@ impl AdaptiveReport {
             .finish();
         Obj::new()
             .str("network", &self.network)
-            .str("design", &self.design)
-            .f64("target_rate", self.config.target_rate)
-            .f64("retention_margin", self.config.retention_margin)
+            .str("design", self.design.label())
+            .f64("target_rate", self.design.failure_rate())
+            .f64("retention_margin", RETENTION_MARGIN)
             .str("fallback", self.config.fallback.label())
-            .f64("throttle_temp_c", self.config.throttle_temp_c)
-            .f64("reschedule_refresh_weight", self.config.reschedule_refresh_weight)
+            .f64("throttle_temp_c", THROTTLE_TEMP_C)
+            .f64("reschedule_refresh_weight", RESCHEDULE_REFRESH_WEIGHT)
             .raw("seed", self.config.seed)
             .raw("thermal", thermal)
             .f64("nominal_interval_us", self.nominal_interval_us)
@@ -434,7 +388,7 @@ impl Scenario {
 /// let eval = Evaluator::paper_platform();
 /// let net = rana_zoo::alexnet();
 /// let design = Design::RanaStarE5;
-/// let config = AdaptiveConfig::for_design(design, FallbackPolicy::Reschedule, 42);
+/// let config = AdaptiveConfig { fallback: FallbackPolicy::Reschedule, seed: 42 };
 /// let mut rt = AdaptiveRuntime::new(&eval, &net, design, ThermalModel::embedded_65nm(), config);
 ///
 /// let pass = rt.run_pass(); // one inference pass: sense → derate → retune
@@ -475,9 +429,8 @@ impl AdaptiveRuntime {
     ///
     /// # Panics
     ///
-    /// Panics if `design` does not buffer in eDRAM, or if the policy
-    /// configuration is out of range (margin or target rate outside
-    /// `(0, 1]`, non-positive sensor quantum, zero ladder steps).
+    /// Panics if `design` does not buffer in eDRAM, or if `thermal`'s
+    /// ambient is not below the throttle cap.
     pub fn new(
         eval: &Evaluator,
         net: &Network,
@@ -486,23 +439,15 @@ impl AdaptiveRuntime {
         config: AdaptiveConfig,
     ) -> Self {
         assert!(design.uses_edram(), "adaptive refresh needs an eDRAM design, got {design}");
-        assert!(
-            config.target_rate > 0.0 && config.target_rate <= 1.0,
-            "target rate must be in (0, 1], got {}",
-            config.target_rate
-        );
-        check_refresh_weight(config.reschedule_refresh_weight);
-        check_throttle(config.throttle_temp_c, &thermal);
+        check_throttle(THROTTLE_TEMP_C, &thermal);
 
         let template = eval.scheduler_for(design);
         let kind = template.refresh.kind;
         let dist = eval.retention().clone();
         let policy = ThermalPolicy::new(
             &template,
-            dist.tolerable_retention_us(config.target_rate),
-            config.retention_margin,
-            config.sensor_quantum_c,
-            config.ladder_steps_per_octave,
+            dist.tolerable_retention_us(design.failure_rate()),
+            LADDER_STEPS_PER_OCTAVE,
         );
         let base = eval.evaluate(net, design).schedule;
         let conservative = eval
@@ -516,8 +461,8 @@ impl AdaptiveRuntime {
         let (divider, interval_us) = policy.nominal();
         let report = AdaptiveReport {
             network: net.name().to_string(),
-            design: design.label().to_string(),
-            config: config.clone(),
+            design,
+            config,
             thermal,
             nominal_interval_us: template.refresh.interval_us,
             passes: Vec::new(),
@@ -633,8 +578,11 @@ impl AdaptiveRuntime {
                 (ScheduleSource::Conservative, self.conservative.layers[idx].clone())
             }
             FallbackPolicy::Reschedule => {
-                let s = hedged(&self.template, interval_us, self.config.reschedule_refresh_weight);
-                (ScheduleSource::Rescheduled, s.schedule_layer_memo(&self.layers[idx], &self.cache))
+                let s = hedged(&self.template, interval_us, RESCHEDULE_REFRESH_WEIGHT);
+                let layer = &self.layers[idx];
+                let mut batch = SearchBatch::new(Some(&self.cache));
+                let planned = batch.plan(&s, s.search_key(), s.layer_key(layer), layer);
+                (ScheduleSource::Rescheduled, batch.run(None).get(planned, &layer.name))
             }
         }
     }
@@ -699,9 +647,9 @@ impl AdaptiveRuntime {
         // Thermal throttle: if the previous layer left the die above the
         // throttle temperature, idle until it cools back to the cap before
         // launching this layer.
-        let throttle_us = throttle(&self.thermal, self.temp_c, self.config.throttle_temp_c);
+        let throttle_us = throttle(&self.thermal, self.temp_c, THROTTLE_TEMP_C);
         if let Some(dt) = throttle_us {
-            self.temp_c = self.config.throttle_temp_c;
+            self.temp_c = THROTTLE_TEMP_C;
             self.now_us += dt;
             self.report.trajectory.push(TrajectoryPoint {
                 t_us: self.now_us,
@@ -1051,7 +999,7 @@ mod tests {
             &net,
             design,
             ThermalModel::embedded_65nm(),
-            AdaptiveConfig::for_design(design, fallback, 7),
+            AdaptiveConfig { fallback, seed: 7 },
         )
     }
 

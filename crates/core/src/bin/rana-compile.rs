@@ -46,6 +46,10 @@ const USAGE: &str = "usage: rana-compile <alexnet|vgg|googlenet|resnet|mobilenet
        rana-compile precompile --out <path> [--networks <a,b,..|all>] [--designs <a,b,..>] \
     [--banks <n,n,..>] [--octaves <n>] [--steps <n>] [--weight <f>]";
 
+/// Largest `--capacity` factor: 1024 × the paper's eDRAM buffer, 45,056
+/// banks.
+const MAX_CAPACITY_FACTOR: f64 = 1024.0;
+
 fn parse_design(v: &str) -> Result<Design, String> {
     match v {
         "s-id" => Ok(Design::SId),
@@ -76,19 +80,32 @@ fn parse_args() -> Result<Args, String> {
                 out.design = parse_design(&args.next().ok_or("--design needs a value")?)?;
             }
             "--capacity" => {
-                out.capacity_factor = args
+                let factor: f64 = args
                     .next()
                     .ok_or("--capacity needs a value")?
                     .parse()
                     .map_err(|e| format!("bad capacity factor: {e}"))?;
+                // The per-bank refresh flags of every layer are allocated, so
+                // an unbounded factor could exhaust memory.
+                if !(factor > 0.0 && factor <= MAX_CAPACITY_FACTOR) {
+                    return Err(format!(
+                        "--capacity must lie in (0, {MAX_CAPACITY_FACTOR}], got {factor}\n{USAGE}"
+                    ));
+                }
+                out.capacity_factor = factor;
             }
             "--input" => {
-                out.input_hw = Some(
-                    args.next()
-                        .ok_or("--input needs a value")?
-                        .parse()
-                        .map_err(|e| format!("bad input size: {e}"))?,
-                );
+                let hw: usize = args
+                    .next()
+                    .ok_or("--input needs a value")?
+                    .parse()
+                    .map_err(|e| format!("bad input size: {e}"))?;
+                if hw == 0 || !hw.is_multiple_of(32) {
+                    return Err(format!(
+                        "--input must be a positive multiple of 32, got {hw}\n{USAGE}"
+                    ));
+                }
+                out.input_hw = Some(hw);
             }
             "--json" => out.json_path = Some(args.next().ok_or("--json needs a path")?),
             "--summary" => out.summary_only = true,

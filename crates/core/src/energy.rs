@@ -4,9 +4,12 @@
 //! count, βb the on-chip buffer accesses, γ the refresh operations and βd
 //! the off-chip accesses — all per 16-bit word.
 
-use rana_accel::{AcceleratorConfig, LayerSim};
+use rana_accel::{AcceleratorConfig, LayerSim, Traffic};
 use rana_edram::EnergyCosts;
 use std::ops::{Add, AddAssign};
+
+/// Joules per picojoule.
+const PJ: f64 = 1e-12;
 
 /// Energy of one layer or network, split the way Figures 1 and 15 plot it.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -95,14 +98,37 @@ impl EnergyModel {
         refresh_words: u64,
         cfg: &AcceleratorConfig,
     ) -> EnergyBreakdown {
-        let pj = 1e-12;
+        self.with_refresh(self.without_refresh(sim.macs, &sim.traffic, cfg), refresh_words)
+    }
+
+    /// Eq. 14 at zero refresh: the computing, buffer and off-chip terms of
+    /// `macs` MACs moving `traffic` on `cfg`.
+    pub(crate) fn without_refresh(
+        &self,
+        macs: u64,
+        traffic: &Traffic,
+        cfg: &AcceleratorConfig,
+    ) -> EnergyBreakdown {
         EnergyBreakdown {
-            computing_j: sim.macs as f64 * self.costs.mac_pj * pj,
-            buffer_j: sim.traffic.buffer_total() as f64
+            computing_j: macs as f64 * self.costs.mac_pj * PJ,
+            buffer_j: traffic.buffer_total() as f64
                 * self.costs.buffer_access_pj(cfg.buffer.tech)
-                * pj,
-            refresh_j: refresh_words as f64 * self.costs.edram_refresh_pj * pj,
-            offchip_j: sim.traffic.dram_total() as f64 * self.costs.ddr_access_pj * pj,
+                * PJ,
+            refresh_j: 0.0,
+            offchip_j: traffic.dram_total() as f64 * self.costs.ddr_access_pj * PJ,
+        }
+    }
+
+    /// `energy` with its refresh term priced for `refresh_words` refresh
+    /// operations.
+    pub(crate) fn with_refresh(
+        &self,
+        energy: EnergyBreakdown,
+        refresh_words: u64,
+    ) -> EnergyBreakdown {
+        EnergyBreakdown {
+            refresh_j: refresh_words as f64 * self.costs.edram_refresh_pj * PJ,
+            ..energy
         }
     }
 }

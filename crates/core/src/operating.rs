@@ -125,15 +125,14 @@ pub struct OperatingPoint {
     pub interval_us: f64,
 }
 
-/// Stage 1 for one platform: sensor, derate, margin, ladder and divider.
+/// Stage 1 for one platform: sensor ([`SENSOR_QUANTUM_C`]), derate,
+/// margin ([`RETENTION_MARGIN`]), ladder and divider.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ThermalPolicy {
     frequency_hz: f64,
     nominal_us: f64,
     steps_per_octave: u32,
     base_tolerable_us: f64,
-    retention_margin: f64,
-    sensor_quantum_c: f64,
 }
 
 impl ThermalPolicy {
@@ -142,28 +141,14 @@ impl ThermalPolicy {
     ///
     /// # Panics
     ///
-    /// Panics if the margin lies outside `(0, 1]`, the sensor quantum is
-    /// not positive, or the ladder has no step per octave.
-    pub fn new(
-        template: &Scheduler,
-        base_tolerable_us: f64,
-        retention_margin: f64,
-        sensor_quantum_c: f64,
-        steps_per_octave: u32,
-    ) -> Self {
-        assert!(
-            retention_margin > 0.0 && retention_margin <= 1.0,
-            "retention margin must be in (0, 1], got {retention_margin}"
-        );
-        assert!(sensor_quantum_c > 0.0, "sensor quantum must be positive, got {sensor_quantum_c}");
+    /// Panics if the ladder has no step per octave.
+    pub fn new(template: &Scheduler, base_tolerable_us: f64, steps_per_octave: u32) -> Self {
         check_ladder_steps(steps_per_octave);
         Self {
             frequency_hz: template.cfg.frequency_hz,
             nominal_us: template.refresh.interval_us,
             steps_per_octave,
             base_tolerable_us,
-            retention_margin,
-            sensor_quantum_c,
         }
     }
 
@@ -175,10 +160,10 @@ impl ThermalPolicy {
     /// Sense (rounded *up* to the sensor resolution) → derate → margin →
     /// ladder rung → divider at `temp_c`.
     pub fn operate(&self, thermal: &ThermalModel, temp_c: f64) -> OperatingPoint {
-        let q = self.sensor_quantum_c;
+        let q = SENSOR_QUANTUM_C;
         let sensed_c = (temp_c / q).ceil() * q;
         let tolerable_us = self.base_tolerable_us * scale_for_delta(thermal.delta_c(sensed_c));
-        let safe_us = tolerable_us * self.retention_margin;
+        let safe_us = tolerable_us * RETENTION_MARGIN;
         let rung = ladder_rung_us(self.nominal_us, safe_us, self.steps_per_octave);
         let (divider, interval_us) = quantize(self.frequency_hz, rung);
         OperatingPoint { sensed_c, tolerable_us, divider, interval_us }

@@ -10,7 +10,10 @@ use crate::energy::{EnergyBreakdown, EnergyModel};
 use crate::par::{self, ScheduleCache};
 use rana_accel::fingerprint::{Fingerprint, Fnv1a};
 use rana_accel::refresh::layer_refresh_words;
-use rana_accel::{analyze, AcceleratorConfig, LayerSim, Pattern, RefreshModel, SchedLayer, Tiling};
+use rana_accel::{
+    analyze_from, storage_and_traffic, AcceleratorConfig, LayerSim, Pattern, RefreshModel,
+    SchedLayer, Tiling,
+};
 use rana_zoo::Network;
 use std::collections::HashMap;
 
@@ -85,16 +88,6 @@ pub struct Scheduler {
     /// `Tm = Tn = 64`, `Tr = Tc = 1`; the Table IV baselines run the
     /// platform's natural tiling).
     pub fixed_tiling: Option<Tiling>,
-    /// Whether activations may stay on chip between layers when capacity
-    /// allows (a property of the platform's unified buffer, on for every
-    /// design).
-    pub interlayer_forwarding: bool,
-    /// Optional DDR3 bandwidth constraint: when set, candidates whose
-    /// off-chip traffic would stall the compute (transfer time exceeding
-    /// compute time under perfect double buffering) are avoided whenever a
-    /// compute-bound candidate exists — "minimize energy subject to no
-    /// memory-bound slowdown".
-    pub bandwidth: Option<rana_accel::dram::Ddr3Model>,
 }
 
 impl Scheduler {
@@ -106,8 +99,6 @@ impl Scheduler {
             model: EnergyModel::paper_65nm(),
             patterns: Pattern::RANA_SPACE.to_vec(),
             fixed_tiling: None,
-            interlayer_forwarding: true,
-            bandwidth: None,
         }
     }
 
@@ -119,56 +110,25 @@ impl Scheduler {
             model: EnergyModel::paper_65nm(),
             patterns: vec![pattern],
             fixed_tiling: None,
-            interlayer_forwarding: true,
-            bandwidth: None,
-        }
-    }
-
-    /// Refresh words and Eq. 14 energy of an analyzed candidate under this
-    /// scheduler's refresh model and energy costs.
-    fn price(&self, sim: &LayerSim) -> (u64, EnergyBreakdown) {
-        let refresh_words = layer_refresh_words(sim, &self.cfg, &self.refresh);
-        (refresh_words, self.model.layer_energy(sim, refresh_words, &self.cfg))
-    }
-
-    /// Whether an analyzed candidate satisfies the optional bandwidth
-    /// constraint.
-    fn meets_perf(&self, sim: &LayerSim) -> bool {
-        match &self.bandwidth {
-            None => true,
-            Some(ddr) => !rana_accel::dram::LayerPerformance::of(sim, ddr).memory_bound(),
         }
     }
 
     /// The selection predicate: does a candidate of this `energy` and
     /// `cycles` replace the incumbent?
     ///
-    /// Prefer candidates meeting the bandwidth constraint, then minimize
-    /// energy; within a 1% energy band (energy is nearly flat in some
-    /// tiling directions) prefer fewer cycles, preserving the paper's
+    /// Minimize energy; within a 1% energy band (energy is nearly flat in
+    /// some tiling directions) prefer fewer cycles, preserving the paper's
     /// "performance loss is negligible" property.
     ///
     /// This is *not* a total order (the cycle tie-break only applies
     /// inside the band), so the scan over candidates must always run in
     /// the canonical candidate order — which is why the parallel path
     /// evaluates concurrently but folds serially.
-    fn improves(
-        best: &Option<(LayerSchedule, bool)>,
-        energy: &EnergyBreakdown,
-        cycles: u64,
-        cand_ok: bool,
-    ) -> bool {
-        match best {
-            None => true,
-            Some((b, b_ok)) => {
-                if cand_ok != *b_ok {
-                    cand_ok
-                } else {
-                    let (e, be) = (energy.total_j(), b.energy.total_j());
-                    e < be * 0.99 || (e <= be * 1.01 && cycles < b.sim.cycles)
-                }
-            }
-        }
+    fn improves(best: &Option<LayerSchedule>, energy: &EnergyBreakdown, cycles: u64) -> bool {
+        best.as_ref().is_none_or(|b| {
+            let (e, be) = (energy.total_j(), b.energy.total_j());
+            e < be * 0.99 || (e <= be * 1.01 && cycles < b.sim.cycles)
+        })
     }
 
     /// The candidate space `(pattern, tiling)` in canonical scan order.
@@ -191,76 +151,55 @@ impl Scheduler {
         out
     }
 
-    /// A lower bound on a candidate's Eq. 14 energy, cheaper than a full
-    /// analysis.
-    ///
-    /// Admissible by construction: the computing, buffer, and off-chip
-    /// terms are *exact* — they share [`rana_accel::storage_and_traffic`],
-    /// the closed-form traffic core of `analyze()`, including overflow
-    /// reload/spill penalties — and only the refresh term is bounded by
-    /// its floor of 0. The bound is `(computing + buffer) + offchip`, the
-    /// true energy `((computing + buffer) + refresh) + offchip` without
-    /// its refresh term; floating-point rounding is monotone, so the
-    /// bound never exceeds the true energy, bit for bit. It skips the
-    /// name/cycle/lifetime bookkeeping plus the refresh-word simulation of
-    /// a full evaluation, and it depends on neither the refresh model nor
-    /// the refresh cost, so every member of a search group shares it.
-    fn energy_lower_bound(&self, layer: &SchedLayer, pattern: Pattern, tiling: Tiling) -> f64 {
-        let (_, _, traffic) = rana_accel::storage_and_traffic(layer, pattern, tiling, &self.cfg);
-        let pj = 1e-12;
-        layer.total_macs() as f64 * self.model.costs.mac_pj * pj
-            + traffic.buffer_total() as f64
-                * self.model.costs.buffer_access_pj(self.cfg.buffer.tech)
-                * pj
-            + traffic.dram_total() as f64 * self.model.costs.ddr_access_pj * pj
-    }
-
     /// The canonical candidate scan, run once for a whole *search group*:
     /// schedulers with equal [`Self::search_key`]s, which differ only in
     /// `refresh` and `model.costs.edram_refresh_pj`. Each candidate of the
-    /// name-less `shape` is analyzed once, priced for every member exactly
-    /// as that member's own scan prices it, and folded into the member's
-    /// own incumbent by the unchanged selection predicate. Every member
-    /// sees the same candidates in the same order at bit-identical prices,
-    /// so its fold *is* its own scan. A group of one is the plain scan.
+    /// name-less `shape` is priced once at zero refresh from its
+    /// [`storage_and_traffic`]: the computing, buffer and off-chip terms
+    /// of Eq. 14, which every member shares. A candidate that is not
+    /// skipped is analyzed once from the same parts, each member adds its
+    /// own refresh term, and the result is folded into the member's own
+    /// incumbent by the unchanged selection predicate. Every member sees
+    /// the same candidates in the same order at bit-identical prices, so
+    /// its fold *is* its own scan. A group of one is the plain scan.
     ///
-    /// With `prune` (and no bandwidth constraint: a high-energy candidate
-    /// may still be the only compute-bound one) a candidate is skipped
-    /// without analysis only when the admissible energy lower bound
-    /// exceeds `1.01 ×` *every* member's incumbent energy. No member's
-    /// predicate could then accept it, so skipping changes no fold state
-    /// and each result equals the exhaustive scan's.
+    /// With `prune` a candidate is skipped without analysis only when its
+    /// shared energy, a lower bound on every member's energy, exceeds
+    /// `1.01 ×` *every* member's incumbent energy. No member's predicate
+    /// could then accept it, so skipping changes no fold state and each
+    /// result equals the exhaustive scan's (proof in DESIGN.md).
     ///
     /// Returns one schedule per member, in member order, named as `shape`.
     fn search_group(group: &[&Scheduler], shape: &SchedLayer, prune: bool) -> Vec<LayerSchedule> {
         let lead = group[0];
-        let prune = prune && lead.bandwidth.is_none();
-        let mut best: Vec<Option<(LayerSchedule, bool)>> = vec![None; group.len()];
+        let macs = shape.total_macs();
+        let mut best: Vec<Option<LayerSchedule>> = vec![None; group.len()];
         // The skip bar: 1.01 × the largest incumbent energy, once every
         // member has an incumbent.
         let mut bar: Option<f64> = None;
         let mut evaluated = 0u64;
         let mut pruned = 0u64;
         for (pattern, tiling) in lead.candidate_space(shape) {
-            if bar.is_some_and(|bar| lead.energy_lower_bound(shape, pattern, tiling) > bar) {
+            let parts = storage_and_traffic(shape, pattern, tiling, &lead.cfg);
+            let shared = lead.model.without_refresh(macs, &parts.2, &lead.cfg);
+            if bar.is_some_and(|bar| shared.total_j() > bar) {
                 pruned += 1;
                 continue;
             }
             evaluated += 1;
-            let sim = analyze(shape, pattern, tiling, &lead.cfg);
-            let ok = lead.meets_perf(&sim);
+            let sim = analyze_from(shape, pattern, tiling, &lead.cfg, parts);
             let mut moved = false;
             for (member, incumbent) in group.iter().zip(&mut best) {
-                let (refresh_words, energy) = member.price(&sim);
-                if Self::improves(incumbent, &energy, sim.cycles, ok) {
-                    *incumbent =
-                        Some((LayerSchedule { sim: sim.clone(), refresh_words, energy }, ok));
+                let refresh_words = layer_refresh_words(&sim, &member.cfg, &member.refresh);
+                let energy = member.model.with_refresh(shared, refresh_words);
+                if Self::improves(incumbent, &energy, sim.cycles) {
+                    *incumbent = Some(LayerSchedule { sim: sim.clone(), refresh_words, energy });
                     moved = true;
                 }
             }
             if prune && moved {
                 bar = best.iter().try_fold(f64::NEG_INFINITY, |bar, b| {
-                    b.as_ref().map(|(s, _)| bar.max(s.energy.total_j() * 1.01))
+                    b.as_ref().map(|s| bar.max(s.energy.total_j() * 1.01))
                 });
             }
         }
@@ -269,7 +208,7 @@ impl Scheduler {
             rana_trace::count("scheduler.candidates_evaluated", evaluated);
             rana_trace::count("scheduler.candidates_pruned", pruned);
         }
-        best.into_iter().map(|b| b.expect("tiling candidate list is never empty").0).collect()
+        best.into_iter().map(|b| b.expect("tiling candidate list is never empty")).collect()
     }
 
     /// One layer through [`Self::search_group`] as a group of one: the scan
@@ -284,8 +223,8 @@ impl Scheduler {
 
     /// Schedules one layer: the minimum-energy `(pattern, tiling)`.
     ///
-    /// Candidates that provably cannot beat the incumbent (by the
-    /// admissible energy lower bound) are skipped without a full
+    /// Candidates that provably cannot beat the incumbent (their
+    /// refresh-free energy already exceeds it) are skipped without a full
     /// analysis; the result is identical to
     /// [`Self::schedule_layer_exhaustive`].
     ///
@@ -324,9 +263,7 @@ impl Scheduler {
 
     /// Canonical fingerprint of everything a layer search's *result*
     /// depends on: accelerator, refresh model, energy costs, pattern
-    /// space, tiling policy, and bandwidth constraint.
-    /// `interlayer_forwarding` is deliberately excluded — it post-processes
-    /// the network schedule and never changes a per-layer search.
+    /// space and tiling policy.
     pub fn fingerprint(&self) -> u64 {
         self.context_walk(true)
     }
@@ -334,8 +271,8 @@ impl Scheduler {
     /// The [`Self::fingerprint`] walk without the refresh model and
     /// `model.costs.edram_refresh_pj`. Schedulers with equal search keys
     /// form a *search group*: they analyze every candidate identically and
-    /// share its admissible energy bound, and differ only in how they
-    /// price refresh, so one candidate scan serves them all
+    /// share its refresh-free energy, and differ only in how they price
+    /// refresh, so one candidate scan serves them all
     /// ([`Self::schedule_layer_group`]).
     pub fn search_key(&self) -> u64 {
         self.context_walk(false)
@@ -364,13 +301,10 @@ impl Scheduler {
                 t.fingerprint_into(&mut h);
             }
         }
-        match &self.bandwidth {
-            None => h.write_u8(0),
-            Some(d) => {
-                h.write_u8(1);
-                d.fingerprint_into(&mut h);
-            }
-        }
+        // The tag of the bandwidth constraint the scheduler once had, always
+        // "none": keeping it keeps every key, and so every persisted store,
+        // valid.
+        h.write_u8(0);
         h.finish()
     }
 
@@ -381,67 +315,47 @@ impl Scheduler {
         compose_key(self.fingerprint(), layer)
     }
 
-    /// Schedules one layer through `cache`: a hit returns the finished
-    /// search with this layer's name patched in; a miss runs
-    /// [`Self::schedule_layer`] and stores the result.
-    pub fn schedule_layer_memo(&self, layer: &SchedLayer, cache: &ScheduleCache) -> LayerSchedule {
-        let key = self.layer_key(layer);
-        if let Some(mut hit) = cache.get(key) {
-            hit.sim.layer = layer.name.clone();
-            return hit;
-        }
-        let result = self.schedule_layer(layer);
-        cache.insert(key, result.clone());
-        result
-    }
-
-    /// Emits one finalized [`rana_trace::Event::ScheduleChosen`] per
-    /// layer. Runs serially over the assembled schedule *after*
+    /// The network schedule of `net` from its per-layer searches `layers`
+    /// (in CONV-layer order): applies inter-layer activation forwarding,
+    /// then emits one finalized [`rana_trace::Event::ScheduleChosen`] per
+    /// layer. The events run serially over the assembled schedule *after*
     /// forwarding, so the emitted energies are the ones the evaluator
     /// totals fold (the per-run trace ledger reconciles with `Evaluator`)
     /// and the event order is layer order at any thread count.
-    fn trace_network(sched: &NetworkSchedule) {
-        if !rana_trace::enabled() {
-            return;
+    fn assemble(&self, net: &Network, mut layers: Vec<LayerSchedule>) -> NetworkSchedule {
+        self.apply_forwarding(net, &mut layers);
+        let sched = NetworkSchedule { network: net.name().to_string(), layers };
+        if rana_trace::enabled() {
+            for l in &sched.layers {
+                rana_trace::emit(|| rana_trace::Event::ScheduleChosen {
+                    network: sched.network.clone(),
+                    layer: l.sim.layer.clone(),
+                    pattern: l.sim.pattern.to_string(),
+                    tiling: [l.sim.tiling.tm, l.sim.tiling.tn, l.sim.tiling.tr, l.sim.tiling.tc],
+                    energy: l.energy.ledger(),
+                });
+            }
         }
-        for l in &sched.layers {
-            rana_trace::emit(|| rana_trace::Event::ScheduleChosen {
-                network: sched.network.clone(),
-                layer: l.sim.layer.clone(),
-                pattern: l.sim.pattern.to_string(),
-                tiling: [l.sim.tiling.tm, l.sim.tiling.tn, l.sim.tiling.tr, l.sim.tiling.tc],
-                energy: l.energy.ledger(),
-            });
-        }
+        sched
     }
 
     /// Schedules every CONV layer of a network, then applies inter-layer
     /// activation forwarding.
     pub fn schedule_network(&self, net: &Network) -> NetworkSchedule {
-        let mut layers: Vec<LayerSchedule> =
+        let layers =
             net.conv_layers().map(|c| self.schedule_layer(&SchedLayer::from_conv(c))).collect();
-        if self.interlayer_forwarding {
-            self.apply_forwarding(net, &mut layers);
-        }
-        let sched = NetworkSchedule { network: net.name().to_string(), layers };
-        Self::trace_network(&sched);
-        sched
+        self.assemble(net, layers)
     }
 
     /// [`Self::schedule_network`] with every layer searched exhaustively
     /// (no lower-bound pruning): the reference path for benchmarks and
     /// determinism tests.
     pub fn schedule_network_exhaustive(&self, net: &Network) -> NetworkSchedule {
-        let mut layers: Vec<LayerSchedule> = net
+        let layers = net
             .conv_layers()
             .map(|c| self.schedule_layer_exhaustive(&SchedLayer::from_conv(c)))
             .collect();
-        if self.interlayer_forwarding {
-            self.apply_forwarding(net, &mut layers);
-        }
-        let sched = NetworkSchedule { network: net.name().to_string(), layers };
-        Self::trace_network(&sched);
-        sched
+        self.assemble(net, layers)
     }
 
     /// The parallel + memoized network engine for one network: the
@@ -516,17 +430,12 @@ impl Scheduler {
             .iter()
             .zip(plans)
             .map(|(&(s, net), (slot_of, planned))| {
-                let mut out: Vec<LayerSchedule> = net
+                let layers = net
                     .conv_layers()
                     .zip(slot_of)
                     .map(|(conv, slot)| searched.get(planned[slot], &conv.name))
                     .collect();
-                if s.interlayer_forwarding {
-                    s.apply_forwarding(net, &mut out);
-                }
-                let sched = NetworkSchedule { network: net.name().to_string(), layers: out };
-                Self::trace_network(&sched);
-                sched
+                s.assemble(net, layers)
             })
             .collect()
     }
@@ -622,9 +531,8 @@ impl<'a> SearchBatch<'a> {
     }
 
     /// Plans the search of `layer` (cache key `key`) under `s` (search key
-    /// `search_key`), counting the lookup as the hit or miss that
-    /// [`Scheduler::schedule_layer_memo`] would count at this point of a
-    /// serial run.
+    /// `search_key`), counting the lookup as the hit or miss that a cache
+    /// lookup would count at this point of a serial run.
     pub(crate) fn plan(
         &mut self,
         s: &'a Scheduler,
@@ -763,38 +671,6 @@ mod tests {
         let e734 = s734.schedule_network(&net).total_energy();
         assert!(e734.refresh_j <= e45.refresh_j + 1e-12);
         assert!(e734.total_j() <= e45.total_j() + 1e-12);
-    }
-
-    #[test]
-    fn bandwidth_constraint_steers_away_from_spills() {
-        // VGG conv1_2 under pure OD spills partial sums; on a crippled
-        // channel the constrained scheduler must find a compute-bound
-        // schedule (WD fits and streams far less).
-        use rana_accel::dram::{Ddr3Model, LayerPerformance};
-        let l = SchedLayer::from_conv(vgg16().conv("conv1_2").unwrap());
-        let slow = Ddr3Model::ddr3_1600().scaled(0.1);
-
-        let mut unconstrained = Scheduler::fixed_pattern(
-            AcceleratorConfig::paper_edram(),
-            RefreshModel::conventional_45us(),
-            Pattern::Od,
-        );
-        unconstrained.fixed_tiling = Some(Tiling::new(16, 16, 1, 16));
-        let a = unconstrained.schedule_layer(&l);
-        assert!(
-            LayerPerformance::of(&a.sim, &slow).memory_bound(),
-            "natural-tiling OD (with its partial-sum spills) should be memory-bound"
-        );
-
-        let mut constrained = rana_45();
-        constrained.bandwidth = Some(slow);
-        let b = constrained.schedule_layer(&l);
-        assert!(
-            !LayerPerformance::of(&b.sim, &slow).memory_bound(),
-            "constrained schedule must stay compute-bound ({} {})",
-            b.sim.pattern,
-            b.sim.tiling
-        );
     }
 
     #[test]

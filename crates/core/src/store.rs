@@ -14,8 +14,9 @@
 //!
 //! Entries are keyed by [`Scheduler::layer_key`]: the FNV-1a composition
 //! of the scheduler's context fingerprint (accelerator config, refresh
-//! model, energy costs, pattern space, tiling policy, bandwidth) with
-//! the layer's shape fingerprint. Any context difference that could
+//! model, energy costs, pattern space, tiling policy, and a constant tag
+//! left from a removed bandwidth constraint, kept so that stores stay
+//! valid) with the layer's shape fingerprint. Any context difference that could
 //! change a search result changes the key, so a store can hold entries
 //! for many design points, bank partitions, and interval rungs at once.
 //! The layer fingerprint excludes the layer *name* — repeated shapes

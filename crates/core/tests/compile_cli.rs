@@ -1,6 +1,7 @@
-//! `rana-compile precompile` against bad ladder grids: each rejected flag
-//! prints the usage, exits 1 and writes no store, where it used to panic,
-//! loop for hours or write meaningless entries.
+//! `rana-compile` against bad flags: each rejected flag prints the usage
+//! and exits 1, where it used to panic (a bad `--capacity` or `--input`),
+//! or for `precompile`'s ladder grid loop for hours or write meaningless
+//! entries, and then writes no store.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -55,4 +56,43 @@ fn the_edges_of_a_valid_grid_still_compile() {
     );
     assert_eq!(code, Some(0), "{stderr}");
     assert!(written, "a valid grid writes its store");
+}
+
+/// Runs `rana-compile <args> --summary`; returns the exit code and stderr.
+fn compile(args: &[&str]) -> (Option<i32>, String) {
+    let run = Command::new(env!("CARGO_BIN_EXE_rana-compile"))
+        .args(args)
+        .arg("--summary")
+        .output()
+        .expect("rana-compile runs");
+    (run.status.code(), String::from_utf8_lossy(&run.stderr).into_owned())
+}
+
+#[test]
+fn bad_capacities_and_inputs_print_the_usage_and_exit_1() {
+    let cases: [&[&str]; 9] = [
+        &["alexnet", "--capacity", "0"],
+        &["alexnet", "--capacity", "-1"],
+        &["alexnet", "--capacity", "nan"],
+        &["alexnet", "--capacity", "inf"],
+        // Would allocate refresh flags for 44 billion banks.
+        &["alexnet", "--capacity", "1e9"],
+        &["vgg", "--input", "0"],
+        &["vgg", "--input", "1"],
+        &["resnet", "--input", "0"],
+        &["resnet", "--input", "2"],
+    ];
+    for args in cases {
+        let (code, stderr) = compile(args);
+        assert_eq!(code, Some(1), "{args:?} must exit 1; stderr: {stderr}");
+        assert!(stderr.contains("usage: rana-compile"), "{args:?} must print the usage: {stderr}");
+    }
+}
+
+#[test]
+fn valid_capacities_and_inputs_still_compile() {
+    for args in [&["alexnet", "--capacity", "0.5"][..], &["vgg", "--input", "64"]] {
+        let (code, stderr) = compile(args);
+        assert_eq!(code, Some(0), "{args:?}: {stderr}");
+    }
 }

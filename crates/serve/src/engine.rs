@@ -41,8 +41,7 @@ use crate::traffic::{ArrivalStreams, Arrivals};
 use rana_core::energy::EnergyBreakdown;
 use rana_core::evaluate::Evaluator;
 use rana_core::operating::{
-    throttle, OperatingPoint, Profile, ProfileCache, ThermalPolicy, RETENTION_MARGIN,
-    SENSOR_QUANTUM_C, THROTTLE_TEMP_C,
+    throttle, OperatingPoint, Profile, ProfileCache, ThermalPolicy, THROTTLE_TEMP_C,
 };
 use rana_des::{EventId, EventQueue, Streams};
 use rana_edram::thermal::ThermalModel;
@@ -339,8 +338,6 @@ impl<'a, L: LatencyLog> Engine<'a, L> {
         let policy = ThermalPolicy::new(
             &template,
             eval.retention().tolerable_retention_us(config.design.failure_rate()),
-            RETENTION_MARGIN,
-            SENSOR_QUANTUM_C,
             config.ladder_steps_per_octave,
         );
         let nt = specs.len();

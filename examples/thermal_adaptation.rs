@@ -20,8 +20,8 @@ fn main() {
     let net = rana_repro::zoo::alexnet();
     let design = Design::RanaStarE5;
     let thermal = ThermalModel::embedded_65nm();
-    let config = AdaptiveConfig::for_design(design, FallbackPolicy::Reschedule, 42);
-    let target = config.target_rate;
+    let config = AdaptiveConfig { fallback: FallbackPolicy::Reschedule, seed: 42 };
+    let target = design.failure_rate();
 
     println!("== thermal-adaptive refresh: {} on {} ==", net.name(), design.label());
     println!(

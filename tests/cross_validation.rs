@@ -5,7 +5,6 @@
 //! member's own exhaustive scan.
 
 use proptest::prelude::*;
-use rana_repro::accel::dram::Ddr3Model;
 use rana_repro::accel::{analyze, trace::trace, AcceleratorConfig, Pattern, SchedLayer, Tiling};
 use rana_repro::accel::{ControllerKind, RefreshModel};
 use rana_repro::core::scheduler::Scheduler;
@@ -123,25 +122,29 @@ proptest! {
     /// A search group (one accelerator, pattern space and tiling policy;
     /// members differing in interval, controller and refresh weight) is
     /// scanned once, and every member gets exactly its own exhaustive
-    /// scan's schedule, with explored or fixed tiling and with or without
-    /// a bandwidth constraint.
+    /// scan's schedule, with explored or fixed tiling, on a scaled eDRAM
+    /// buffer, the refresh-free SRAM one (every member's energy is then
+    /// the shared one) or DaDianNao (channel-column cycle model).
     #[test]
     fn group_scan_equals_each_exhaustive_scan(
         layer in arb_layer(),
+        machine in 0usize..3,
         scale in 0.25f64..8.0,
         members in proptest::collection::vec(arb_member(), 1..9),
         patterns in 0usize..3,
         fixed_tiling in any::<bool>(),
-        bandwidth in any::<bool>(),
     ) {
-        let cfg = AcceleratorConfig::paper_edram_scaled(scale);
+        let cfg = match machine {
+            0 => AcceleratorConfig::paper_edram_scaled(scale),
+            1 => AcceleratorConfig::paper_sram(),
+            _ => AcceleratorConfig::dadiannao(),
+        };
         let natural = Tiling::new(cfg.pe_rows, cfg.pe_rows, 1, cfg.pe_cols);
         let mut template = Scheduler::rana(cfg, RefreshModel::conventional_45us());
         template.patterns = [Pattern::RANA_SPACE.to_vec(), Pattern::ALL.to_vec(), vec![Pattern::Id]]
             [patterns]
             .clone();
         template.fixed_tiling = fixed_tiling.then_some(natural);
-        template.bandwidth = bandwidth.then(|| Ddr3Model::ddr3_1600().scaled(0.1));
         let group: Vec<Scheduler> = members
             .iter()
             .map(|&(interval_us, optimized, weight)| {

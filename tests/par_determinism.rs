@@ -101,22 +101,6 @@ fn shared_cache_across_design_points_stays_correct() {
     }
 }
 
-/// The bandwidth-constrained scheduler (where pruning is disabled) also
-/// agrees across paths.
-#[test]
-fn bandwidth_constrained_paths_agree() {
-    let mut sched = rana_scheduler();
-    sched.bandwidth = Some(rana_repro::accel::dram::Ddr3Model::ddr3_1600().scaled(0.1));
-    let net = zoo::vgg16();
-    for conv in net.conv_layers() {
-        let layer = SchedLayer::from_conv(conv);
-        let reference = sched.schedule_layer_exhaustive(&layer);
-        assert_eq!(sched.schedule_layer(&layer), reference, "{}", layer.name);
-    }
-    let engine = sched.schedule_network_with(&net, None, 3);
-    assert_schedules_identical(&engine, &sched.schedule_network(&net), "vgg16 engine");
-}
-
 /// `evaluate_many` equals point-by-point `evaluate` (same order, same
 /// numbers) — the bench binaries rely on this when they fan out.
 #[test]

@@ -213,7 +213,7 @@ fn adaptive_runtime_emits_thermal_and_refresh_events() {
     let eval = Evaluator::paper_platform();
     let net = rana_zoo::alexnet();
     let design = Design::RanaStarE5;
-    let config = AdaptiveConfig::for_design(design, FallbackPolicy::Conservative, 0xA1EC);
+    let config = AdaptiveConfig { fallback: FallbackPolicy::Conservative, seed: 0xA1EC };
     let mut rt = AdaptiveRuntime::new(&eval, &net, design, ThermalModel::embedded_65nm(), config);
     rt.run_pass();
     let report = session.finish();

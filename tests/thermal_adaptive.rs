@@ -16,7 +16,7 @@ fn run_once(eval: &Evaluator, fallback: FallbackPolicy) -> (String, String) {
     let net = rana_repro::zoo::alexnet();
     let design = Design::RanaStarE5;
     let thermal = ThermalModel::embedded_65nm();
-    let config = AdaptiveConfig::for_design(design, fallback, SEED);
+    let config = AdaptiveConfig { fallback, seed: SEED };
     let scenario = Scenario::heating_transient(3, 60_000.0);
     let mut rt = AdaptiveRuntime::new(eval, &net, design, thermal, config);
     rt.run_scenario(&scenario);
@@ -47,7 +47,7 @@ fn probe_seed_selects_the_monte_carlo_draw() {
     let net = rana_repro::zoo::alexnet();
     let design = Design::RanaStarE5;
     let thermal = ThermalModel::embedded_65nm();
-    let config = AdaptiveConfig::for_design(design, FallbackPolicy::Reschedule, 1);
+    let config = AdaptiveConfig { fallback: FallbackPolicy::Reschedule, seed: 1 };
     let scenario = Scenario::heating_transient(2, 0.0);
     let mut rt = AdaptiveRuntime::new(&eval, &net, design, thermal, config);
     rt.run_scenario(&scenario);
@@ -71,8 +71,8 @@ fn adaptive_policy_stays_inside_its_brackets() {
     let net = rana_repro::zoo::alexnet();
     let design = Design::RanaStarE5;
     let thermal = ThermalModel::embedded_65nm();
-    let config = AdaptiveConfig::for_design(design, FallbackPolicy::Reschedule, SEED);
-    let target = config.target_rate;
+    let config = AdaptiveConfig { fallback: FallbackPolicy::Reschedule, seed: SEED };
+    let target = design.failure_rate();
     let kind = design.refresh_model(eval.retention()).kind;
     let scenario = Scenario::heating_transient(4, 60_000.0);
 
