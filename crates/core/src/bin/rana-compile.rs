@@ -50,6 +50,11 @@ const USAGE: &str = "usage: rana-compile <alexnet|vgg|googlenet|resnet|mobilenet
 /// banks.
 const MAX_CAPACITY_FACTOR: f64 = 1024.0;
 
+/// Largest `--input` side, pixels (VGG compiles at it in ~7 ms). The
+/// zoo's shape arithmetic is u64: from 2^25 pixels on, VGG's per-layer
+/// MAC counts wrap and the report is garbage.
+const MAX_INPUT_PIXELS: usize = 65_536;
+
 fn parse_design(v: &str) -> Result<Design, String> {
     match v {
         "s-id" => Ok(Design::SId),
@@ -100,9 +105,10 @@ fn parse_args() -> Result<Args, String> {
                     .ok_or("--input needs a value")?
                     .parse()
                     .map_err(|e| format!("bad input size: {e}"))?;
-                if hw == 0 || !hw.is_multiple_of(32) {
+                if hw == 0 || !hw.is_multiple_of(32) || hw > MAX_INPUT_PIXELS {
                     return Err(format!(
-                        "--input must be a positive multiple of 32, got {hw}\n{USAGE}"
+                        "--input must be a positive multiple of 32 up to {MAX_INPUT_PIXELS}, \
+                         got {hw}\n{USAGE}"
                     ));
                 }
                 out.input_hw = Some(hw);

@@ -48,6 +48,7 @@ pub mod designs;
 pub mod energy;
 pub mod evaluate;
 pub mod exec_batch;
+mod fxhash;
 pub mod operating;
 pub mod par;
 pub mod report;

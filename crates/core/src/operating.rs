@@ -23,6 +23,7 @@
 
 use crate::energy::EnergyBreakdown;
 use crate::evaluate::Evaluator;
+use crate::fxhash::FxBuildHasher;
 use crate::par::ScheduleCache;
 use crate::scheduler::{
     compose_key, LayerSchedule, NetworkSchedule, Planned, Scheduler, SearchBatch,
@@ -160,13 +161,59 @@ impl ThermalPolicy {
     /// Sense (rounded *up* to the sensor resolution) → derate → margin →
     /// ladder rung → divider at `temp_c`.
     pub fn operate(&self, thermal: &ThermalModel, temp_c: f64) -> OperatingPoint {
-        let q = SENSOR_QUANTUM_C;
-        let sensed_c = (temp_c / q).ceil() * q;
+        let sensed_c = sensor_step(temp_c) * SENSOR_QUANTUM_C;
         let tolerable_us = self.base_tolerable_us * scale_for_delta(thermal.delta_c(sensed_c));
         let safe_us = tolerable_us * RETENTION_MARGIN;
         let rung = ladder_rung_us(self.nominal_us, safe_us, self.steps_per_octave);
         let (divider, interval_us) = quantize(self.frequency_hz, rung);
         OperatingPoint { sensed_c, tolerable_us, divider, interval_us }
+    }
+}
+
+/// The sensor step of `temp_c`: the reading in units of
+/// [`SENSOR_QUANTUM_C`], rounded up. Stage 1 sees the temperature only
+/// through it.
+fn sensor_step(temp_c: f64) -> f64 {
+    (temp_c / SENSOR_QUANTUM_C).ceil()
+}
+
+/// [`ThermalPolicy::operate`] memoized by sensor step, for one thermal
+/// model.
+///
+/// Every temperature of one sensor step reads the same, so it has the
+/// same operating point. The memo computes that point with `operate` at
+/// the step's first sample and hands out the same bits from then on: a
+/// serving loop pays Stage 1's `exp2`, `log2` and divider quantization
+/// once per step (161 steps from the 45 °C ambient to the throttle cap),
+/// not once per batch.
+#[derive(Debug, Clone)]
+pub struct OperatingMemo {
+    policy: ThermalPolicy,
+    thermal: ThermalModel,
+    /// Operating points by the bits of their sensor step.
+    points: HashMap<u64, OperatingPoint, FxBuildHasher>,
+}
+
+impl OperatingMemo {
+    /// An empty memo of `policy` on `thermal`.
+    pub fn new(policy: ThermalPolicy, thermal: ThermalModel) -> Self {
+        Self { policy, thermal, points: HashMap::default() }
+    }
+
+    /// The memoized policy.
+    pub fn policy(&self) -> &ThermalPolicy {
+        &self.policy
+    }
+
+    /// [`ThermalPolicy::operate`] at `temp_c`, bit for bit.
+    pub fn operate(&mut self, temp_c: f64) -> OperatingPoint {
+        let step = sensor_step(temp_c).to_bits();
+        if let Some(&point) = self.points.get(&step) {
+            return point;
+        }
+        let point = self.policy.operate(&self.thermal, temp_c);
+        self.points.insert(step, point);
+        point
     }
 }
 
@@ -375,7 +422,7 @@ type ProfileKey = (usize, usize, u64, (u8, u64));
 pub struct ProfileCache<'a> {
     builder: ProfileBuilder<'a>,
     /// Each profile, and whether a dispatch was charged for its searches.
-    memo: HashMap<ProfileKey, (Profile, bool)>,
+    memo: HashMap<ProfileKey, (Profile, bool), FxBuildHasher>,
 }
 
 impl<'a> ProfileCache<'a> {
@@ -390,7 +437,7 @@ impl<'a> ProfileCache<'a> {
         check_refresh_weight(reschedule_refresh_weight);
         let builder =
             ProfileBuilder { eval, template, weight: reschedule_refresh_weight, scope: "tenant" };
-        Self { builder, memo: HashMap::new() }
+        Self { builder, memo: HashMap::default() }
     }
 
     /// Traces non-default strategy decisions under `"{scope}{tenant}/{layer}"`
@@ -498,6 +545,40 @@ mod tests {
             assert!(rung_us(nominal, steps, k.round() as u32 - 1) > safe);
         }
         assert_eq!(ladder_rung_us(nominal, 2.0 * nominal, steps), rung_us(nominal, steps, 0));
+    }
+
+    #[test]
+    fn the_operating_memo_is_operate_bit_for_bit() {
+        let eval = Evaluator::paper_platform();
+        let design = Design::RanaStarE5;
+        let tolerable = eval.retention().tolerable_retention_us(design.failure_rate());
+        let policy =
+            ThermalPolicy::new(&eval.scheduler_for(design), tolerable, LADDER_STEPS_PER_OCTAVE);
+        let thermal = ThermalModel::embedded_65nm();
+        // Every sensor step from ambient to the throttle cap: on each
+        // quantum boundary, just above it (the next step) and between.
+        let (first, last) =
+            (sensor_step(thermal.ambient_c) as i32, sensor_step(THROTTLE_TEMP_C) as i32);
+        assert_eq!(last - first + 1, 161);
+        let temps: Vec<f64> = (first..=last)
+            .flat_map(|k| {
+                let on = f64::from(k) * SENSOR_QUANTUM_C;
+                [on, on.next_up(), on + 0.4 * SENSOR_QUANTUM_C, on.next_down()]
+            })
+            .collect();
+        // Whichever temperature of a step comes first fills its entry.
+        for order in [temps.clone(), temps.iter().rev().copied().collect()] {
+            let mut memo = OperatingMemo::new(policy, thermal);
+            for &t in &order {
+                let (got, want) = (memo.operate(t), policy.operate(&thermal, t));
+                assert_eq!(got.sensed_c.to_bits(), want.sensed_c.to_bits(), "{t} degC");
+                assert_eq!(got.tolerable_us.to_bits(), want.tolerable_us.to_bits(), "{t} degC");
+                assert_eq!(got.divider, want.divider, "{t} degC");
+                assert_eq!(got.interval_us.to_bits(), want.interval_us.to_bits(), "{t} degC");
+            }
+            // One entry per step, plus the step just above the cap.
+            assert_eq!(memo.points.len(), 162);
+        }
     }
 
     #[test]

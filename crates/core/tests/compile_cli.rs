@@ -70,7 +70,7 @@ fn compile(args: &[&str]) -> (Option<i32>, String) {
 
 #[test]
 fn bad_capacities_and_inputs_print_the_usage_and_exit_1() {
-    let cases: [&[&str]; 9] = [
+    let cases: [&[&str]; 13] = [
         &["alexnet", "--capacity", "0"],
         &["alexnet", "--capacity", "-1"],
         &["alexnet", "--capacity", "nan"],
@@ -81,6 +81,12 @@ fn bad_capacities_and_inputs_print_the_usage_and_exit_1() {
         &["vgg", "--input", "1"],
         &["resnet", "--input", "0"],
         &["resnet", "--input", "2"],
+        // Per-layer MAC counts would wrap u64 (2^25 px) or the report
+        // would read 0 ms (2^30 px).
+        &["vgg", "--input", "33554432"],
+        &["vgg", "--input", "1073741824"],
+        &["resnet", "--input", "33554432"],
+        &["resnet", "--input", "1073741824"],
     ];
     for args in cases {
         let (code, stderr) = compile(args);
@@ -91,7 +97,12 @@ fn bad_capacities_and_inputs_print_the_usage_and_exit_1() {
 
 #[test]
 fn valid_capacities_and_inputs_still_compile() {
-    for args in [&["alexnet", "--capacity", "0.5"][..], &["vgg", "--input", "64"]] {
+    let cases: [&[&str]; 3] = [
+        &["alexnet", "--capacity", "0.5"],
+        &["vgg", "--input", "64"],
+        &["vgg", "--input", "65536"],
+    ];
+    for args in cases {
         let (code, stderr) = compile(args);
         assert_eq!(code, Some(0), "{args:?}: {stderr}");
     }

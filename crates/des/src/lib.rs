@@ -10,7 +10,9 @@
 //!   built-in monotonic clock. Same-timestamp delivery order is fully
 //!   deterministic: events are keyed by `(time, class, seq)` where `seq`
 //!   is the schedule order — never by hash-map iteration order — so a
-//!   fixed workload replays byte-identically.
+//!   fixed workload replays byte-identically. A pop leaves the delivered
+//!   entry on the heap for the next schedule to overwrite, so the
+//!   pop-then-schedule step of a simulator costs one O(log n) sift.
 //! * [`EventId`] / [`EventQueue::cancel`] — lazy cancellation of
 //!   scheduled events (a failed die cancels its in-flight completion).
 //!   `cancel` scans the heap, O(n), so `schedule` and `pop` carry no

@@ -34,17 +34,18 @@ fn unfold_time(folded: u64) -> f64 {
 /// `time` first, then lowest `class`, then lowest `seq` (schedule order).
 /// All three are packed into one `u128` — folded time in the high 64
 /// bits, class in bits 56–63, seq below — so each sift step of the heap
-/// is a single integer compare.
+/// is a single integer compare. The payload is `None` once delivered
+/// (see [`EventQueue::pop`]).
 struct Entry<E> {
     key: u128,
-    payload: E,
+    payload: Option<E>,
 }
 
 impl<E> Entry<E> {
     fn new(time: f64, class: u8, seq: u64, payload: E) -> Self {
         let key =
             u128::from(fold_time(time)) << 64 | u128::from(class) << SEQ_BITS | u128::from(seq);
-        Self { key, payload }
+        Self { key, payload: Some(payload) }
     }
 
     fn time(&self) -> f64 {
@@ -87,13 +88,22 @@ impl<E> PartialOrd for Entry<E> {
 /// The clock ([`EventQueue::now`]) advances only when an event is popped
 /// and never moves backwards; scheduling into the past panics.
 ///
-/// `schedule` and `pop` cost O(log n) in the heap size n and touch no
-/// hash set unless an event was cancelled; [`EventQueue::cancel`] costs
-/// O(n). Simulators that keep one pending event per actor (one arrival
-/// per stream, one completion per die) keep n small.
+/// Cost: [`pop`](EventQueue::pop) takes the top entry's payload but
+/// leaves the entry on the heap, and a [`schedule`](EventQueue::schedule)
+/// right after it writes the new event over that entry and sifts it down
+/// once. So a simulator step that pops one event and schedules one costs
+/// one O(log n) sift, not a pop's two and a push's one. Any other call
+/// first removes the delivered entry, at the price of an ordinary heap
+/// pop. No call touches a hash set unless an event was cancelled;
+/// [`EventQueue::cancel`] costs O(n). Simulators that keep one pending
+/// event per actor (one arrival per stream, one completion per die) keep
+/// n small.
 #[derive(Default)]
 pub struct EventQueue<E> {
     heap: BinaryHeap<Entry<E>>,
+    /// Whether the heap's top entry is the one the last `pop` delivered
+    /// (payload taken), waiting to be overwritten or removed.
+    delivered: bool,
     /// Ids cancelled but still buried in the heap (lazy deletion).
     cancelled: HashSet<u64>,
     /// Scheduled events not yet delivered or cancelled.
@@ -105,7 +115,14 @@ pub struct EventQueue<E> {
 impl<E> EventQueue<E> {
     /// An empty queue with the clock at `0.0`.
     pub fn new() -> Self {
-        Self { heap: BinaryHeap::new(), cancelled: HashSet::new(), live: 0, next_seq: 0, now: 0.0 }
+        Self {
+            heap: BinaryHeap::new(),
+            delivered: false,
+            cancelled: HashSet::new(),
+            live: 0,
+            next_seq: 0,
+            now: 0.0,
+        }
     }
 
     /// Current simulated time: the timestamp of the most recently popped
@@ -139,8 +156,22 @@ impl<E> EventQueue<E> {
         assert!(seq < 1 << SEQ_BITS, "event sequence space exhausted");
         self.next_seq += 1;
         self.live += 1;
-        self.heap.push(Entry::new(time, class, seq, payload));
+        let entry = Entry::new(time, class, seq, payload);
+        if std::mem::take(&mut self.delivered) {
+            // Overwrite the delivered top entry: one sift down from the root.
+            *self.heap.peek_mut().expect("the delivered entry is on the heap") = entry;
+        } else {
+            self.heap.push(entry);
+        }
         EventId(seq)
+    }
+
+    /// Removes the entry the last [`pop`](Self::pop) delivered, if no
+    /// schedule has overwritten it.
+    fn discard_delivered(&mut self) {
+        if std::mem::take(&mut self.delivered) {
+            self.heap.pop();
+        }
     }
 
     /// Cancels a scheduled event. Returns `true` if the event was still
@@ -151,6 +182,7 @@ impl<E> EventQueue<E> {
     /// still queued, which keeps `schedule` and `pop` free of per-event
     /// bookkeeping.
     pub fn cancel(&mut self, id: EventId) -> bool {
+        self.discard_delivered();
         let queued = !self.cancelled.contains(&id.0) && self.heap.iter().any(|e| e.seq() == id.0);
         if queued {
             self.cancelled.insert(id.0);
@@ -168,22 +200,23 @@ impl<E> EventQueue<E> {
     /// Delivers the next event, advancing the clock to its timestamp.
     /// Returns `None` when no live events remain.
     pub fn pop(&mut self) -> Option<(f64, E)> {
-        loop {
-            let entry = self.heap.pop()?;
-            if self.take_cancelled(entry.seq()) {
-                continue;
-            }
-            self.live -= 1;
-            let time = entry.time();
-            debug_assert!(time >= self.now, "heap delivered an event out of order");
-            self.now = time;
-            return Some((time, entry.payload));
-        }
+        let time = self.peek_time()?;
+        // The key stays, so the heap order does too.
+        let mut top = self.heap.peek_mut().expect("peek_time saw a live top entry");
+        let payload = top.payload.take().expect("a live entry holds its payload");
+        drop(top);
+        self.delivered = true;
+        self.live -= 1;
+        debug_assert!(time >= self.now, "heap delivered an event out of order");
+        self.now = time;
+        Some((time, payload))
     }
 
-    /// Timestamp of the next live event without delivering it (cancelled
-    /// entries at the top are discarded on the way).
+    /// Timestamp of the next live event without delivering it (the
+    /// delivered entry and cancelled entries at the top are discarded on
+    /// the way).
     pub fn peek_time(&mut self) -> Option<f64> {
+        self.discard_delivered();
         loop {
             let top = self.heap.peek()?;
             let (seq, time) = (top.seq(), top.time());
@@ -251,6 +284,35 @@ mod tests {
         assert_eq!(q.pop(), Some((3.0, "c")));
         assert_eq!(q.pop(), None);
         assert!(q.is_empty());
+    }
+
+    #[test]
+    fn a_schedule_at_now_in_a_lower_class_overwrites_the_delivered_entry() {
+        let mut q = EventQueue::new();
+        q.schedule(2.0, 1, "first");
+        q.schedule(2.0, 2, "after");
+        q.schedule(5.0, 0, "later");
+        assert_eq!(q.pop(), Some((2.0, "first")));
+        // Sorts before the class-1 entry it overwrites on the heap.
+        q.schedule(2.0, 0, "now");
+        assert_eq!(q.len(), 3);
+        assert_eq!(q.pop(), Some((2.0, "now")));
+        assert_eq!(q.pop(), Some((2.0, "after")));
+        assert_eq!(q.pop(), Some((5.0, "later")));
+        assert_eq!(q.pop(), None);
+    }
+
+    #[test]
+    fn the_event_just_delivered_cannot_be_cancelled() {
+        let mut q = EventQueue::new();
+        let a = q.schedule(1.0, 0, "a");
+        q.schedule(2.0, 0, "b");
+        assert_eq!(q.pop(), Some((1.0, "a")));
+        assert!(q.delivered, "the delivered entry is still the heap's top");
+        assert!(!q.cancel(a));
+        assert_eq!(q.len(), 1);
+        assert_eq!(q.peek_time(), Some(2.0));
+        assert_eq!(q.pop(), Some((2.0, "b")));
     }
 
     #[test]

@@ -17,8 +17,9 @@
 //! Per batch the loop runs the operating-point engine
 //! ([`rana_core::operating`]), as the adaptive runtime does: cool the die
 //! over its idle time, throttle above [`THROTTLE_TEMP_C`], sense, derate
-//! and snap onto the interval ladder, retune the slot's clock divider when
-//! the rung changed, and look up the tenant's whole-network
+//! and snap onto the interval ladder (memoized per sensor step,
+//! [`OperatingMemo`]), retune the slot's clock divider when the rung
+//! changed, and look up the tenant's whole-network
 //! [`Profile`](rana_core::operating::Profile) at the slot's bank share and
 //! rung. The batch's dissipated power heats the die at completion.
 //! Sustained load therefore heats the die, the die tightens the rungs,
@@ -41,7 +42,7 @@ use crate::traffic::{ArrivalStreams, Arrivals};
 use rana_core::energy::EnergyBreakdown;
 use rana_core::evaluate::Evaluator;
 use rana_core::operating::{
-    throttle, OperatingPoint, Profile, ProfileCache, ThermalPolicy, THROTTLE_TEMP_C,
+    throttle, OperatingMemo, OperatingPoint, Profile, ProfileCache, ThermalPolicy, THROTTLE_TEMP_C,
 };
 use rana_des::{EventId, EventQueue, Streams};
 use rana_edram::thermal::ThermalModel;
@@ -276,7 +277,8 @@ pub(crate) struct Engine<'a, L> {
     pub(crate) config: FleetConfig,
     pub(crate) shape: Shape,
     thermal: ThermalModel,
-    pub(crate) policy: ThermalPolicy,
+    /// Stage 1, memoized by sensor step.
+    pub(crate) stage1: OperatingMemo,
     /// Simulator memo of inference profiles; unlike the modeled per-die
     /// warm set, no die pays for it.
     pub(crate) profiles: ProfileCache<'a>,
@@ -375,7 +377,7 @@ impl<'a, L: LatencyLog> Engine<'a, L> {
 
         Self {
             thermal,
-            policy,
+            stage1: OperatingMemo::new(policy, thermal),
             profiles,
             isolated_us,
             dies,
@@ -552,7 +554,8 @@ impl<'a, L: LatencyLog> Engine<'a, L> {
         }
         die.rebalances += 1;
         let (total, quantum) = (self.profiles.full_banks(), self.shape.bank_quantum);
-        let (config, profiles, rung) = (&self.config, &mut self.profiles, self.policy.nominal().1);
+        let (config, profiles) = (&self.config, &mut self.profiles);
+        let rung = self.stage1.policy().nominal().1;
         let mut energy_at = |t: usize, banks: usize| {
             let (net, strategy) = (&config.tenants[t].network, config.die_strategy(d, t));
             profiles.profile_at(t, net, banks, rung, strategy).energy.total_j()
@@ -629,7 +632,7 @@ impl<'a, L: LatencyLog> Engine<'a, L> {
         }
 
         // Sense → tolerable retention → ladder rung → divider.
-        let op = self.policy.operate(&self.thermal, die.temp_c);
+        let op = self.stage1.operate(die.temp_c);
         let (divider, interval_us) = (op.divider, op.interval_us);
         let slot = &mut die.slots[s];
         let retuned = divider.ratio() != slot.divider_ratio;

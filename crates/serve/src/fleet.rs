@@ -357,7 +357,7 @@ impl<'a> FleetSim<'a> {
             refresh_words: e.refresh_words,
             peak_temp_c: e.dies.iter().map(|d| d.peak_temp_c).fold(f64::MIN, f64::max),
             min_interval_us: e.min_interval_us,
-            nominal_interval_us: e.policy.nominal().1,
+            nominal_interval_us: e.stage1.policy().nominal().1,
             makespan_us: e.makespan_us,
             die_served_min: served.iter().copied().min().unwrap_or(0),
             die_served_max: served.iter().copied().max().unwrap_or(0),

@@ -219,7 +219,7 @@ impl<'a> Server<'a> {
             refresh_words: e.refresh_words,
             peak_temp_c: die.peak_temp_c,
             min_interval_us: e.min_interval_us,
-            nominal_interval_us: e.policy.nominal().1,
+            nominal_interval_us: e.stage1.policy().nominal().1,
             tenants,
         }
     }

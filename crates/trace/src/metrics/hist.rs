@@ -15,8 +15,11 @@
 //! magnitudes (exact below `2^(p+1)`), [`HistF64`] buckets the IEEE-754
 //! bit pattern directly (exponent plus top `p` mantissa bits), which is
 //! log-linear over the full double range with no configuration.
+//!
+//! Both keep their counts in dense chunks of 256 consecutive bucket
+//! indices, allocated as values land in them (see [`HistI64`]).
 
-use std::collections::BTreeMap;
+use std::fmt;
 
 /// Default sub-bucket precision: 7 bits → relative error ≤ 2⁻⁷ ≈ 0.8 %.
 pub const DEFAULT_PRECISION_BITS: u32 = 7;
@@ -70,11 +73,96 @@ fn f64_representative(i: u64, p: u32) -> f64 {
     f64::from_bits((i << (52 - p)) + (1u64 << (51 - p)))
 }
 
+/// Bucket indices per chunk of [`Buckets`]: 2 KiB of counts.
+const CHUNK: usize = 256;
+/// `log2(CHUNK)`.
+const CHUNK_BITS: u32 = CHUNK.trailing_zeros();
+
+/// Counts by bucket index, in dense chunks of [`CHUNK`] consecutive
+/// indices. A chunk exists once one of its buckets was counted, so every
+/// chunk holds a nonzero count and two stores with the same counts have
+/// the same chunks: equality compares the chunk lists.
+#[derive(Clone, Default)]
+struct Buckets {
+    /// Chunk numbers (`index >> CHUNK_BITS`), ascending.
+    ids: Vec<u64>,
+    /// The chunks' counts, `CHUNK` per id, in `ids` order.
+    counts: Vec<u64>,
+    /// Position in `ids` of the chunk the last add went to.
+    last: usize,
+}
+
+impl Buckets {
+    /// Position in `ids` of chunk `id`, inserting it (all zeros) if absent.
+    fn chunk(&mut self, id: u64) -> usize {
+        self.ids.binary_search(&id).unwrap_or_else(|at| {
+            self.ids.insert(at, id);
+            self.counts.splice(at * CHUNK..at * CHUNK, [0; CHUNK]);
+            at
+        })
+    }
+
+    /// Adds `n` to bucket `index`.
+    fn add(&mut self, index: u64, n: u64) {
+        let id = index >> CHUNK_BITS;
+        if self.ids.get(self.last) != Some(&id) {
+            self.last = self.chunk(id);
+        }
+        self.counts[self.last * CHUNK + (index as usize & (CHUNK - 1))] += n;
+    }
+
+    /// Occupied buckets as `(index, count)`, ascending by index (reverse
+    /// it for descending).
+    fn iter(&self) -> impl DoubleEndedIterator<Item = (u64, u64)> + '_ {
+        self.ids.iter().zip(self.counts.chunks_exact(CHUNK)).flat_map(|(&id, chunk)| {
+            chunk
+                .iter()
+                .enumerate()
+                .filter(|&(_, &n)| n != 0)
+                .map(move |(j, &n)| (id << CHUNK_BITS | j as u64, n))
+        })
+    }
+
+    /// Folds `other`'s counts in, chunk by chunk.
+    fn merge(&mut self, other: &Buckets) {
+        for (&id, chunk) in other.ids.iter().zip(other.counts.chunks_exact(CHUNK)) {
+            let at = self.chunk(id);
+            for (mine, &n) in self.counts[at * CHUNK..][..CHUNK].iter_mut().zip(chunk) {
+                *mine += n;
+            }
+        }
+    }
+
+    /// Number of occupied buckets.
+    fn len(&self) -> usize {
+        self.counts.iter().filter(|&&n| n != 0).count()
+    }
+}
+
+impl PartialEq for Buckets {
+    fn eq(&self, other: &Self) -> bool {
+        self.ids == other.ids && self.counts == other.counts
+    }
+}
+impl Eq for Buckets {}
+
+impl fmt::Debug for Buckets {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map().entries(self.iter()).finish()
+    }
+}
+
 /// Streaming log-linear histogram over `i64` values.
 ///
 /// Values below `2^(p+1)` in magnitude are recorded exactly; larger
 /// magnitudes land in buckets spanning at most a `2^-p` relative range.
 /// The running `sum` is exact (i128), so `mean` is exact too.
+///
+/// Storage: per sign, dense chunks of 256 consecutive bucket counts
+/// (2 KiB each), allocated when a value first lands in one and kept in
+/// ascending order. Recording finds its chunk through the last one hit
+/// (a binary search otherwise) and adds to it; memory is bounded by the
+/// occupied chunks, whatever the value range or precision.
 ///
 /// ```
 /// use rana_trace::metrics::HistI64;
@@ -92,9 +180,9 @@ fn f64_representative(i: u64, p: u32) -> f64 {
 pub struct HistI64 {
     precision: u32,
     /// Bucketed counts of positive values (and zero, in bucket 0).
-    pos: BTreeMap<u64, u64>,
+    pos: Buckets,
     /// Bucketed counts of negative values, by magnitude.
-    neg: BTreeMap<u64, u64>,
+    neg: Buckets,
     count: u64,
     sum: i128,
     min: i64,
@@ -121,8 +209,8 @@ impl HistI64 {
     pub fn with_precision(p: u32) -> Self {
         Self {
             precision: check_precision(p),
-            pos: BTreeMap::new(),
-            neg: BTreeMap::new(),
+            pos: Buckets::default(),
+            neg: Buckets::default(),
             count: 0,
             sum: 0,
             min: i64::MAX,
@@ -141,7 +229,7 @@ impl HistI64 {
             return;
         }
         let side = if v < 0 { &mut self.neg } else { &mut self.pos };
-        *side.entry(i64_index(v.unsigned_abs(), self.precision)).or_insert(0) += n;
+        side.add(i64_index(v.unsigned_abs(), self.precision), n);
         self.count += n;
         self.sum += i128::from(v) * i128::from(n);
         self.min = self.min.min(v);
@@ -185,13 +273,13 @@ impl HistI64 {
         let rank = nearest_rank(q, self.count);
         let mut seen = 0u64;
         // Ascending value order: most-negative magnitudes first.
-        for (&i, &n) in self.neg.iter().rev() {
+        for (i, n) in self.neg.iter().rev() {
             seen += n;
             if seen >= rank {
                 return Some(-(i64_representative(i, self.precision).min(i64::MAX as u64) as i64));
             }
         }
-        for (&i, &n) in self.pos.iter() {
+        for (i, n) in self.pos.iter() {
             seen += n;
             if seen >= rank {
                 return Some(i64_representative(i, self.precision).min(i64::MAX as u64) as i64);
@@ -208,12 +296,8 @@ impl HistI64 {
     /// Panics when the precisions differ.
     pub fn merge(&mut self, other: &HistI64) {
         assert_eq!(self.precision, other.precision, "cannot merge histograms of mixed precision");
-        for (&i, &n) in &other.pos {
-            *self.pos.entry(i).or_insert(0) += n;
-        }
-        for (&i, &n) in &other.neg {
-            *self.neg.entry(i).or_insert(0) += n;
-        }
+        self.pos.merge(&other.pos);
+        self.neg.merge(&other.neg);
         self.count += other.count;
         self.sum += other.sum;
         self.min = self.min.min(other.min);
@@ -240,6 +324,12 @@ impl HistI64 {
 /// accumulator: they are a pure function of the merged bucket state, so
 /// merging in any order or grouping yields bit-identical statistics.
 ///
+/// Storage is [`HistI64`]'s: per sign, dense chunks of 256 consecutive
+/// bucket counts, allocated on first use and found through the last one
+/// hit. A histogram holding only `1e-300` and `1e300` at
+/// [`MAX_PRECISION_BITS`] holds two chunks, where one array per binade
+/// would take 8 MiB.
+///
 /// ```
 /// use rana_trace::metrics::HistF64;
 ///
@@ -254,8 +344,10 @@ impl HistI64 {
 #[derive(Debug, Clone, PartialEq)]
 pub struct HistF64 {
     precision: u32,
-    pos: BTreeMap<u64, u64>,
-    neg: BTreeMap<u64, u64>,
+    /// Bucketed counts of positive values.
+    pos: Buckets,
+    /// Bucketed counts of negative values, by magnitude.
+    neg: Buckets,
     zeros: u64,
     skipped: u64,
     count: u64,
@@ -283,8 +375,8 @@ impl HistF64 {
     pub fn with_precision(p: u32) -> Self {
         Self {
             precision: check_precision(p),
-            pos: BTreeMap::new(),
-            neg: BTreeMap::new(),
+            pos: Buckets::default(),
+            neg: Buckets::default(),
             zeros: 0,
             skipped: 0,
             count: 0,
@@ -310,9 +402,9 @@ impl HistF64 {
         if v == 0.0 {
             self.zeros += n;
         } else if v > 0.0 {
-            *self.pos.entry(f64_index(v, self.precision)).or_insert(0) += n;
+            self.pos.add(f64_index(v, self.precision), n);
         } else {
-            *self.neg.entry(f64_index(-v, self.precision)).or_insert(0) += n;
+            self.neg.add(f64_index(-v, self.precision), n);
         }
         self.count += n;
         self.min = self.min.min(v);
@@ -349,10 +441,10 @@ impl HistF64 {
     /// relative error of the true sum for same-signed data.
     pub fn sum(&self) -> f64 {
         let mut s = 0.0;
-        for (&i, &n) in self.neg.iter().rev() {
+        for (i, n) in self.neg.iter().rev() {
             s -= f64_representative(i, self.precision) * n as f64;
         }
-        for (&i, &n) in self.pos.iter() {
+        for (i, n) in self.pos.iter() {
             s += f64_representative(i, self.precision) * n as f64;
         }
         s
@@ -373,7 +465,7 @@ impl HistF64 {
         }
         let rank = nearest_rank(q, self.count);
         let mut seen = 0u64;
-        for (&i, &n) in self.neg.iter().rev() {
+        for (i, n) in self.neg.iter().rev() {
             seen += n;
             if seen >= rank {
                 return Some(-f64_representative(i, self.precision));
@@ -383,7 +475,7 @@ impl HistF64 {
         if seen >= rank {
             return Some(0.0);
         }
-        for (&i, &n) in self.pos.iter() {
+        for (i, n) in self.pos.iter() {
             seen += n;
             if seen >= rank {
                 return Some(f64_representative(i, self.precision));
@@ -399,12 +491,8 @@ impl HistF64 {
     /// Panics when the precisions differ.
     pub fn merge(&mut self, other: &HistF64) {
         assert_eq!(self.precision, other.precision, "cannot merge histograms of mixed precision");
-        for (&i, &n) in &other.pos {
-            *self.pos.entry(i).or_insert(0) += n;
-        }
-        for (&i, &n) in &other.neg {
-            *self.neg.entry(i).or_insert(0) += n;
-        }
+        self.pos.merge(&other.pos);
+        self.neg.merge(&other.neg);
         self.zeros += other.zeros;
         self.skipped += other.skipped;
         self.count += other.count;
@@ -531,6 +619,18 @@ mod tests {
         merged.merge(&shards[2]);
         assert_eq!(merged, whole);
         assert_eq!(merged.sum().to_bits(), whole.sum().to_bits());
+    }
+
+    #[test]
+    fn far_apart_values_allocate_one_chunk_each() {
+        let mut h = HistF64::with_precision(MAX_PRECISION_BITS);
+        h.record(1e-300);
+        h.record(1e300);
+        assert_eq!(h.pos.ids.len(), 2);
+        assert_eq!(h.pos.counts.len(), 2 * CHUNK);
+        assert!(h.neg.ids.is_empty() && h.neg.counts.is_empty());
+        assert_eq!(h.buckets(), 2);
+        assert_eq!(format!("{:?}", h.neg), "{}");
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! equal timestamps, lower classes fire first and within a class events
 //! fire in schedule order, for *any* interleaving of schedule calls, and
 //! cancellation never perturbs the order of surviving events, and
-//! `cancel` / `len` agree with a model under any interleaving of
-//! schedules, pops and cancels. The second half pins the DES ports of
+//! `cancel` / `len` / `peek_time` agree with a model under any
+//! interleaving of schedules, pops, peeks and cancels. The second half pins the DES ports of
 //! `rana-serve` and `rana-fleet` to the committed bench baselines: a
 //! fixed-seed run must reproduce the exact bytes of its scenario inside
 //! `baselines/BENCH_serve.json` / `baselines/BENCH_fleet.json`, so any
@@ -93,11 +93,13 @@ proptest! {
 
     /// `cancel` succeeds exactly while an event is scheduled and neither
     /// delivered nor cancelled, `len` counts those events after every
-    /// step, and pops deliver the survivors in `(time, class, seq)` order
-    /// — for any interleaving of schedules, pops and cancels.
+    /// step, `peek_time` reads the next survivor's time, and pops deliver
+    /// the survivors in `(time, class, seq)` order — for any interleaving
+    /// of schedules, pops, peeks and cancels, including the cancel of the
+    /// event just popped while its entry is still the heap's top.
     #[test]
     fn cancel_and_len_match_a_model_under_interleaving(
-        ops in vec((0u8..3, 0usize..TIMES.len(), 0u8..3, 0usize..64), 1..96),
+        ops in vec((0u8..5, 0usize..TIMES.len(), 0u8..3, 0usize..64), 1..96),
     ) {
         /// One scheduled event as the model sees it.
         struct Model {
@@ -105,6 +107,13 @@ proptest! {
             time: f64,
             class: u8,
             live: bool,
+        }
+        /// The live event with the smallest (time, class, seq).
+        fn next(model: &[Model]) -> Option<usize> {
+            (0..model.len()).filter(|&i| model[i].live).min_by(|&a, &b| {
+                let (ma, mb) = (&model[a], &model[b]);
+                ma.time.total_cmp(&mb.time).then(ma.class.cmp(&mb.class)).then(a.cmp(&b))
+            })
         }
         let mut q: EventQueue<usize> = EventQueue::new();
         let mut model: Vec<Model> = Vec::new();
@@ -115,18 +124,18 @@ proptest! {
                     let id = q.schedule(time, class, model.len());
                     model.push(Model { id, time, class, live: true });
                 }
-                1 => {
-                    // The live event with the smallest (time, class, seq).
-                    let next = (0..model.len()).filter(|&i| model[i].live).min_by(|&a, &b| {
-                        let (ma, mb) = (&model[a], &model[b]);
-                        ma.time.total_cmp(&mb.time).then(ma.class.cmp(&mb.class)).then(a.cmp(&b))
-                    });
+                1 | 4 => {
+                    let next = next(&model);
                     let popped = q.pop();
                     prop_assert_eq!(popped, next.map(|i| (model[i].time, i)));
                     if let Some(i) = next {
                         model[i].live = false;
+                        if op == 4 {
+                            prop_assert!(!q.cancel(model[i].id), "cancel of event {} just popped", i);
+                        }
                     }
                 }
+                3 => prop_assert_eq!(q.peek_time(), next(&model).map(|i| model[i].time)),
                 _ => {
                     if !model.is_empty() {
                         let i = pick % model.len();
