@@ -15,8 +15,14 @@
 //! PE utilization η *emerges* from the ceiling terms; with this model the
 //! paper's measured lifetimes are reproduced exactly (Layer-A: LTi =
 //! 2294 µs under ID, LTo = 72 µs under OD; Layer-B: 1290 µs / 40 µs).
+//!
+//! Every integer term reads a single tiling axis (or the `(Tr, Tc)`
+//! pair), so the formulas are written once, over per-axis terms, and serve
+//! two entry points: [`analyze`] for one `(pattern, tiling)`, and
+//! [`TilingGrid`] for a Stage-2 scan, which computes each term once per
+//! axis value and lists the candidate tilings in the canonical scan order.
 
-use crate::config::AcceleratorConfig;
+use crate::config::{AcceleratorConfig, PeOrganization};
 use crate::layer::SchedLayer;
 use crate::pattern::{Pattern, Tiling};
 
@@ -151,119 +157,470 @@ fn ceil_div(a: usize, b: usize) -> u64 {
     a.div_ceil(b) as u64
 }
 
-/// Storage requirement, buffer fit, and word traffic of one candidate:
-/// the closed-form core of [`analyze`], exposed separately so the
-/// scheduler can price a candidate's refresh-free energy (its pruning
-/// bound) before paying for the cycle and lifetime analysis, which
-/// [`analyze_from`] then finishes from these same parts.
-pub fn storage_and_traffic(
-    layer: &SchedLayer,
-    pattern: Pattern,
-    tiling: Tiling,
-    cfg: &AcceleratorConfig,
-) -> (Storage, bool, Traffic) {
-    let t = tiling.clamped_to(layer);
-    let g = layer.groups as u64;
-    let (tm_trips, tn_trips, tr_trips, tc_trips) = t.trips(layer);
-    let (tm_trips, tn_trips) = (tm_trips as u64, tn_trips as u64);
-    let num_rc_tiles = (tr_trips * tc_trips) as u64;
-    let k2 = (layer.k * layer.k) as u64;
+/// The terms that read one `Tm` value: the trip count `TM` and the
+/// PE-row work sums over all m-tiles (`Sm`) and over one full m-tile
+/// (`Sm_full`).
+#[derive(Debug, Clone, Copy)]
+struct MTerms {
+    tm: usize,
+    trips: u64,
+    sm: u64,
+    sm_full: u64,
+}
 
-    let n_hl = (layer.n * layer.h * layer.l) as u64;
-    let m_rc = (layer.m * layer.r * layer.c) as u64;
-    let mn_k2 = (layer.m * layer.n) as u64 * k2;
-    let th = |tre: usize| layer.tile_in_h(tre) as u64;
-    let tl = |tce: usize| layer.tile_in_w(tce) as u64;
-    // Input words swept per full pass over all (r,c) tiles including halos.
-    let halo_sweep = layer.n as u64 * tile_sum(layer.r, t.tr, th) * tile_sum(layer.c, t.tc, tl);
+/// The terms that read one `Tn` value: the trip count `TN` and the
+/// input-channel work sums `Sn` and `Sn_full` (`N` and `Tn` when the PE
+/// columns hold pixels, PE-column ceilings when they hold channels).
+#[derive(Debug, Clone, Copy)]
+struct NTerms {
+    tn: usize,
+    trips: u64,
+    sn: u64,
+    sn_full: u64,
+}
 
-    let storage = match pattern {
-        Pattern::Id => Storage {
-            input_words: n_hl,
-            output_words: (t.tm * t.tr * t.tc) as u64,
-            weight_words: (layer.n * t.tm) as u64 * k2,
-        },
-        Pattern::Od => Storage {
-            input_words: (t.tn * layer.h * layer.l) as u64,
-            output_words: m_rc,
-            weight_words: (t.tn * t.tm) as u64 * k2,
-        },
-        Pattern::Wd => Storage {
-            input_words: layer.n as u64 * th(t.tr) * tl(t.tc),
-            output_words: (t.tm * t.tr * t.tc) as u64,
-            weight_words: mn_k2,
-        },
-    };
-    let fits_buffer = storage.total() <= cfg.buffer.capacity_words();
+/// The terms that read one `Tr` (or `Tc`) value: the trip count, the
+/// input rows (columns) `Σ th` (`Σ tl`) its tiles read including halos,
+/// and one full tile's `th(Tr)` (`tl(Tc)`).
+#[derive(Debug, Clone, Copy)]
+struct PixelTerms {
+    t: usize,
+    trips: u64,
+    halo_sum: u64,
+    halo: u64,
+}
 
-    // Core-side reads are pattern-independent for inputs (a tile is
-    // fetched for every (m, n, rc) iteration) and pattern-dependent for
-    // weights (OD holds a weight tile across the whole RC inner loop).
-    // Channel tiles partition n exactly, so the sweep over all (n, rc)
-    // tiles sums to one halo sweep; each of the TM m-tiles repeats it.
-    let buf_input_reads = tm_trips * halo_sweep;
-    let buf_weight_reads = match pattern {
-        Pattern::Od => mn_k2,
-        Pattern::Id | Pattern::Wd => num_rc_tiles * mn_k2,
-    };
-    let (buf_output_writes, buf_output_reads) = match pattern {
-        Pattern::Od => (tn_trips * m_rc, (tn_trips - 1) * m_rc),
-        Pattern::Id | Pattern::Wd => (m_rc, 0),
-    };
+/// The terms that read one `(Tr, Tc)` pair: the output-pixel work sums
+/// over all rc-tiles (`Src`) and over one full rc-tile (`Src_full`).
+#[derive(Debug, Clone, Copy)]
+struct RcTerms {
+    src: u64,
+    src_full: u64,
+}
 
-    // Off-chip traffic: each datum once when its resident set fits the
-    // buffer, otherwise the pattern pays its reload/spill penalty. A type
-    // only counts as resident if it fits *together with* the sets that
-    // must already be there (smaller sets get priority, mirroring the
-    // unified-buffer allocator).
-    let mut dram_input_loads = n_hl;
-    let mut dram_weight_loads = mn_k2;
-    let dram_output_stores = m_rc;
-    let mut dram_partial_stores = 0;
-    let mut dram_partial_loads = 0;
-    match pattern {
-        Pattern::Id => {
-            // Overflow: the Figure 3(b) loop nest reloads "the whole
-            // N×H×L input maps ... into the core" once per Loop-RC sweep,
-            // i.e. once per m-tile, when they cannot all stay resident
-            // (§II-B / §III-B1).
-            if !fits_buffer {
-                dram_input_loads = tm_trips * n_hl;
-            }
+/// One candidate tiling as its entries of the axis tables.
+#[derive(Debug, Clone, Copy)]
+struct Cell<'t> {
+    m: &'t MTerms,
+    n: &'t NTerms,
+    r: &'t PixelTerms,
+    c: &'t PixelTerms,
+    rc: &'t RcTerms,
+}
+
+impl Cell<'_> {
+    /// The (clamped) tiling these entries describe.
+    fn tiling(&self) -> Tiling {
+        Tiling { tm: self.m.tm, tn: self.n.tn, tr: self.r.t, tc: self.c.t }
+    }
+}
+
+/// One layer on one accelerator: the layer-wide constants and the one
+/// site of the model's formulas — the axis terms, and per candidate the
+/// products of them that [`TilingGrid`] and [`analyze`] both evaluate.
+#[derive(Debug, Clone, Copy)]
+struct Model<'a> {
+    layer: &'a SchedLayer,
+    cfg: &'a AcceleratorConfig,
+    k2: u64,
+    /// `N·H·L`, `M·R·C` and `M·N·K²` (per group).
+    n_hl: u64,
+    m_rc: u64,
+    mn_k2: u64,
+    capacity: u64,
+}
+
+impl<'a> Model<'a> {
+    fn new(layer: &'a SchedLayer, cfg: &'a AcceleratorConfig) -> Self {
+        let k2 = (layer.k * layer.k) as u64;
+        Self {
+            layer,
+            cfg,
+            k2,
+            n_hl: (layer.n * layer.h * layer.l) as u64,
+            m_rc: (layer.m * layer.r * layer.c) as u64,
+            mn_k2: (layer.m * layer.n) as u64 * k2,
+            capacity: cfg.buffer.capacity_words(),
         }
-        Pattern::Od => {
-            // Outputs cannot all stay resident -> partial sums spill and
-            // reload once per extra n-tile pass.
-            if !fits_buffer {
-                dram_partial_stores = (tn_trips - 1) * m_rc;
-                dram_partial_loads = (tn_trips - 1) * m_rc;
-            }
+    }
+
+    fn m_terms(&self, tm: usize) -> MTerms {
+        let (m, rows) = (self.layer.m, self.cfg.pe_rows);
+        MTerms {
+            tm,
+            trips: ceil_div(m, tm),
+            sm: tile_sum(m, tm, |tme| ceil_div(tme, rows)),
+            sm_full: ceil_div(tm, rows),
         }
-        Pattern::Wd => {
-            // Inputs always stream per rc-tile with halo overlap; weights
-            // reload per rc-tile when they cannot all stay resident.
-            dram_input_loads = halo_sweep;
-            if !fits_buffer {
-                dram_weight_loads = num_rc_tiles * mn_k2;
+    }
+
+    fn n_terms(&self, tn: usize) -> NTerms {
+        let (n, cols) = (self.layer.n, self.cfg.pe_cols);
+        let (sn, sn_full) = match self.cfg.organization {
+            PeOrganization::PixelColumns => (n as u64, tn as u64),
+            PeOrganization::ChannelColumns => {
+                (tile_sum(n, tn, |tne| ceil_div(tne, cols)), ceil_div(tn, cols))
+            }
+        };
+        NTerms { tn, trips: ceil_div(n, tn), sn, sn_full }
+    }
+
+    fn r_terms(&self, tr: usize) -> PixelTerms {
+        let th = |tre: usize| self.layer.tile_in_h(tre) as u64;
+        let r = self.layer.r;
+        PixelTerms { t: tr, trips: ceil_div(r, tr), halo_sum: tile_sum(r, tr, th), halo: th(tr) }
+    }
+
+    fn c_terms(&self, tc: usize) -> PixelTerms {
+        let tl = |tce: usize| self.layer.tile_in_w(tce) as u64;
+        let c = self.layer.c;
+        PixelTerms { t: tc, trips: ceil_div(c, tc), halo_sum: tile_sum(c, tc, tl), halo: tl(tc) }
+    }
+
+    fn rc_terms(&self, tr: usize, tc: usize) -> RcTerms {
+        let (r, c, cols) = (self.layer.r, self.layer.c, self.cfg.pe_cols);
+        match self.cfg.organization {
+            PeOrganization::PixelColumns => RcTerms {
+                src: tile_sum(r, tr, |tre| tile_sum(c, tc, |tce| ceil_div(tre * tce, cols))),
+                src_full: ceil_div(tr * tc, cols),
+            },
+            PeOrganization::ChannelColumns => {
+                RcTerms { src: (r * c) as u64, src_full: (tr * tc) as u64 }
             }
         }
     }
 
-    let traffic = Traffic {
-        dram_input_loads: dram_input_loads * g,
-        dram_weight_loads: dram_weight_loads * g,
-        dram_output_stores: dram_output_stores * g,
-        dram_partial_stores: dram_partial_stores * g,
-        dram_partial_loads: dram_partial_loads * g,
-        buf_input_reads: buf_input_reads * g,
-        buf_weight_reads: buf_weight_reads * g,
-        buf_output_writes: buf_output_writes * g,
-        buf_output_reads: buf_output_reads * g,
-    };
-    (storage, fits_buffer, traffic)
+    /// Storage requirement, buffer fit and word traffic of `cell` under
+    /// `pattern`.
+    #[inline]
+    fn parts(&self, pattern: Pattern, cell: Cell<'_>) -> (Storage, bool, Traffic) {
+        let (layer, k2, n_hl, m_rc, mn_k2) =
+            (self.layer, self.k2, self.n_hl, self.m_rc, self.mn_k2);
+        let Cell { m, n, r, c, .. } = cell;
+        let g = layer.groups as u64;
+        let (tm_trips, tn_trips) = (m.trips, n.trips);
+        let num_rc_tiles = r.trips * c.trips;
+        // Input words swept per full pass over all (r,c) tiles including halos.
+        let halo_sweep = layer.n as u64 * r.halo_sum * c.halo_sum;
+
+        let storage = match pattern {
+            Pattern::Id => Storage {
+                input_words: n_hl,
+                output_words: (m.tm * r.t * c.t) as u64,
+                weight_words: (layer.n * m.tm) as u64 * k2,
+            },
+            Pattern::Od => Storage {
+                input_words: (n.tn * layer.h * layer.l) as u64,
+                output_words: m_rc,
+                weight_words: (n.tn * m.tm) as u64 * k2,
+            },
+            Pattern::Wd => Storage {
+                input_words: layer.n as u64 * r.halo * c.halo,
+                output_words: (m.tm * r.t * c.t) as u64,
+                weight_words: mn_k2,
+            },
+        };
+        let fits_buffer = storage.total() <= self.capacity;
+
+        // Core-side reads are pattern-independent for inputs (a tile is
+        // fetched for every (m, n, rc) iteration) and pattern-dependent for
+        // weights (OD holds a weight tile across the whole RC inner loop).
+        // Channel tiles partition n exactly, so the sweep over all (n, rc)
+        // tiles sums to one halo sweep; each of the TM m-tiles repeats it.
+        let buf_input_reads = tm_trips * halo_sweep;
+        let buf_weight_reads = match pattern {
+            Pattern::Od => mn_k2,
+            Pattern::Id | Pattern::Wd => num_rc_tiles * mn_k2,
+        };
+        let (buf_output_writes, buf_output_reads) = match pattern {
+            Pattern::Od => (tn_trips * m_rc, (tn_trips - 1) * m_rc),
+            Pattern::Id | Pattern::Wd => (m_rc, 0),
+        };
+
+        // Off-chip traffic: each datum once when its resident set fits the
+        // buffer, otherwise the pattern pays its reload/spill penalty. A type
+        // only counts as resident if it fits *together with* the sets that
+        // must already be there (smaller sets get priority, mirroring the
+        // unified-buffer allocator).
+        let mut dram_input_loads = n_hl;
+        let mut dram_weight_loads = mn_k2;
+        let dram_output_stores = m_rc;
+        let mut dram_partial_stores = 0;
+        let mut dram_partial_loads = 0;
+        match pattern {
+            Pattern::Id => {
+                // Overflow: the Figure 3(b) loop nest reloads "the whole
+                // N×H×L input maps ... into the core" once per Loop-RC sweep,
+                // i.e. once per m-tile, when they cannot all stay resident
+                // (§II-B / §III-B1).
+                if !fits_buffer {
+                    dram_input_loads = tm_trips * n_hl;
+                }
+            }
+            Pattern::Od => {
+                // Outputs cannot all stay resident -> partial sums spill and
+                // reload once per extra n-tile pass.
+                if !fits_buffer {
+                    dram_partial_stores = (tn_trips - 1) * m_rc;
+                    dram_partial_loads = (tn_trips - 1) * m_rc;
+                }
+            }
+            Pattern::Wd => {
+                // Inputs always stream per rc-tile with halo overlap; weights
+                // reload per rc-tile when they cannot all stay resident.
+                dram_input_loads = halo_sweep;
+                if !fits_buffer {
+                    dram_weight_loads = num_rc_tiles * mn_k2;
+                }
+            }
+        }
+
+        let traffic = Traffic {
+            dram_input_loads: dram_input_loads * g,
+            dram_weight_loads: dram_weight_loads * g,
+            dram_output_stores: dram_output_stores * g,
+            dram_partial_stores: dram_partial_stores * g,
+            dram_partial_loads: dram_partial_loads * g,
+            buf_input_reads: buf_input_reads * g,
+            buf_weight_reads: buf_weight_reads * g,
+            buf_output_writes: buf_output_writes * g,
+            buf_output_reads: buf_output_reads * g,
+        };
+        (storage, fits_buffer, traffic)
+    }
+
+    /// The analysis of `cell` under `pattern` from its [`Self::parts`]:
+    /// adds the cycles and lifetimes.
+    #[inline]
+    fn sim(&self, pattern: Pattern, cell: Cell<'_>, parts: (Storage, bool, Traffic)) -> LayerSim {
+        let (storage, fits_buffer, traffic) = parts;
+        let (cfg, k2) = (self.cfg, self.k2);
+        let (sm, sm_full) = (cell.m.sm, cell.m.sm_full);
+        let (sn, sn_full) = (cell.n.sn, cell.n.sn_full);
+        let (src, src_full) = (cell.rc.src, cell.rc.src_full);
+
+        // --- cycles ---------------------------------------------------------
+        // The PE rows always parallelize output channels; the columns
+        // parallelize output pixels (test accelerator) or input channels
+        // (DaDianNao). Per-loop "work sums" account for ceiling waste on edge
+        // tiles; cycles = K² × Sm × Sn × Src.
+        let cycles_group = k2 * sn * sm * src;
+        let cycles = cycles_group * self.layer.groups as u64;
+        let time_us = cfg.cycles_to_us(cycles);
+        let macs = self.layer.total_macs();
+        let utilization = macs as f64 / (cycles as f64 * cfg.mac_count() as f64);
+
+        // --- level times (full-tile residencies, per group, in cycles) ------
+        let t3 = cycles_group;
+        let us = |c: u64| cfg.cycles_to_us(c);
+
+        let lifetimes = match pattern {
+            Pattern::Id => {
+                // Weights of one m-tile live through the whole RC sweep.
+                let t2 = k2 * sn * sm_full * src;
+                Lifetimes {
+                    input_us: us(t3),
+                    output_us: 0.0,
+                    weight_us: us(t2),
+                    output_rewrite_us: 0.0,
+                    layer_us: time_us,
+                }
+            }
+            Pattern::Od => {
+                // T2: one n-tile across all M and RC; T1: one (n,m) tile across RC.
+                let t2 = k2 * sn_full * sm * src;
+                let t1 = k2 * sn_full * sm_full * src;
+                Lifetimes {
+                    input_us: us(t2),
+                    output_us: us(t3),
+                    weight_us: us(t1),
+                    output_rewrite_us: us(t2),
+                    layer_us: time_us,
+                }
+            }
+            Pattern::Wd => {
+                // T2: one rc-tile across all M and N; T1: one (rc,m) tile across N.
+                let t2 = k2 * sn * sm * src_full;
+                let t1 = k2 * sn * sm_full * src_full;
+                Lifetimes {
+                    input_us: us(t2),
+                    output_us: us(t1),
+                    weight_us: us(t3),
+                    output_rewrite_us: us(t1),
+                    layer_us: time_us,
+                }
+            }
+        };
+
+        LayerSim {
+            layer: self.layer.name.clone(),
+            pattern,
+            tiling: cell.tiling(),
+            cycles,
+            time_us,
+            macs,
+            utilization,
+            storage,
+            fits_buffer,
+            lifetimes,
+            traffic,
+        }
+    }
 }
 
-/// Analyzes `layer` under `pattern` with `tiling` on `cfg`.
+/// The values of one explored tiling axis: the powers of two below
+/// `limit`, then `limit` itself.
+fn axis_values(limit: usize) -> impl Iterator<Item = usize> {
+    std::iter::successors(Some(1usize), |&x| x.checked_mul(2))
+        .take_while(move |&x| x < limit)
+        .chain(std::iter::once(limit))
+}
+
+/// The Stage-2 candidate tilings of one layer on one accelerator, with
+/// every axis term of the model computed once per axis value.
+///
+/// Each integer term of Eqs. (1)–(13) and of the cycle model reads a
+/// single tiling axis or the `(Tr, Tc)` pair: the trip counts and the
+/// work sums `Sm`/`Sn` read `Tm` or `Tn`, the halo sums `Σ th`/`Σ tl` and
+/// one tile's `th`/`tl` read `Tr` or `Tc`, and `Src` reads `(Tr, Tc)`. An
+/// axis has a dozen values or so, against hundreds of candidates, so the
+/// grid tabulates each term once per value and a candidate costs only
+/// products of table entries. The float expressions (µs conversion,
+/// utilization, lifetimes) are evaluated per candidate exactly as
+/// [`analyze`] evaluates them, by the same code, so the grid's analysis
+/// of candidate `i` equals `analyze` of [`Self::tiling`]`(i)` bit for bit.
+///
+/// Candidates are listed in the canonical scan order: `Tm`, then `Tn`
+/// (skipping pairs with `Tm·Tn·K² > Rw`), then `Tr`, then `Tc`, filtered
+/// by [`Tiling::fits_core`] — the order of [`Tiling::candidates`]. A fixed
+/// tiling is the one candidate, clamped and unfiltered. The grid holds no
+/// pattern: a scan runs each pattern over the same list.
+///
+/// ```
+/// use rana_accel::{analyze, AcceleratorConfig, Pattern, SchedLayer, TilingGrid};
+/// use rana_zoo::resnet50;
+///
+/// let cfg = AcceleratorConfig::paper_edram();
+/// let layer = SchedLayer::from_conv(resnet50().conv("res4a_branch1").unwrap());
+/// let grid = TilingGrid::new(&layer, &cfg, None);
+/// let parts = grid.parts(Pattern::Od, 0);
+/// let sim = grid.sim(Pattern::Od, 0, parts);
+/// assert_eq!(sim, analyze(&layer, Pattern::Od, grid.tiling(0), &cfg));
+/// ```
+#[derive(Debug)]
+pub struct TilingGrid<'a> {
+    model: Model<'a>,
+    m: Vec<MTerms>,
+    n: Vec<NTerms>,
+    r: Vec<PixelTerms>,
+    c: Vec<PixelTerms>,
+    /// The `(Tr, Tc)` terms, row-major: `rc[ir · c.len() + ic]`.
+    rc: Vec<RcTerms>,
+    /// Each candidate's axis indices `[im, in, ir, ic]`, in scan order (an
+    /// axis has at most 65 values).
+    cells: Vec<[u8; 4]>,
+}
+
+impl<'a> TilingGrid<'a> {
+    /// The candidates of `layer` on `cfg`: the explored space, or the one
+    /// `fixed` tiling.
+    pub fn new(layer: &'a SchedLayer, cfg: &'a AcceleratorConfig, fixed: Option<Tiling>) -> Self {
+        let model = Model::new(layer, cfg);
+        if let Some(t) = fixed.map(|t| t.clamped_to(layer)) {
+            return Self {
+                model,
+                m: vec![model.m_terms(t.tm)],
+                n: vec![model.n_terms(t.tn)],
+                r: vec![model.r_terms(t.tr)],
+                c: vec![model.c_terms(t.tc)],
+                rc: vec![model.rc_terms(t.tr, t.tc)],
+                cells: vec![[0; 4]],
+            };
+        }
+        let m: Vec<_> =
+            axis_values(layer.m.min(cfg.local_output_words)).map(|tm| model.m_terms(tm)).collect();
+        let n: Vec<_> = axis_values(layer.n).map(|tn| model.n_terms(tn)).collect();
+        let r: Vec<_> = axis_values(layer.r).map(|tr| model.r_terms(tr)).collect();
+        let c: Vec<_> = axis_values(layer.c).map(|tc| model.c_terms(tc)).collect();
+        let rc = r.iter().flat_map(|r| c.iter().map(|c| model.rc_terms(r.t, c.t))).collect();
+        let k2 = layer.k * layer.k;
+        let mut cells = Vec::new();
+        for (im, mt) in m.iter().enumerate() {
+            for (i_n, nt) in n.iter().enumerate() {
+                if mt.tm * nt.tn * k2 > cfg.local_weight_words {
+                    continue;
+                }
+                for (ir, rt) in r.iter().enumerate() {
+                    for (ic, ct) in c.iter().enumerate() {
+                        // `Tiling::fits_core`'s other two constraints, from
+                        // the tables (calling it per cell doubled the grid
+                        // build's cost). Both left sides grow with `Tc`:
+                        // once a `Tc` misfits, every larger one does.
+                        let fits = nt.tn as u64 * rt.halo * ct.halo <= cfg.local_input_words as u64
+                            && mt.tm * rt.t * ct.t <= cfg.local_output_words;
+                        if !fits {
+                            break;
+                        }
+                        cells.push([im, i_n, ir, ic].map(|i| i as u8));
+                    }
+                }
+            }
+        }
+        Self { model, m, n, r, c, rc, cells }
+    }
+
+    /// Number of candidate tilings.
+    pub fn len(&self) -> usize {
+        self.cells.len()
+    }
+
+    /// Whether no tiling fits the core.
+    pub fn is_empty(&self) -> bool {
+        self.cells.is_empty()
+    }
+
+    /// Candidate `i`'s tiling (clamped to the layer).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is out of range (as do [`Self::parts`] and
+    /// [`Self::sim`]).
+    pub fn tiling(&self, i: usize) -> Tiling {
+        self.cell(i).tiling()
+    }
+
+    /// Storage requirement, buffer fit and word traffic of candidate `i`
+    /// under `pattern`: everything a candidate's refresh-free energy reads,
+    /// so a scan can price (and skip) it before the cycle and lifetime
+    /// analysis, which [`Self::sim`] then finishes from these parts.
+    #[inline]
+    pub fn parts(&self, pattern: Pattern, i: usize) -> (Storage, bool, Traffic) {
+        self.model.parts(pattern, self.cell(i))
+    }
+
+    /// The analysis of candidate `i` under `pattern` from its
+    /// [`Self::parts`]: adds the cycles and lifetimes.
+    #[inline]
+    pub fn sim(&self, pattern: Pattern, i: usize, parts: (Storage, bool, Traffic)) -> LayerSim {
+        self.model.sim(pattern, self.cell(i), parts)
+    }
+
+    #[inline]
+    fn cell(&self, i: usize) -> Cell<'_> {
+        let [im, i_n, ir, ic] = self.cells[i].map(usize::from);
+        Cell {
+            m: &self.m[im],
+            n: &self.n[i_n],
+            r: &self.r[ir],
+            c: &self.c[ic],
+            rc: &self.rc[ir * self.c.len() + ic],
+        }
+    }
+}
+
+/// Analyzes `layer` under `pattern` with `tiling` on `cfg`: the
+/// one-tiling case of [`TilingGrid`]'s formulas, with the axis terms of
+/// that tiling alone (no allocation).
 ///
 /// The tiling is clamped to the layer's dimensions; it is the caller's
 /// responsibility to pass a tiling satisfying
@@ -276,108 +633,12 @@ pub fn analyze(
     tiling: Tiling,
     cfg: &AcceleratorConfig,
 ) -> LayerSim {
-    analyze_from(layer, pattern, tiling, cfg, storage_and_traffic(layer, pattern, tiling, cfg))
-}
-
-/// [`analyze`] from the candidate's already computed
-/// [`storage_and_traffic`] `parts`: adds the cycles and lifetimes.
-pub fn analyze_from(
-    layer: &SchedLayer,
-    pattern: Pattern,
-    tiling: Tiling,
-    cfg: &AcceleratorConfig,
-    parts: (Storage, bool, Traffic),
-) -> LayerSim {
-    let (storage, fits_buffer, traffic) = parts;
+    let model = Model::new(layer, cfg);
     let t = tiling.clamped_to(layer);
-    let g = layer.groups as u64;
-    let k2 = (layer.k * layer.k) as u64;
-
-    // --- cycles ---------------------------------------------------------
-    // The PE rows always parallelize output channels; the columns
-    // parallelize output pixels (test accelerator) or input channels
-    // (DaDianNao). Per-loop "work sums" account for ceiling waste on edge
-    // tiles; cycles = K² × Sm × Sn × Src.
-    use crate::config::PeOrganization;
-    let sm = tile_sum(layer.m, t.tm, |tme| ceil_div(tme, cfg.pe_rows));
-    let sm_full = ceil_div(t.tm.min(layer.m), cfg.pe_rows);
-    let (sn, sn_full, src, src_full) = match cfg.organization {
-        PeOrganization::PixelColumns => (
-            layer.n as u64,
-            t.tn.min(layer.n) as u64,
-            tile_sum(layer.r, t.tr, |tre| {
-                tile_sum(layer.c, t.tc, |tce| ceil_div(tre * tce, cfg.pe_cols))
-            }),
-            ceil_div(t.tr.min(layer.r) * t.tc.min(layer.c), cfg.pe_cols),
-        ),
-        PeOrganization::ChannelColumns => (
-            tile_sum(layer.n, t.tn, |tne| ceil_div(tne, cfg.pe_cols)),
-            ceil_div(t.tn.min(layer.n), cfg.pe_cols),
-            (layer.r * layer.c) as u64,
-            (t.tr.min(layer.r) * t.tc.min(layer.c)) as u64,
-        ),
-    };
-    let cycles_group = k2 * sn * sm * src;
-    let cycles = cycles_group * g;
-    let time_us = cfg.cycles_to_us(cycles);
-    let macs = layer.total_macs();
-    let utilization = macs as f64 / (cycles as f64 * cfg.mac_count() as f64);
-
-    // --- level times (full-tile residencies, per group, in cycles) ------
-    let t3 = cycles_group;
-    let us = |c: u64| cfg.cycles_to_us(c);
-
-    let lifetimes = match pattern {
-        Pattern::Id => {
-            // Weights of one m-tile live through the whole RC sweep.
-            let t2 = k2 * sn * sm_full * src;
-            Lifetimes {
-                input_us: us(t3),
-                output_us: 0.0,
-                weight_us: us(t2),
-                output_rewrite_us: 0.0,
-                layer_us: time_us,
-            }
-        }
-        Pattern::Od => {
-            // T2: one n-tile across all M and RC; T1: one (n,m) tile across RC.
-            let t2 = k2 * sn_full * sm * src;
-            let t1 = k2 * sn_full * sm_full * src;
-            Lifetimes {
-                input_us: us(t2),
-                output_us: us(t3),
-                weight_us: us(t1),
-                output_rewrite_us: us(t2),
-                layer_us: time_us,
-            }
-        }
-        Pattern::Wd => {
-            // T2: one rc-tile across all M and N; T1: one (rc,m) tile across N.
-            let t2 = k2 * sn * sm * src_full;
-            let t1 = k2 * sn * sm_full * src_full;
-            Lifetimes {
-                input_us: us(t2),
-                output_us: us(t1),
-                weight_us: us(t3),
-                output_rewrite_us: us(t1),
-                layer_us: time_us,
-            }
-        }
-    };
-
-    LayerSim {
-        layer: layer.name.clone(),
-        pattern,
-        tiling: t,
-        cycles,
-        time_us,
-        macs,
-        utilization,
-        storage,
-        fits_buffer,
-        lifetimes,
-        traffic,
-    }
+    let (m, n) = (model.m_terms(t.tm), model.n_terms(t.tn));
+    let (r, c, rc) = (model.r_terms(t.tr), model.c_terms(t.tc), model.rc_terms(t.tr, t.tc));
+    let cell = Cell { m: &m, n: &n, r: &r, c: &c, rc: &rc };
+    model.sim(pattern, cell, model.parts(pattern, cell))
 }
 
 #[cfg(test)]

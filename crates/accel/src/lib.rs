@@ -49,9 +49,7 @@ pub mod pattern;
 pub mod refresh;
 pub mod trace;
 
-pub use analysis::{
-    analyze, analyze_from, storage_and_traffic, LayerSim, Lifetimes, Storage, Traffic,
-};
+pub use analysis::{analyze, LayerSim, Lifetimes, Storage, TilingGrid, Traffic};
 pub use config::{AcceleratorConfig, BufferConfig};
 pub use exec::{execute_layer, execute_layer_grouped, Engine};
 pub use fingerprint::{Fingerprint, Fnv1a};

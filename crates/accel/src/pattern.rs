@@ -10,6 +10,7 @@
 //! | OD      | `N`         | `M` | `RC`        | all outputs    |
 //! | WD      | `RC`        | `M` | `N`         | all weights    |
 
+use crate::analysis::TilingGrid;
 use crate::config::AcceleratorConfig;
 use crate::layer::SchedLayer;
 use std::fmt;
@@ -128,36 +129,10 @@ impl Tiling {
 
     /// Candidate tilings for a layer on an accelerator: powers of two (plus
     /// the exact dimension) per axis, filtered by the core-local storage
-    /// constraints.
+    /// constraints, in the canonical scan order of [`TilingGrid`].
     pub fn candidates(layer: &SchedLayer, cfg: &AcceleratorConfig) -> Vec<Tiling> {
-        let axis = |limit: usize| {
-            let mut v: Vec<usize> = std::iter::successors(Some(1usize), |&x| Some(x * 2))
-                .take_while(|&x| x < limit)
-                .collect();
-            v.push(limit);
-            v
-        };
-        let tm_axis = axis(layer.m.min(cfg.local_output_words));
-        let tn_axis = axis(layer.n);
-        let tr_axis = axis(layer.r);
-        let tc_axis = axis(layer.c);
-        let mut out = Vec::new();
-        for &tm in &tm_axis {
-            for &tn in &tn_axis {
-                if tm * tn * layer.k * layer.k > cfg.local_weight_words {
-                    continue;
-                }
-                for &tr in &tr_axis {
-                    for &tc in &tc_axis {
-                        let t = Tiling::new(tm, tn, tr, tc);
-                        if t.fits_core(layer, cfg) {
-                            out.push(t);
-                        }
-                    }
-                }
-            }
-        }
-        out
+        let grid = TilingGrid::new(layer, cfg, None);
+        (0..grid.len()).map(|i| grid.tiling(i)).collect()
     }
 }
 

@@ -78,7 +78,11 @@ pub fn layer_refresh_words(sim: &LayerSim, cfg: &AcceleratorConfig, model: &Refr
     if cfg.buffer.tech == BufferTech::Sram {
         return 0;
     }
-    let pulses = (sim.time_us / model.interval_us).floor() as u64;
+    // `x as u64` equals `x.floor() as u64` for every f64: both truncate a
+    // non-negative value, saturate at 2^64 and +∞, and send NaN and
+    // negative values to 0. The cast skips `floor`, a library call on
+    // baseline x86-64 (no SSE4.1 `roundsd`).
+    let pulses = (sim.time_us / model.interval_us) as u64;
     if pulses == 0 {
         return 0;
     }
@@ -212,6 +216,16 @@ mod tests {
         let (sim, cfg) = layer_a_sim(Pattern::Id);
         let model = RefreshModel { interval_us: f64::NAN, kind: ControllerKind::RefreshOptimized };
         layer_refresh_words(&sim, &cfg, &model);
+    }
+
+    #[test]
+    fn pulse_cast_equals_floor_then_cast() {
+        let edges = [0.0, -0.0, 0.5, 1.0, 1.5, 2f64.powi(53) + 2.0, 2f64.powi(64), f64::MAX];
+        for x in edges.into_iter().chain([f64::INFINITY, f64::NAN, f64::MIN_POSITIVE]) {
+            for x in [x, -x] {
+                assert_eq!(x as u64, x.floor() as u64, "{x}");
+            }
+        }
     }
 
     #[test]

@@ -5,8 +5,9 @@
 //! compared byte-for-byte (with a structural diff to name the offending
 //! fields when bytes diverge). A few artifacts intentionally carry
 //! wall-clock measurements and are *timing-quarantined*: their structure
-//! — keys, array lengths, types, booleans, strings — stays strict, but
-//! numeric leaves only have to land within a relative noise band of the
+//! — keys, array lengths, types, booleans, strings — stays strict, and so
+//! do the numbers under the file's work-counter keys, but every other
+//! numeric leaf only has to land within a relative noise band of the
 //! baseline (default 100x, tunable via `RANA_BENCH_TIMING_FACTOR`).
 //!
 //! Exit status is nonzero on any regression, missing baseline, or stale
@@ -17,13 +18,21 @@
 use rana_bench::json::{diff, Json, NumericPolicy};
 use std::path::{Path, PathBuf};
 
-/// Artifacts whose numeric leaves are wall-clock noise, not contract.
-const QUARANTINED: &[&str] = &[
-    "BENCH_sched.json",
-    "BENCH_trace_timing.json",
-    "BENCH_exec_timing.json",
-    "BENCH_fleet_timing.json",
+/// Artifacts whose numeric leaves are wall-clock noise, not contract,
+/// each with the keys of its work counters, which are contract. (Not
+/// `BENCH_sched.json`'s `threads`: that is the host's pool width.)
+const QUARANTINED: &[(&str, &[&str])] = &[
+    ("BENCH_sched.json", &["layers", "points", "cache_hits", "cache_misses", "cache_entries"]),
+    ("BENCH_trace_timing.json", &[]),
+    ("BENCH_exec_timing.json", &[]),
+    ("BENCH_fleet_timing.json", &[]),
 ];
+
+/// The work-counter keys of a quarantined artifact; `None` for a strict
+/// one.
+fn counters(name: &str) -> Option<&'static [&'static str]> {
+    QUARANTINED.iter().find(|(file, _)| *file == name).map(|&(_, counters)| counters)
+}
 
 /// Default multiplicative drift allowed on quarantined numerics.
 const DEFAULT_TIMING_FACTOR: f64 = 100.0;
@@ -81,7 +90,8 @@ fn check_file(results: &Path, baselines: &Path, name: &str, factor: f64) -> Vec<
         }
     };
     let new_raw = std::fs::read_to_string(results.join(name)).expect("results file listed");
-    let quarantined = QUARANTINED.contains(&name);
+    let counters = counters(name);
+    let quarantined = counters.is_some();
     if !quarantined && base_raw == new_raw {
         return Vec::new();
     }
@@ -93,7 +103,10 @@ fn check_file(results: &Path, baselines: &Path, name: &str, factor: f64) -> Vec<
         Ok(v) => v,
         Err(e) => return vec![format!("artifact is not valid JSON: {e}")],
     };
-    let policy = if quarantined { NumericPolicy::Band { factor } } else { NumericPolicy::Exact };
+    let policy = match counters {
+        Some(counters) => NumericPolicy::Band { factor, counters },
+        None => NumericPolicy::Exact,
+    };
     let mut lines = diff(&base, &new, policy);
     if lines.len() > MAX_REPORTED {
         let extra = lines.len() - MAX_REPORTED;
@@ -141,10 +154,10 @@ fn main() {
     let mut failures = 0usize;
     for name in &current {
         let lines = check_file(&results, &baselines, name, factor);
-        let tag = if QUARANTINED.contains(&name.as_str()) {
-            format!("timing-quarantined, {factor}x band")
-        } else {
-            "strict".into()
+        let tag = match counters(name) {
+            Some([]) => format!("timing-quarantined, {factor}x band"),
+            Some(c) => format!("timing-quarantined, {factor}x band, {} counters exact", c.len()),
+            None => "strict".into(),
         };
         if lines.is_empty() {
             println!("OK    {name} ({tag})");

@@ -184,10 +184,14 @@ pub enum NumericPolicy {
     /// Values reparse as `f64`; the candidate must be finite and, when
     /// the absolute difference exceeds 1e-9, within `factor`x of the
     /// baseline with the same sign — for wall-clock timing artifacts
-    /// where only the order of magnitude is stable.
+    /// where only the order of magnitude is stable. Leaves under one of
+    /// the `counters` keys are work counts, not timings, and compare as
+    /// [`NumericPolicy::Exact`] does.
     Band {
         /// Allowed multiplicative drift in either direction.
         factor: f64,
+        /// Object keys whose numeric values must match exactly.
+        counters: &'static [&'static str],
     },
 }
 
@@ -204,12 +208,19 @@ pub fn diff(base: &Json, new: &Json, policy: NumericPolicy) -> Vec<String> {
 fn walk(base: &Json, new: &Json, policy: NumericPolicy, path: &str, out: &mut Vec<String>) {
     match (base, new) {
         (Json::Num(b), Json::Num(n)) => match policy {
+            NumericPolicy::Band { counters, .. }
+                if path.rsplit_once('.').is_some_and(|(_, key)| counters.contains(&key)) =>
+            {
+                if b != n {
+                    out.push(format!("{path}: work counter expected {b}, got {n}"));
+                }
+            }
             NumericPolicy::Exact => {
                 if b != n {
                     out.push(format!("{path}: expected {b}, got {n}"));
                 }
             }
-            NumericPolicy::Band { factor } => {
+            NumericPolicy::Band { factor, .. } => {
                 // Both literals parsed as f64 at parse time.
                 let (bv, nv) = (b.parse::<f64>().unwrap(), n.parse::<f64>().unwrap());
                 if !in_band(bv, nv, factor) {
@@ -305,7 +316,7 @@ mod tests {
 
     #[test]
     fn band_policy_tolerates_timing_noise_but_not_structure() {
-        let band = NumericPolicy::Band { factor: 100.0 };
+        let band = NumericPolicy::Band { factor: 100.0, counters: &[] };
         let base = Json::parse(r#"{"ms": 5.0, "ok": true}"#).unwrap();
         let noisy = Json::parse(r#"{"ms": 71.2, "ok": true}"#).unwrap();
         assert!(diff(&base, &noisy, band).is_empty());
@@ -315,6 +326,19 @@ mod tests {
         assert_eq!(diff(&base, &flipped, band).len(), 1, "bools stay strict");
         let reshaped = Json::parse(r#"{"ms": [5.0], "ok": true}"#).unwrap();
         assert_eq!(diff(&base, &reshaped, band).len(), 1, "types stay strict");
+    }
+
+    #[test]
+    fn band_policy_counters_compare_exactly() {
+        let band = NumericPolicy::Band { factor: 100.0, counters: &["misses"] };
+        let base = Json::parse(r#"{"ms": 5.0, "misses": 786, "runs": [{"misses": 3}]}"#).unwrap();
+        let noisy = Json::parse(r#"{"ms": 9.0, "misses": 786, "runs": [{"misses": 3}]}"#).unwrap();
+        assert!(diff(&base, &noisy, band).is_empty());
+        let moved = Json::parse(r#"{"ms": 5.0, "misses": 787, "runs": [{"misses": 4}]}"#).unwrap();
+        let d = diff(&base, &moved, band);
+        assert_eq!(d.len(), 2, "{d:?}");
+        assert!(d[0].starts_with("$.misses: work counter"), "{d:?}");
+        assert!(d[1].starts_with("$.runs[0].misses: work counter"), "{d:?}");
     }
 
     #[test]

@@ -27,7 +27,7 @@ use rana_core::designs::Design;
 use rana_core::evaluate::Evaluator;
 use rana_core::operating::rung_us;
 use rana_core::store::{precompile, PrecompileSpec, ScheduleStore};
-use rana_zoo::Network;
+use rana_zoo::{Network, MAX_INPUT_PIXELS};
 use std::process::ExitCode;
 
 struct Args {
@@ -49,11 +49,6 @@ const USAGE: &str = "usage: rana-compile <alexnet|vgg|googlenet|resnet|mobilenet
 /// Largest `--capacity` factor: 1024 × the paper's eDRAM buffer, 45,056
 /// banks.
 const MAX_CAPACITY_FACTOR: f64 = 1024.0;
-
-/// Largest `--input` side, pixels (VGG compiles at it in ~7 ms). The
-/// zoo's shape arithmetic is u64: from 2^25 pixels on, VGG's per-layer
-/// MAC counts wrap and the report is garbage.
-const MAX_INPUT_PIXELS: usize = 65_536;
 
 fn parse_design(v: &str) -> Result<Design, String> {
     match v {

@@ -11,8 +11,7 @@ use crate::par::{self, ScheduleCache};
 use rana_accel::fingerprint::{Fingerprint, Fnv1a};
 use rana_accel::refresh::layer_refresh_words;
 use rana_accel::{
-    analyze_from, storage_and_traffic, AcceleratorConfig, LayerSim, Pattern, RefreshModel,
-    SchedLayer, Tiling,
+    AcceleratorConfig, LayerSim, Pattern, RefreshModel, SchedLayer, Tiling, TilingGrid,
 };
 use rana_zoo::Network;
 use std::collections::HashMap;
@@ -113,8 +112,8 @@ impl Scheduler {
         }
     }
 
-    /// The selection predicate: does a candidate of this `energy` and
-    /// `cycles` replace the incumbent?
+    /// The selection predicate: does a candidate of total energy
+    /// `total_j` and `cycles` cycles replace the incumbent?
     ///
     /// Minimize energy; within a 1% energy band (energy is nearly flat in
     /// some tiling directions) prefer fewer cycles, preserving the paper's
@@ -124,44 +123,27 @@ impl Scheduler {
     /// inside the band), so the scan over candidates must always run in
     /// the canonical candidate order — which is why the parallel path
     /// evaluates concurrently but folds serially.
-    fn improves(best: &Option<LayerSchedule>, energy: &EnergyBreakdown, cycles: u64) -> bool {
-        best.as_ref().is_none_or(|b| {
-            let (e, be) = (energy.total_j(), b.energy.total_j());
-            e < be * 0.99 || (e <= be * 1.01 && cycles < b.sim.cycles)
+    fn improves(best: Option<&Incumbent>, total_j: f64, cycles: u64) -> bool {
+        best.is_none_or(|b| {
+            total_j < b.total_j * 0.99 || (total_j <= b.total_j * 1.01 && cycles < b.cycles)
         })
-    }
-
-    /// The candidate space `(pattern, tiling)` in canonical scan order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the pattern list is empty.
-    fn candidate_space(&self, layer: &SchedLayer) -> Vec<(Pattern, Tiling)> {
-        assert!(!self.patterns.is_empty(), "scheduler needs at least one pattern");
-        let tilings: Vec<Tiling> = match self.fixed_tiling {
-            Some(t) => vec![t],
-            None => Tiling::candidates(layer, &self.cfg),
-        };
-        let mut out = Vec::with_capacity(self.patterns.len() * tilings.len());
-        for &pattern in &self.patterns {
-            for &tiling in &tilings {
-                out.push((pattern, tiling));
-            }
-        }
-        out
     }
 
     /// The canonical candidate scan, run once for a whole *search group*:
     /// schedulers with equal [`Self::search_key`]s, which differ only in
-    /// `refresh` and `model.costs.edram_refresh_pj`. Each candidate of the
-    /// name-less `shape` is priced once at zero refresh from its
-    /// [`storage_and_traffic`]: the computing, buffer and off-chip terms
-    /// of Eq. 14, which every member shares. A candidate that is not
-    /// skipped is analyzed once from the same parts, each member adds its
-    /// own refresh term, and the result is folded into the member's own
+    /// `refresh` and `model.costs.edram_refresh_pj`. The patterns run
+    /// outermost over the name-less `shape`'s [`TilingGrid`]. Each
+    /// candidate is priced once at zero refresh from its
+    /// [`TilingGrid::parts`]: the computing, buffer and off-chip terms of
+    /// Eq. 14, which every member shares. A candidate that is not skipped
+    /// is analyzed once from the same parts, each member adds its own
+    /// refresh term, and the result is folded into the member's own
     /// incumbent by the unchanged selection predicate. Every member sees
     /// the same candidates in the same order at bit-identical prices, so
     /// its fold *is* its own scan. A group of one is the plain scan.
+    ///
+    /// An incumbent is the candidate's grid position plus its price; only
+    /// the winners' [`LayerSim`]s are built, from the grid, at the end.
     ///
     /// With `prune` a candidate is skipped without analysis only when its
     /// shared energy, a lower bound on every member's energy, exceeds
@@ -170,37 +152,53 @@ impl Scheduler {
     /// result equals the exhaustive scan's (proof in DESIGN.md).
     ///
     /// Returns one schedule per member, in member order, named as `shape`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the pattern list is empty or no tiling fits the core.
     fn search_group(group: &[&Scheduler], shape: &SchedLayer, prune: bool) -> Vec<LayerSchedule> {
         let lead = group[0];
+        assert!(!lead.patterns.is_empty(), "scheduler needs at least one pattern");
+        let grid = TilingGrid::new(shape, &lead.cfg, lead.fixed_tiling);
         let macs = shape.total_macs();
-        let mut best: Vec<Option<LayerSchedule>> = vec![None; group.len()];
+        let mut best: Vec<Option<Incumbent>> = vec![None; group.len()];
         // The skip bar: 1.01 × the largest incumbent energy, once every
         // member has an incumbent.
         let mut bar: Option<f64> = None;
         let mut evaluated = 0u64;
         let mut pruned = 0u64;
-        for (pattern, tiling) in lead.candidate_space(shape) {
-            let parts = storage_and_traffic(shape, pattern, tiling, &lead.cfg);
-            let shared = lead.model.without_refresh(macs, &parts.2, &lead.cfg);
-            if bar.is_some_and(|bar| shared.total_j() > bar) {
-                pruned += 1;
-                continue;
-            }
-            evaluated += 1;
-            let sim = analyze_from(shape, pattern, tiling, &lead.cfg, parts);
-            let mut moved = false;
-            for (member, incumbent) in group.iter().zip(&mut best) {
-                let refresh_words = layer_refresh_words(&sim, &member.cfg, &member.refresh);
-                let energy = member.model.with_refresh(shared, refresh_words);
-                if Self::improves(incumbent, &energy, sim.cycles) {
-                    *incumbent = Some(LayerSchedule { sim: sim.clone(), refresh_words, energy });
-                    moved = true;
+        for &pattern in &lead.patterns {
+            for index in 0..grid.len() {
+                let parts = grid.parts(pattern, index);
+                let shared = lead.model.without_refresh(macs, &parts.2, &lead.cfg);
+                if bar.is_some_and(|bar| shared.total_j() > bar) {
+                    pruned += 1;
+                    continue;
                 }
-            }
-            if prune && moved {
-                bar = best.iter().try_fold(f64::NEG_INFINITY, |bar, b| {
-                    b.as_ref().map(|s| bar.max(s.energy.total_j() * 1.01))
-                });
+                evaluated += 1;
+                let sim = grid.sim(pattern, index, parts);
+                let mut moved = false;
+                for (member, incumbent) in group.iter().zip(&mut best) {
+                    let refresh_words = layer_refresh_words(&sim, &member.cfg, &member.refresh);
+                    let energy = member.model.with_refresh(shared, refresh_words);
+                    let total_j = energy.total_j();
+                    if Self::improves(incumbent.as_ref(), total_j, sim.cycles) {
+                        *incumbent = Some(Incumbent {
+                            pattern,
+                            index,
+                            energy,
+                            total_j,
+                            cycles: sim.cycles,
+                            refresh_words,
+                        });
+                        moved = true;
+                    }
+                }
+                if prune && moved {
+                    bar = best.iter().try_fold(f64::NEG_INFINITY, |bar, b| {
+                        b.as_ref().map(|b| bar.max(b.total_j * 1.01))
+                    });
+                }
             }
         }
         if rana_trace::enabled() {
@@ -208,7 +206,13 @@ impl Scheduler {
             rana_trace::count("scheduler.candidates_evaluated", evaluated);
             rana_trace::count("scheduler.candidates_pruned", pruned);
         }
-        best.into_iter().map(|b| b.expect("tiling candidate list is never empty")).collect()
+        best.into_iter()
+            .map(|b| {
+                let b = b.expect("tiling candidate list is never empty");
+                let sim = grid.sim(b.pattern, b.index, grid.parts(b.pattern, b.index));
+                LayerSchedule { sim, refresh_words: b.refresh_words, energy: b.energy }
+            })
+            .collect()
     }
 
     /// One layer through [`Self::search_group`] as a group of one: the scan
@@ -481,6 +485,18 @@ impl Scheduler {
 /// the name.
 fn nameless(layer: &SchedLayer) -> SchedLayer {
     SchedLayer { name: String::new(), ..*layer }
+}
+
+/// A member's best candidate so far in a scan: its grid position and its
+/// price, with the energy total the selection predicate compares cached.
+#[derive(Debug, Clone, Copy)]
+struct Incumbent {
+    pattern: Pattern,
+    index: usize,
+    energy: EnergyBreakdown,
+    total_j: f64,
+    cycles: u64,
+    refresh_words: u64,
 }
 
 /// [`Scheduler::layer_key`] from an already computed context fingerprint.

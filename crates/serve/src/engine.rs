@@ -181,11 +181,11 @@ pub(crate) struct Die {
     temp_c: f64,
     /// Instant `temp_c` was last integrated to, µs.
     last_update_us: f64,
-    /// The modeled on-die schedule cache: the distinct `(tenant, divider
-    /// ratio)` pairs this die has already scheduled, in first-use order (a
-    /// handful per tenant, so a scan beats hashing). A crash clears it, a
-    /// drain keeps it.
-    warm: Vec<(usize, u64)>,
+    /// The modeled on-die schedule cache: per tenant, the distinct divider
+    /// ratios this die has already scheduled it at, in first-use order (a
+    /// handful each, so a scan beats hashing). A crash clears every list,
+    /// a drain keeps them.
+    warm: Vec<Vec<u64>>,
     in_flight: Option<InFlight>,
     /// The last completed batch's request buffer, emptied and kept for the
     /// next dispatch so steady-state batching allocates nothing.
@@ -204,14 +204,14 @@ pub(crate) struct Die {
 }
 
 impl Die {
-    fn new(ambient_c: f64, nominal_ratio: u64, shares: &[usize]) -> Self {
+    fn new(ambient_c: f64, nominal_ratio: u64, shares: &[usize], tenants: usize) -> Self {
         let slot = |&banks: &usize| Slot { banks, divider_ratio: nominal_ratio, ..Slot::default() };
         Self {
             state: DieState::Up,
             slots: shares.iter().map(slot).collect(),
             temp_c: ambient_c,
             last_update_us: 0.0,
-            warm: Vec::new(),
+            warm: vec![Vec::new(); tenants],
             in_flight: None,
             spare_batch: Vec::new(),
             served: 0,
@@ -351,8 +351,9 @@ impl<'a, L: LatencyLog> Engine<'a, L> {
         );
         let (nominal_divider, nominal_rung_us) = policy.nominal();
         let shares = equal_split(total_banks, slots);
-        let dies =
-            (0..n).map(|_| Die::new(thermal.ambient_c, nominal_divider.ratio(), &shares)).collect();
+        let dies = (0..n)
+            .map(|_| Die::new(thermal.ambient_c, nominal_divider.ratio(), &shares, nt))
+            .collect();
         // Shards stagger evenly over the cluster so tenants overlap as
         // little as the shard size allows.
         let shard = config.shard_size.unwrap_or(n).min(n);
@@ -646,13 +647,13 @@ impl<'a, L: LatencyLog> Engine<'a, L> {
         // Warm-set check: the first time this die runs (tenant, rung) it
         // pays the warm-set penalty and joins the tenant's warm set (what
         // the cache-affinity router steers by; crashes clear both).
-        let warm_key = (tn, divider.ratio());
-        let cold = !die.warm.contains(&warm_key);
+        let warm = &mut die.warm[tn];
+        let cold = !warm.contains(&divider.ratio());
         if cold {
-            if !die.warm.iter().any(|&(t, _)| t == tn) {
+            if warm.is_empty() {
                 self.warm_dies[tn].push(d);
             }
-            die.warm.push(warm_key);
+            warm.push(divider.ratio());
             self.cold_schedules += 1;
         }
 
@@ -774,7 +775,7 @@ impl<'a, L: LatencyLog> Engine<'a, L> {
             die.cool_to(&self.thermal, t);
         }
         displaced.extend(die.slots.iter_mut().flat_map(|slot| slot.queue.drain(..)));
-        die.warm.clear();
+        die.warm.iter_mut().for_each(Vec::clear);
         die.state = DieState::Down;
         for list in &mut self.warm_dies {
             list.retain(|&x| x != d);
@@ -924,11 +925,12 @@ mod tests {
 
     #[test]
     fn fresh_die_is_idle_and_accepting() {
-        let d = Die::new(45.0, 9000, &[22, 22]);
+        let d = Die::new(45.0, 9000, &[22, 22], 3);
         assert!(d.accepting());
         assert_eq!(d.load(), 0);
         assert_eq!(d.temp_c, 45.0);
-        assert!(d.warm.is_empty());
+        assert_eq!(d.warm.len(), 3);
+        assert!(d.warm.iter().all(Vec::is_empty));
         assert_eq!(d.slots.len(), 2);
     }
 
@@ -949,10 +951,15 @@ mod tests {
         let batch = e.dies[0].in_flight.as_ref().expect("dispatched");
         let (dispatch_us, power_w) = (batch.dispatch_us, batch.power_w);
         assert_eq!(dispatch_us, 500.0 + stall);
+        assert_eq!(e.dies[0].warm[0].len(), 1, "the tenant's first rung is warm");
+        assert_eq!(e.warm_dies[0], [0]);
 
         // It crashes halfway through the stall: nothing ran, and the die
-        // is taken to have cooled through the whole stall.
+        // is taken to have cooled through the whole stall. The crash
+        // forgets every warm rung.
         e.crash(0, 500.0 + stall / 2.0);
+        assert!(e.dies[0].warm.iter().all(Vec::is_empty));
+        assert!(e.warm_dies[0].is_empty());
         assert_eq!(e.wasted_j, 0.0);
         assert_eq!(e.lost_in_flight, 1);
         assert_eq!(e.tenants[0].unroutable_drops, 1, "a one-die fleet has nowhere to reroute");

@@ -49,7 +49,41 @@ pub use network::Network;
 pub use resnet::{resnet50, resnet50_with_input};
 pub use vgg::{vgg16, vgg16_with_input};
 
+/// Largest square input side, in pixels, that [`vgg16_with_input`] and
+/// [`resnet50_with_input`] accept. The shape arithmetic is u64: from 2^25
+/// pixels on, VGG's per-layer MAC counts wrap.
+pub const MAX_INPUT_PIXELS: usize = 65_536;
+
 /// All four benchmark networks, in the order the paper reports them.
 pub fn benchmarks() -> Vec<Network> {
     vec![alexnet(), vgg16(), googlenet(), resnet50()]
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    #[should_panic(expected = "VGG input must be a positive multiple of 32 up to 65536")]
+    fn vgg_above_the_input_limit_panics() {
+        vgg16_with_input(MAX_INPUT_PIXELS + 32);
+    }
+
+    #[test]
+    #[should_panic(expected = "ResNet input must be a positive multiple of 32 up to 65536")]
+    fn resnet_above_the_input_limit_panics() {
+        resnet50_with_input(MAX_INPUT_PIXELS + 32);
+    }
+
+    #[test]
+    fn macs_are_exact_at_the_input_limit() {
+        for net in [vgg16_with_input(MAX_INPUT_PIXELS), resnet50_with_input(MAX_INPUT_PIXELS)] {
+            for conv in net.conv_layers() {
+                let factors = [conv.out_ch, conv.out_h(), conv.out_w(), conv.in_ch_per_group()];
+                let exact = factors.map(|f| f as u128).iter().product::<u128>()
+                    * (conv.kernel * conv.kernel) as u128;
+                assert_eq!(u128::from(conv.macs()), exact, "{} {}", net.name(), conv.name);
+            }
+        }
+    }
 }

@@ -6,6 +6,7 @@
 
 use crate::layer::{ConvShape, Layer, PoolShape};
 use crate::network::Network;
+use crate::MAX_INPUT_PIXELS;
 
 /// One bottleneck stage: `blocks` blocks of (1×1, 3×3, 1×1) convs, the first
 /// block carrying a 1×1 projection shortcut (`branch1`) and optionally a
@@ -80,11 +81,12 @@ pub fn resnet50() -> Network {
 ///
 /// # Panics
 ///
-/// Panics unless `hw` is a positive multiple of 32.
+/// Panics unless `hw` is a positive multiple of 32 of at most
+/// [`MAX_INPUT_PIXELS`].
 pub fn resnet50_with_input(hw: usize) -> Network {
     assert!(
-        hw > 0 && hw.is_multiple_of(32),
-        "ResNet input must be a positive multiple of 32, got {hw}"
+        hw > 0 && hw.is_multiple_of(32) && hw <= MAX_INPUT_PIXELS,
+        "ResNet input must be a positive multiple of 32 up to {MAX_INPUT_PIXELS}, got {hw}"
     );
     let mut layers = vec![
         Layer::conv(ConvShape::new("conv1", 3, hw, hw, 64, 7, 2, 3)),

@@ -5,6 +5,7 @@
 
 use crate::layer::{ConvShape, Layer, PoolShape};
 use crate::network::Network;
+use crate::MAX_INPUT_PIXELS;
 
 fn conv3x3(name: &str, n: usize, hw: usize, m: usize) -> Layer {
     Layer::conv(ConvShape::new(name, n, hw, hw, m, 3, 1, 1))
@@ -20,11 +21,12 @@ pub fn vgg16() -> Network {
 ///
 /// # Panics
 ///
-/// Panics unless `hw` is a positive multiple of 32 (five 2× pools).
+/// Panics unless `hw` is a positive multiple of 32 (five 2× pools) of at
+/// most [`MAX_INPUT_PIXELS`].
 pub fn vgg16_with_input(hw: usize) -> Network {
     assert!(
-        hw > 0 && hw.is_multiple_of(32),
-        "VGG input must be a positive multiple of 32, got {hw}"
+        hw > 0 && hw.is_multiple_of(32) && hw <= MAX_INPUT_PIXELS,
+        "VGG input must be a positive multiple of 32 up to {MAX_INPUT_PIXELS}, got {hw}"
     );
     let (d1, d2, d3, d4, d5) = (hw, hw / 2, hw / 4, hw / 8, hw / 16);
     let layers = vec![
