@@ -11,6 +11,7 @@
 //! failing case prints its inputs via `Debug` instead.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 use std::fmt;
 use std::ops::{Range, RangeInclusive};

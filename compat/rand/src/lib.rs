@@ -9,6 +9,7 @@
 //! contract the real `StdRng` gives).
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 use std::ops::{Range, RangeInclusive};
 

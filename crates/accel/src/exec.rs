@@ -44,8 +44,12 @@
 //! pulses, which work on runs of words that share a write timestamp, copy
 //! or skip a whole block whose weakest cell outlives the run's failure
 //! rate. One call builds one map and every channel group's buffer shares
-//! it, as do the images of a `rana_core::execute_layer_batch` call, so
-//! each block is filled once per call.
+//! it, as do the images of a `rana_core::execute_layer_batch` call. A
+//! single-image call fills a block (all 64 floors in one kernel) when a
+//! decayed read first needs it; a batch on eDRAM fills the blocks of one
+//! group's [`resident_words`] before its images start, split across its
+//! workers, so each block is filled about once per batch, even where the
+//! data never decays.
 //!
 //! Scope: the resident sets must fit the buffer (no spill modeling here —
 //! use small layers or a big buffer; the analytic engines cover spills).
@@ -462,6 +466,26 @@ pub fn execute_layer_grouped_on(
     total
 }
 
+/// Buffer words one channel group of `layer` keeps resident in the
+/// functional engine: its inputs, weights and outputs, which fill the
+/// buffer from address 0 in that order. A group must fit the buffer.
+///
+/// ```
+/// use rana_accel::exec::resident_words;
+/// use rana_accel::SchedLayer;
+///
+/// let layer = SchedLayer {
+///     name: "dw".into(), n: 1, h: 6, l: 6, m: 1, k: 3, s: 1,
+///     r: 4, c: 4, pad: 0, groups: 8,
+/// };
+/// assert_eq!(resident_words(&layer), 36 + 9 + 16);
+/// ```
+pub fn resident_words(layer: &SchedLayer) -> usize {
+    layer.n * layer.h * layer.l
+        + layer.m * layer.n * layer.k * layer.k
+        + layer.m * layer.r * layer.c
+}
+
 /// One channel group through the tile loop nest, on a buffer whose cells
 /// decay through `cells`.
 #[allow(clippy::too_many_arguments)]
@@ -480,10 +504,10 @@ fn run_group(
     let t = tiling.clamped_to(layer);
     let (n_words, w_words, o_words) = (inputs.len(), weights.len(), layer.m * layer.r * layer.c);
     let capacity = cfg.buffer.num_banks * cfg.buffer.bank_words;
+    let resident = resident_words(layer);
     assert!(
-        n_words + w_words + o_words <= capacity,
-        "functional engine needs all residents to fit: {} words > {capacity}",
-        n_words + w_words + o_words
+        resident <= capacity,
+        "functional engine needs all residents to fit: {resident} words > {capacity}"
     );
 
     // Region base addresses in the unified buffer.

@@ -37,6 +37,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod analysis;
 pub mod config;
@@ -55,4 +56,4 @@ pub use exec::{execute_layer, execute_layer_grouped, Engine};
 pub use fingerprint::{Fingerprint, Fnv1a};
 pub use layer::SchedLayer;
 pub use pattern::{Pattern, TileAxis, Tiling};
-pub use refresh::{layer_refresh_words, ControllerKind, RefreshModel};
+pub use refresh::{layer_refresh_words, ControllerKind, RefreshModel, RefreshPricer};

@@ -68,43 +68,90 @@ impl RefreshModel {
 ///
 /// Panics if the refresh interval is not finite and positive.
 pub fn layer_refresh_words(sim: &LayerSim, cfg: &AcceleratorConfig, model: &RefreshModel) -> u64 {
-    // A zero interval would count an unbounded number of pulses (wrapping
-    // the word count), and a negative or NaN one would silently count none.
-    assert!(
-        model.interval_us.is_finite() && model.interval_us > 0.0,
-        "refresh interval must be finite and positive, got {} us",
-        model.interval_us
-    );
-    if cfg.buffer.tech == BufferTech::Sram {
-        return 0;
+    RefreshPricer::new(cfg, model).words(sim)
+}
+
+/// [`layer_refresh_words`] for one refresh model on one configuration,
+/// with everything that does not depend on the layer checked and read
+/// once: a scan prices many candidate layers under the same model.
+///
+/// ```
+/// use rana_accel::{analyze, layer_refresh_words, AcceleratorConfig, Pattern};
+/// use rana_accel::{RefreshModel, RefreshPricer, SchedLayer, Tiling};
+///
+/// let layer = SchedLayer {
+///     name: "c".into(), n: 64, h: 30, l: 30, m: 64, k: 3, s: 1,
+///     r: 28, c: 28, pad: 0, groups: 1,
+/// };
+/// let cfg = AcceleratorConfig::paper_edram();
+/// let model = RefreshModel::conventional_45us();
+/// let pricer = RefreshPricer::new(&cfg, &model);
+/// for tiling in [Tiling::new(16, 16, 1, 16), Tiling::new(64, 16, 4, 28)] {
+///     let sim = analyze(&layer, Pattern::Id, tiling, &cfg);
+///     assert_eq!(pricer.words(&sim), layer_refresh_words(&sim, &cfg, &model));
+/// }
+/// ```
+#[derive(Debug, Clone, Copy)]
+pub struct RefreshPricer {
+    model: RefreshModel,
+    /// The buffer's capacity and bank size in words; `None` for an SRAM
+    /// buffer, which never refreshes.
+    edram: Option<(u64, u64)>,
+}
+
+impl RefreshPricer {
+    /// The pricer of `model` on `cfg`'s buffer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the refresh interval is not finite and positive.
+    pub fn new(cfg: &AcceleratorConfig, model: &RefreshModel) -> Self {
+        // A zero interval would count an unbounded number of pulses
+        // (wrapping the word count), and a negative or NaN one would
+        // silently count none.
+        assert!(
+            model.interval_us.is_finite() && model.interval_us > 0.0,
+            "refresh interval must be finite and positive, got {} us",
+            model.interval_us
+        );
+        let edram = (cfg.buffer.tech != BufferTech::Sram)
+            .then(|| (cfg.buffer.capacity_words(), cfg.buffer.bank_words as u64));
+        Self { model: *model, edram }
     }
-    // `x as u64` equals `x.floor() as u64` for every f64: both truncate a
-    // non-negative value, saturate at 2^64 and +∞, and send NaN and
-    // negative values to 0. The cast skips `floor`, a library call on
-    // baseline x86-64 (no SSE4.1 `roundsd`).
-    let pulses = (sim.time_us / model.interval_us) as u64;
-    if pulses == 0 {
-        return 0;
-    }
-    let needy = model.needy_types(sim);
-    if !needy.iter().any(|&n| n) {
-        return 0;
-    }
-    let capacity = cfg.buffer.capacity_words();
-    match model.kind {
-        ControllerKind::Conventional => pulses * capacity,
-        ControllerKind::RefreshOptimized => {
-            // Per-bank flags: only the banks allocated to needy data types.
-            let bank = cfg.buffer.bank_words as u64;
-            let sizes =
-                [sim.storage.input_words, sim.storage.output_words, sim.storage.weight_words];
-            let flagged_words: u64 = needy
-                .iter()
-                .zip(sizes)
-                .filter(|(&n, _)| n)
-                .map(|(_, words)| words.min(capacity).div_ceil(bank) * bank)
-                .sum();
-            pulses * flagged_words.min(capacity)
+
+    /// Words refreshed over the execution of the layer `sim` describes.
+    #[inline]
+    pub fn words(&self, sim: &LayerSim) -> u64 {
+        let Some((capacity, bank)) = self.edram else {
+            return 0;
+        };
+        // `x as u64` equals `x.floor() as u64` for every f64: both truncate
+        // a non-negative value, saturate at 2^64 and +∞, and send NaN and
+        // negative values to 0. The cast skips `floor`, a library call on
+        // baseline x86-64 (no SSE4.1 `roundsd`).
+        let pulses = (sim.time_us / self.model.interval_us) as u64;
+        if pulses == 0 {
+            return 0;
+        }
+        let needy = self.model.needy_types(sim);
+        if !needy.iter().any(|&n| n) {
+            return 0;
+        }
+        match self.model.kind {
+            ControllerKind::Conventional => pulses * capacity,
+            ControllerKind::RefreshOptimized => {
+                // Per-bank flags: only the banks allocated to needy data
+                // types.
+                let sizes =
+                    [sim.storage.input_words, sim.storage.output_words, sim.storage.weight_words];
+                let flagged_words: u64 = needy
+                    .iter()
+                    .zip(sizes)
+                    .filter(|(&n, _)| n)
+                    .map(|(_, words)| words.min(capacity).div_ceil(bank) * bank)
+                    .sum();
+                pulses * flagged_words.min(capacity)
+            }
         }
     }
 }

@@ -5,6 +5,7 @@
 //! paper-vs-measured side by side).
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod json;
 pub mod svg;

@@ -7,14 +7,20 @@
 //! (`RANA_THREADS` honored) and returns per-image
 //! [`FunctionalResult`]s in input order plus summed statistics. The
 //! images share one thing: a weakest-cell map of the layer's buffer
-//! cells, built once per call, so each block of cells is filled once for
-//! the whole batch. Every bucket in it is a pure function of the cell
-//! seed and address, whichever image fills it, so results are
+//! cells, built once per call. On an eDRAM buffer the call first fills
+//! the map under one channel group's resident words, one equal range per
+//! worker, so each block is filled about once for the whole batch and
+//! the images, which run the same tile sequence in lockstep, do not race
+//! to fill one. The fill covers data that may never decay, which a
+//! single-image call's lazy fill skips. Every bucket is a pure function of
+//! the cell seed and address, whoever fills it, so results are
 //! bit-identical to running each image alone on a fresh map, and
 //! `par_map` preserves order.
 
 use crate::par;
-use rana_accel::exec::{execute_layer_grouped_on, BufferModel, Engine, Formats, FunctionalResult};
+use rana_accel::exec::{
+    execute_layer_grouped_on, resident_words, BufferModel, Engine, Formats, FunctionalResult,
+};
 use rana_accel::{AcceleratorConfig, Pattern, SchedLayer, Tiling};
 
 /// Summed statistics of a batch execution.
@@ -120,6 +126,19 @@ pub(crate) fn execute_layer_batch_on(
     model: &BufferModel,
 ) -> (Vec<FunctionalResult>, BatchSummary) {
     let cells = model.cell_map(cfg);
+    if let BufferModel::Edram { .. } = model {
+        // One fill of the resident words, one equal range per worker,
+        // before the images start; a block astride two ranges may be
+        // filled twice, to the same bytes. Clamped to the map, so that a
+        // layer too big for the buffer still fails the engine's fit
+        // assertion with its own message.
+        let resident = resident_words(layer).min(cells.capacity_words());
+        let share = resident.div_ceil(threads.max(1)).max(1);
+        let starts: Vec<_> = (0..resident).step_by(share).collect();
+        par::par_map_with(&starts, threads, |&start| {
+            cells.fill(start..(start + share).min(resident))
+        });
+    }
     let results = par::par_map_with(images, threads, |inputs| {
         execute_layer_grouped_on(
             &cells, engine, layer, pattern, tiling, cfg, inputs, weights, formats, model,
@@ -242,5 +261,92 @@ mod tests {
         assert!(one_summary.faults > 0, "the buffer must decay");
         assert_eq!(one, three);
         assert_eq!(one_summary, three_summary);
+    }
+
+    /// The pre-fill stops at the end of the map, so an oversized layer
+    /// fails the engine's own fit assertion (on one worker, whose panic
+    /// message reaches the caller as is).
+    #[test]
+    #[should_panic(expected = "functional engine needs all residents to fit")]
+    fn batch_on_a_buffer_too_small_fails_the_fit_assertion() {
+        let (layer, images, weights) = layer();
+        let (mut cfg, model) = decaying();
+        cfg.buffer.bank_words = 100;
+        execute_layer_batch_on(
+            1,
+            Engine::Blocked,
+            &layer,
+            Pattern::Od,
+            Tiling::new(4, 2, 3, 4),
+            &cfg,
+            &images,
+            &weights,
+            Formats::default(),
+            &model,
+        );
+    }
+
+    /// A two-group layer on a decaying buffer of 3 × 83 = 249 words, not a
+    /// multiple of the map's 64-word block, whose resident set (234 words
+    /// per group) ends inside the partial last block: the batch's
+    /// pre-filled map, split across 1, 2 or 3 workers, gives every image
+    /// what it gets alone on a fresh map.
+    #[test]
+    fn prefilled_two_group_batch_matches_images_alone() {
+        let layer = SchedLayer {
+            name: "two-group".into(),
+            n: 2,
+            h: 6,
+            l: 6,
+            m: 3,
+            k: 3,
+            s: 1,
+            r: 6,
+            c: 6,
+            pad: 1,
+            groups: 2,
+        };
+        assert_eq!(resident_words(&layer), 2 * 36 + 3 * 2 * 9 + 3 * 36);
+        let images: Vec<Vec<i16>> = (0..4)
+            .map(|b| (0..2 * 2 * 36).map(|i| ((i * 37 + b * 11 + 1) % 181) as i16 - 90).collect())
+            .collect();
+        let weights: Vec<i16> =
+            (0..2 * 3 * 2 * 9).map(|i| ((i * 29 + 7) % 83) as i16 - 41).collect();
+        let (mut cfg, model) = decaying();
+        cfg.buffer.num_banks = 3;
+        cfg.buffer.bank_words = 83;
+        let (tiling, f) = (Tiling::new(2, 1, 3, 4), Formats::default());
+        let alone: Vec<FunctionalResult> = images
+            .iter()
+            .map(|img| {
+                execute_layer_grouped_with(
+                    Engine::Blocked,
+                    &layer,
+                    Pattern::Od,
+                    tiling,
+                    &cfg,
+                    img,
+                    &weights,
+                    f,
+                    &model,
+                )
+            })
+            .collect();
+        assert!(alone.iter().all(|r| r.faults > 0), "every image must decay");
+        for threads in 1..=3 {
+            let (results, _) = execute_layer_batch_on(
+                threads,
+                Engine::Blocked,
+                &layer,
+                Pattern::Od,
+                tiling,
+                &cfg,
+                &images,
+                &weights,
+                f,
+                &model,
+            );
+            assert_eq!(results, alone, "{threads} threads");
+        }
     }
 }

@@ -9,7 +9,7 @@
 use crate::energy::{EnergyBreakdown, EnergyModel};
 use crate::par::{self, ScheduleCache};
 use rana_accel::fingerprint::{Fingerprint, Fnv1a};
-use rana_accel::refresh::layer_refresh_words;
+use rana_accel::refresh::RefreshPricer;
 use rana_accel::{
     AcceleratorConfig, LayerSim, Pattern, RefreshModel, SchedLayer, Tiling, TilingGrid,
 };
@@ -167,6 +167,8 @@ impl Scheduler {
         let mut bar: Option<f64> = None;
         let mut evaluated = 0u64;
         let mut pruned = 0u64;
+        let pricers: Vec<_> =
+            group.iter().map(|m| RefreshPricer::new(&m.cfg, &m.refresh)).collect();
         for &pattern in &lead.patterns {
             for index in 0..grid.len() {
                 let parts = grid.parts(pattern, index);
@@ -178,8 +180,8 @@ impl Scheduler {
                 evaluated += 1;
                 let sim = grid.sim(pattern, index, parts);
                 let mut moved = false;
-                for (member, incumbent) in group.iter().zip(&mut best) {
-                    let refresh_words = layer_refresh_words(&sim, &member.cfg, &member.refresh);
+                for ((member, pricer), incumbent) in group.iter().zip(&pricers).zip(&mut best) {
+                    let refresh_words = pricer.words(&sim);
                     let energy = member.model.with_refresh(shared, refresh_words);
                     let total_j = energy.total_j();
                     if Self::improves(incumbent.as_ref(), total_j, sim.cycles) {

@@ -35,25 +35,33 @@
 //! reads and bank refreshes look the rate up once per run of words that
 //! share a write timestamp and then copy (or, refreshing, skip) every block
 //! whose floor the rate does not exceed; only the words of the other blocks
-//! meet the per-word filter. A block is filled on its first decayed
-//! resolution, all 64 word buckets at once.
+//! meet the per-word filter.
+//!
+//! A block is filled all at once by one kernel, which takes the block's
+//! words in pairs, runs two independent `min` chains over their 16 hashes
+//! and stores the 64 word buckets and the block's maximum. The kernel is
+//! one body compiled twice: for AVX-512 (F, DQ and VL, whose 64-bit lane
+//! multiply the hash needs) and for the baseline target. On x86-64 the
+//! fill picks one at run time with `is_x86_feature_detected!`; other
+//! targets call the body directly. There are no hand-written intrinsics,
+//! so both variants compute the same bytes.
 //!
 //! A bucket is a pure function of `(seed, addr)`, so every array on the same
 //! cell seed can share one map (an `Arc`): the channel groups of a layer and
-//! the images of a batch fill each block once between them instead of once
-//! each. The buckets are `AtomicU8`s accessed with `Relaxed` operations, and
-//! that suffices: 0 means "not computed yet", two threads that race on a
-//! fill store the same byte, and a reader that sees 0 recomputes it. No
-//! byte publishes another, so no ordering between them is needed.
+//! the images of a batch use one map between them. The buckets are
+//! `AtomicU8`s accessed with `Relaxed` operations, and that suffices: 0
+//! means "not computed yet", whoever finds a block unfilled fills it, two
+//! threads that race on a fill store the same bytes, and a reader that sees
+//! 0 fills the block again. No byte publishes another, so no ordering
+//! between them is needed, and nobody waits.
 //!
-//! Images of a batch run the same tile sequence in lockstep, so their
-//! threads tend to reach an unfilled block together. One of them claims the
-//! block (a `Relaxed` compare-exchange to a "filling" mark) and fills it
-//! from its first word; any other resolves that block's words one by one
-//! from its last word, filling the word buckets it meets. The two meet in
-//! the middle instead of both computing all 64, and nobody waits: the claim
-//! only elects who fills the block bucket, and every word bucket stays
-//! computable by anyone.
+//! [`WeakestCellMap::fill`] fills the blocks of a word range ahead of use.
+//! `rana_core::execute_layer_batch` splits a layer's resident words across
+//! its workers before the images start, so each block is filled about once
+//! per batch instead of being raced for by images that run the same tile
+//! sequence in lockstep. A pre-filled map is built even for data
+//! that will never decay; a single-image call keeps the lazy fill, which
+//! touches the map only for decayed data.
 
 use crate::retention::RetentionDistribution;
 use crate::stats::MemoryStats;
@@ -68,12 +76,11 @@ const NEGLIGIBLE_RATE: f64 = 1e-9;
 /// Words per block of a [`WeakestCellMap`].
 const BLOCK_WORDS: usize = 64;
 
-/// Block-bucket mark of a block another thread is filling (no bucket is
-/// above 54).
-const FILLING: u8 = u8::MAX;
+/// Entries of an [`EdramArray`]'s age → failure-rate memo.
+const RATE_MEMO: usize = 8;
 
-/// Weakest-cell buckets of one cell seed, filled lazily and shared by every
-/// [`EdramArray`] on that seed.
+/// Weakest-cell buckets of one cell seed, filled a block at a time and
+/// shared by every [`EdramArray`] on that seed.
 ///
 /// Word bucket `w` in `1..=54` means all 16 cell quantiles of the word are
 /// at least `2^-w` (0 for `w == 54`); a block's bucket is the largest (the
@@ -121,49 +128,73 @@ impl WeakestCellMap {
     }
 
     /// Words the map covers.
-    fn capacity_words(&self) -> usize {
+    pub fn capacity_words(&self) -> usize {
         self.words.len()
     }
 
-    /// Bucket of word `addr`, computed and stored on first use.
+    /// Fills every block that holds a word of `words` and is not filled
+    /// yet, so that later decayed reads of those words find their buckets.
+    ///
+    /// ```
+    /// use rana_edram::WeakestCellMap;
+    ///
+    /// let cells = WeakestCellMap::new(9, 1000);
+    /// // Threads may split a map into disjoint ranges and fill them at once.
+    /// std::thread::scope(|s| {
+    ///     s.spawn(|| cells.fill(0..512));
+    ///     s.spawn(|| cells.fill(512..1000));
+    /// });
+    /// ```
+    ///
+    /// # Panics
+    ///
+    /// Panics if `words` extends past the end of the map.
+    pub fn fill(&self, words: Range<usize>) {
+        assert!(words.end <= self.words.len(), "fill past the end of the map");
+        for block in words.start / BLOCK_WORDS..words.end.div_ceil(BLOCK_WORDS) {
+            self.block_bucket(block);
+        }
+    }
+
+    /// Bucket of word `addr`, filling its block on first use.
     fn word_bucket(&self, addr: usize) -> u8 {
         let slot = &self.words[addr];
-        match slot.load(Relaxed) {
-            0 => {
-                let w = weakest_bucket(self.seed, addr as u64);
-                slot.store(w, Relaxed);
-                w
-            }
+        if slot.load(Relaxed) == 0 {
+            self.store_block(addr / BLOCK_WORDS);
+        }
+        slot.load(Relaxed)
+    }
+
+    /// Bucket of block `block`, filling the block on first use.
+    fn block_bucket(&self, block: usize) -> u8 {
+        match self.blocks[block].load(Relaxed) {
+            0 => self.store_block(block),
             w => w,
         }
     }
 
-    /// Bucket of block `block`, filling the block's word buckets on first
-    /// use; `None` while another thread fills it.
-    fn block_bucket(&self, block: usize) -> Option<u8> {
-        let slot = &self.blocks[block];
-        let w = match slot.load(Relaxed) {
-            0 => match slot.compare_exchange(0, FILLING, Relaxed, Relaxed) {
-                Ok(_) => {
-                    let words =
-                        block * BLOCK_WORDS..((block + 1) * BLOCK_WORDS).min(self.words.len());
-                    let w = words.map(|addr| self.word_bucket(addr)).max().expect("non-empty");
-                    slot.store(w, Relaxed);
-                    w
-                }
-                Err(w) => w,
-            },
-            w => w,
-        };
-        (w != FILLING).then_some(w)
+    /// Computes and stores the word buckets of block `block` and the
+    /// block's own bucket, the largest of them, which it returns. The last
+    /// block may be partial: only its words inside the map are stored and
+    /// counted.
+    fn store_block(&self, block: usize) -> u8 {
+        let first = block * BLOCK_WORDS;
+        let slots = &self.words[first..(first + BLOCK_WORDS).min(self.words.len())];
+        let mut buckets = [0; BLOCK_WORDS];
+        fill_block(self.seed, first as u64, &mut buckets);
+        for (slot, &w) in slots.iter().zip(&buckets) {
+            slot.store(w, Relaxed);
+        }
+        let w = buckets[..slots.len()].iter().copied().max().expect("a block holds a word");
+        self.blocks[block].store(w, Relaxed);
+        w
     }
 
-    /// The parts of `words` whose block may hold a cell failing at `rate`
-    /// (or is being filled by another thread): every word outside them is
-    /// intact at that rate. Callers resolve a part's words last to first.
+    /// The parts of `words` whose block may hold a cell failing at `rate`:
+    /// every word outside them is intact at that rate.
     fn suspects(&self, words: Range<usize>, rate: f64) -> impl Iterator<Item = Range<usize>> + '_ {
         (words.start / BLOCK_WORDS..words.end.div_ceil(BLOCK_WORDS))
-            .filter(move |&block| self.block_bucket(block).is_none_or(|w| rate > floor(w)))
+            .filter(move |&block| rate > floor(self.block_bucket(block)))
             .map(move |block| {
                 (block * BLOCK_WORDS).max(words.start)..((block + 1) * BLOCK_WORDS).min(words.end)
             })
@@ -194,11 +225,12 @@ pub struct EdramArray {
     cells: Arc<WeakestCellMap>,
     dist: RetentionDistribution,
     stats: MemoryStats,
-    /// One-entry memo for the age → failure-rate lookup: reads within a
-    /// tile share their timestamp, so this removes nearly all of the
-    /// log-space interpolation cost.
-    cached_age: f64,
-    cached_rate: f64,
+    /// Memo of the last [`RATE_MEMO`] `(age, failure rate)` lookups,
+    /// replaced round-robin at `next_rate`: reads within a tile share their
+    /// timestamp, and the scalar engine alternates between a few operand
+    /// ages, so this removes nearly all of the log-space interpolation cost.
+    rates: [(f64, f64); RATE_MEMO],
+    next_rate: usize,
 }
 
 impl EdramArray {
@@ -246,8 +278,8 @@ impl EdramArray {
             cells,
             dist,
             stats: MemoryStats::default(),
-            cached_age: f64::NAN,
-            cached_rate: 0.0,
+            rates: [(f64::NAN, 0.0); RATE_MEMO],
+            next_rate: 0,
         }
     }
 
@@ -408,7 +440,7 @@ impl EdramArray {
             let rate = self.rate_since(self.written_at[addr + i], now_us);
             if rate > NEGLIGIBLE_RATE {
                 for words in self.cells.suspects(addr + i..addr + j, rate) {
-                    for a in words.rev() {
+                    for a in words {
                         let (value, faults) = self.decay(a, rate);
                         out[a - addr] = value;
                         self.stats.faults += u64::from(faults) * acc_reads(a - addr);
@@ -438,7 +470,7 @@ impl EdramArray {
                 let rate = self.rate_since(wa, now_us);
                 if rate > NEGLIGIBLE_RATE {
                     for words in self.cells.suspects(i..j, rate) {
-                        for addr in words.rev() {
+                        for addr in words {
                             let (value, faults) = self.decay(addr, rate);
                             self.words[addr] = value;
                             self.stats.faults += u64::from(faults);
@@ -503,21 +535,20 @@ impl EdramArray {
     }
 
     /// Per-bit failure rate of data written at `written_at` and resolved at
-    /// `now_us` (0 for non-positive ages), through a one-entry memo: reads
-    /// within a tile share their timestamp, so this removes nearly all of
-    /// the log-space interpolation cost.
+    /// `now_us` (0 for non-positive ages), through the rate memo. The rate
+    /// is a pure function of the age, so a memo hit is exact.
     fn rate_since(&mut self, written_at: f64, now_us: f64) -> f64 {
         let age = now_us - written_at;
         if age <= 0.0 {
-            0.0
-        } else if age == self.cached_age {
-            self.cached_rate
-        } else {
-            let r = self.dist.failure_rate(age);
-            self.cached_age = age;
-            self.cached_rate = r;
-            r
+            return 0.0;
         }
+        if let Some(&(_, rate)) = self.rates.iter().find(|&&(a, _)| a == age) {
+            return rate;
+        }
+        let rate = self.dist.failure_rate(age);
+        self.rates[self.next_rate] = (age, rate);
+        self.next_rate = (self.next_rate + 1) % RATE_MEMO;
+        rate
     }
 }
 
@@ -532,13 +563,53 @@ fn floor(w: u8) -> f64 {
     }
 }
 
-/// Bucket of the smallest cell quantile of word `addr`: with
+/// Word buckets of the [`BLOCK_WORDS`] words from address `first` into
+/// `out`: through the body compiled for AVX-512 where this CPU has it, the
+/// baseline body elsewhere (see the [module docs](self)). Both store the
+/// same bytes.
+#[allow(unsafe_code)]
+fn fill_block(seed: u64, first: u64, out: &mut [u8; BLOCK_WORDS]) {
+    #[cfg(target_arch = "x86_64")]
+    {
+        if is_x86_feature_detected!("avx512f")
+            && is_x86_feature_detected!("avx512dq")
+            && is_x86_feature_detected!("avx512vl")
+        {
+            // SAFETY: avx512f, avx512dq and avx512vl, the features the
+            // callee enables, were detected on this CPU just above.
+            unsafe { fill_block_avx512(seed, first, out) };
+            return;
+        }
+    }
+    fill_block_body(seed, first, out);
+}
+
+/// [`fill_block_body`] compiled for AVX-512, whose 64-bit lane multiply
+/// runs the hash in vector registers.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512dq,avx512vl")]
+fn fill_block_avx512(seed: u64, first: u64, out: &mut [u8; BLOCK_WORDS]) {
+    fill_block_body(seed, first, out);
+}
+
+/// The bucket of each word `addr` from `first`: with
 /// `m = min_b hash53(seed, addr, b)`, `w = m.leading_zeros() − 10`, so that
 /// `m ≥ 2^(53−w)` — every quantile `hash53 / 2^53` is at least `2^-w` —
-/// for `w` in `1..=53`; `m == 0` gives `w = 54`.
-fn weakest_bucket(seed: u64, addr: u64) -> u8 {
-    let m = (0..16).map(|bit| hash53(seed, addr, bit)).min().expect("16 cells");
-    (m.leading_zeros() - 10) as u8
+/// for `w` in `1..=53`; `m == 0` gives `w = 54`. Words go in pairs, as two
+/// independent `min` chains, which the compiler interleaves (and, given
+/// 64-bit lane multiplies, vectorizes).
+#[inline(always)]
+fn fill_block_body(seed: u64, first: u64, out: &mut [u8; BLOCK_WORDS]) {
+    for (pair, buckets) in out.chunks_exact_mut(2).enumerate() {
+        let addr = first + 2 * pair as u64;
+        let (mut m0, mut m1) = (u64::MAX, u64::MAX);
+        for bit in 0..16 {
+            m0 = m0.min(hash53(seed, addr, bit));
+            m1 = m1.min(hash53(seed, addr + 1, bit));
+        }
+        buckets[0] = (m0.leading_zeros() - 10) as u8;
+        buckets[1] = (m1.leading_zeros() - 10) as u8;
+    }
 }
 
 /// SplitMix64-style hash of three values onto `[0, 1)`: `hash53` over
@@ -548,6 +619,7 @@ fn hash01(a: u64, b: u64, c: u64) -> f64 {
 }
 
 /// SplitMix64-style hash of three values onto the 53-bit integers.
+#[inline(always)]
 fn hash53(a: u64, b: u64, c: u64) -> u64 {
     let mut z = a
         .wrapping_mul(0x9E37_79B9_7F4A_7C15)
@@ -771,6 +843,18 @@ mod tests {
         z = z.wrapping_mul(0x94D0_49BB_1331_11EB);
         z ^= z >> 31;
         (z >> 11) as f64 / (1u64 << 53) as f64
+    }
+
+    /// Bucket of word `addr` by its definition: the weakest of its 16 cell
+    /// quantiles lies in `[2^-w, 2^(1-w))`, so `w` is read off that
+    /// quantile's binary exponent, or is 54 for a zero quantile.
+    fn ref_bucket(seed: u64, addr: u64) -> u8 {
+        let q = (0..16).map(|bit| ref_hash01(seed, addr, bit)).fold(1.0, f64::min);
+        if q == 0.0 {
+            54
+        } else {
+            (1023 - (q.to_bits() >> 52)) as u8
+        }
     }
 
     impl Reference {
@@ -1002,9 +1086,10 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// A second array on the map the first array filled reproduces the
-        /// reference as well: a stored bucket answers exactly as the fill
-        /// that computed it. Arrays span up to eight 64-word blocks, the
+        /// An array on a map with a random range filled ahead, and a second
+        /// array on the map the first array filled, reproduce the reference
+        /// as well: a stored bucket answers exactly as the fill that
+        /// computed it. Arrays span up to eight 64-word blocks, the
         /// last one often partial, and preloaded runs of up to 99 words
         /// straddle block edges.
         #[test]
@@ -1014,15 +1099,84 @@ mod tests {
             free_age in 0.0f64..25_000.0,
             runs in proptest::collection::vec((1usize..100, 0..=AGES.len(), any::<u64>()), 1..12),
             steps in proptest::collection::vec((0u8..5, any::<u64>(), 0..=AGES.len()), 1..40),
+            prefill in (0usize..=480, 0usize..=480),
         ) {
             let (num_banks, bank_words) = shape;
-            let cells = Arc::new(WeakestCellMap::new(seed, num_banks * bank_words));
+            let total = num_banks * bank_words;
+            let cells = Arc::new(WeakestCellMap::new(seed, total));
+            let (lo, hi) = (prefill.0.min(prefill.1).min(total), prefill.0.max(prefill.1).min(total));
+            cells.fill(lo..hi);
             for _ in 0..2 {
                 let dist = RetentionDistribution::kong2008();
                 let mut mem = EdramArray::with_cells(num_banks, bank_words, dist, Arc::clone(&cells));
                 matches_reference(&mut mem, &runs, &steps, free_age)?;
             }
         }
+    }
+
+    /// Both variants of the fill kernel store, byte for byte, the buckets
+    /// the definition gives: the baseline body, called here directly, and
+    /// whatever `fill_block` dispatches to, which is the AVX-512 body on a
+    /// CPU with AVX-512 F, DQ and VL. Blocks at the start of the address
+    /// space and far up it, on random seeds.
+    #[test]
+    fn every_fill_kernel_equals_the_definition() {
+        let mut seed = 0x5EED_u64;
+        for round in 0..24u64 {
+            seed = seed.wrapping_mul(0x5851_F42D_4C95_7F2D).wrapping_add(round | 1);
+            let blocks = [0, 1, 7 + round, 1 << 26, (1 << 40) + round, u64::MAX / 64 - 1];
+            for block in blocks {
+                let first = block * BLOCK_WORDS as u64;
+                let want: Vec<u8> =
+                    (first..first + BLOCK_WORDS as u64).map(|a| ref_bucket(seed, a)).collect();
+                let (mut plain, mut dispatched) = ([0; BLOCK_WORDS], [0; BLOCK_WORDS]);
+                fill_block_body(seed, first, &mut plain);
+                fill_block(seed, first, &mut dispatched);
+                assert_eq!(plain.to_vec(), want, "baseline, seed {seed:#x}, block {block}");
+                assert_eq!(dispatched.to_vec(), want, "dispatched, seed {seed:#x}, block {block}");
+            }
+        }
+    }
+
+    /// `fill` fills every block that a word of its range lies in and no
+    /// other, and on a map whose length is not a multiple of the block the
+    /// partial last block counts only its real words: its bucket is their
+    /// maximum, which is often below the maximum over a whole block.
+    #[test]
+    fn fill_covers_its_blocks_and_ends_at_the_map() {
+        let words = 5 * BLOCK_WORDS + 37;
+        let mut partial_max_differs = false;
+        for seed in 0..16 {
+            let map = WeakestCellMap::new(seed, words);
+            map.fill(BLOCK_WORDS + 3..2 * BLOCK_WORDS + 1);
+            let filled = |m: &WeakestCellMap| -> Vec<bool> {
+                m.blocks.iter().map(|b| b.load(Relaxed) != 0).collect()
+            };
+            assert_eq!(filled(&map), [false, true, true, false, false, false], "seed {seed}");
+            map.fill(0..0);
+            map.fill(4 * BLOCK_WORDS..words);
+            assert_eq!(filled(&map), [false, true, true, false, true, true], "seed {seed}");
+            map.fill(0..words);
+            for (addr, slot) in map.words.iter().enumerate() {
+                assert_eq!(slot.load(Relaxed), ref_bucket(seed, addr as u64), "word {addr}");
+            }
+            for (block, slot) in map.blocks.iter().enumerate() {
+                let first = block * BLOCK_WORDS;
+                let real =
+                    (first..words.min(first + BLOCK_WORDS)).map(|a| ref_bucket(seed, a as u64));
+                assert_eq!(slot.load(Relaxed), real.max().unwrap(), "block {block}");
+            }
+            let last = 5 * BLOCK_WORDS as u64;
+            let whole = (last..last + BLOCK_WORDS as u64).map(|a| ref_bucket(seed, a)).max();
+            partial_max_differs |= whole != Some(map.blocks[5].load(Relaxed));
+        }
+        assert!(partial_max_differs, "some seed must tell the partial block's maximum apart");
+    }
+
+    #[test]
+    #[should_panic(expected = "fill past the end of the map")]
+    fn fill_past_the_end_panics() {
+        WeakestCellMap::new(1, 100).fill(64..101);
     }
 
     /// Two threads released together by a barrier fill the same blocks of
@@ -1078,11 +1232,7 @@ mod tests {
             assert_eq!(word_buckets, buckets(&single, |m| &m.words), "seed {seed}");
             assert_eq!(block_buckets, buckets(&single, |m| &m.blocks), "seed {seed}");
             for (addr, &w) in word_buckets.iter().enumerate() {
-                // Bucket w: the weakest quantile lies in [2^-w, 2^(1-w)),
-                // or is 0 for w = 54.
-                let q = (0..16).map(|bit| ref_hash01(seed, addr as u64, bit)).fold(1.0, f64::min);
-                let fits = floor(w) <= q && (w == 54 || q < 2.0 * floor(w));
-                assert!(fits, "word {addr}: bucket {w}, quantile {q}");
+                assert_eq!(w, ref_bucket(seed, addr as u64), "seed {seed}, word {addr}");
             }
             for (block, words) in word_buckets.chunks(BLOCK_WORDS).enumerate() {
                 assert_eq!(block_buckets[block], *words.iter().max().unwrap(), "block {block}");

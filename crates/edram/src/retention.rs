@@ -28,6 +28,20 @@ pub struct RetentionDistribution {
     /// `(retention_us, cumulative_failure_rate)` anchors, strictly
     /// increasing in both coordinates.
     anchors: Vec<(f64, f64)>,
+    /// One [`Segment`] per pair of adjacent anchors: the logarithms the
+    /// interpolation needs, taken once.
+    segments: Vec<Segment>,
+}
+
+/// The log-log line through two adjacent anchors `(t0, f0)`, `(t1, f1)`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Segment {
+    /// `log10 t0`.
+    log_t0: f64,
+    /// `log10 f0`.
+    log_f0: f64,
+    /// `(log10 f1 − log10 f0) / (log10 t1 − log10 t0)`.
+    slope: f64,
 }
 
 impl RetentionDistribution {
@@ -74,7 +88,24 @@ impl RetentionDistribution {
                 )));
             }
         }
-        Ok(Self { anchors })
+        Ok(Self::with_anchors(anchors))
+    }
+
+    /// The distribution through validated `anchors`, with its segment
+    /// table.
+    fn with_anchors(anchors: Vec<(f64, f64)>) -> Self {
+        let segments = anchors
+            .windows(2)
+            .map(|pair| {
+                let ((t0, f0), (t1, f1)) = (pair[0], pair[1]);
+                Segment {
+                    log_t0: t0.log10(),
+                    log_f0: f0.log10(),
+                    slope: (f1.log10() - f0.log10()) / (t1.log10() - t0.log10()),
+                }
+            })
+            .collect();
+        Self { anchors, segments }
     }
 
     /// The conventional refresh interval: retention time of the weakest
@@ -102,10 +133,8 @@ impl RetentionDistribution {
             Some(0) | None => 0,
             Some(i) => i - 1,
         };
-        let (t0, f0) = a[seg];
-        let (t1, f1) = a[seg + 1];
-        let slope = (f1.log10() - f0.log10()) / (t1.log10() - t0.log10());
-        let log_f = f0.log10() + slope * (t_us.log10() - t0.log10());
+        let s = self.segments[seg];
+        let log_f = s.log_f0 + s.slope * (t_us.log10() - s.log_t0);
         10f64.powf(log_f).min(1.0)
     }
 
@@ -133,23 +162,17 @@ impl RetentionDistribution {
     pub fn tolerable_retention_us(&self, rate: f64) -> f64 {
         assert!(rate > 0.0 && rate <= 1.0, "rate must be in (0, 1], got {rate}");
         let a = &self.anchors;
-        if rate <= a[0].1 {
-            // Extrapolate below the first anchor with the first segment's
-            // slope (inverse of failure_rate's extrapolation).
-            let (t0, f0) = a[0];
-            let (t1, f1) = a[1];
-            let slope = (f1.log10() - f0.log10()) / (t1.log10() - t0.log10());
-            let log_t = t0.log10() + (rate.log10() - f0.log10()) / slope;
-            return 10f64.powf(log_t);
-        }
-        if rate >= a[a.len() - 1].1 {
+        // Below the first anchor, extrapolate with the first segment's
+        // slope (inverse of failure_rate's extrapolation).
+        let seg = if rate <= a[0].1 {
+            0
+        } else if rate >= a[a.len() - 1].1 {
             return a[a.len() - 1].0;
-        }
-        let seg = a.iter().position(|&(_, f)| f > rate).unwrap_or(a.len() - 1) - 1;
-        let (t0, f0) = a[seg];
-        let (t1, f1) = a[seg + 1];
-        let slope = (f1.log10() - f0.log10()) / (t1.log10() - t0.log10());
-        let log_t = t0.log10() + (rate.log10() - f0.log10()) / slope;
+        } else {
+            a.iter().position(|&(_, f)| f > rate).unwrap_or(a.len() - 1) - 1
+        };
+        let s = self.segments[seg];
+        let log_t = s.log_t0 + (rate.log10() - s.log_f0) / s.slope;
         10f64.powf(log_t)
     }
 
@@ -196,7 +219,7 @@ impl RetentionDistribution {
     /// ```
     pub fn at_temperature_delta(&self, delta_c: f64) -> Self {
         let scale = 2f64.powf(-delta_c / 10.0);
-        Self { anchors: self.anchors.iter().map(|&(t, f)| (t * scale, f)).collect() }
+        Self::with_anchors(self.anchors.iter().map(|&(t, f)| (t * scale, f)).collect())
     }
 }
 
@@ -221,7 +244,117 @@ impl std::error::Error for InvalidDistributionError {}
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::{rngs::StdRng, SeedableRng};
+
+    /// `failure_rate` as it read before the segment table: every logarithm
+    /// taken from the anchors on each call.
+    fn per_call_failure_rate(a: &[(f64, f64)], t_us: f64) -> f64 {
+        if t_us <= 0.0 {
+            return 0.0;
+        }
+        if t_us >= a[a.len() - 1].0 {
+            return a[a.len() - 1].1;
+        }
+        let seg = match a.iter().position(|&(t, _)| t > t_us) {
+            Some(0) | None => 0,
+            Some(i) => i - 1,
+        };
+        let (t0, f0) = a[seg];
+        let (t1, f1) = a[seg + 1];
+        let slope = (f1.log10() - f0.log10()) / (t1.log10() - t0.log10());
+        let log_f = f0.log10() + slope * (t_us.log10() - t0.log10());
+        10f64.powf(log_f).min(1.0)
+    }
+
+    /// `tolerable_retention_us` as it read before the segment table.
+    fn per_call_tolerable_retention_us(a: &[(f64, f64)], rate: f64) -> f64 {
+        if rate <= a[0].1 {
+            let (t0, f0) = a[0];
+            let (t1, f1) = a[1];
+            let slope = (f1.log10() - f0.log10()) / (t1.log10() - t0.log10());
+            let log_t = t0.log10() + (rate.log10() - f0.log10()) / slope;
+            return 10f64.powf(log_t);
+        }
+        if rate >= a[a.len() - 1].1 {
+            return a[a.len() - 1].0;
+        }
+        let seg = a.iter().position(|&(_, f)| f > rate).unwrap_or(a.len() - 1) - 1;
+        let (t0, f0) = a[seg];
+        let (t1, f1) = a[seg + 1];
+        let slope = (f1.log10() - f0.log10()) / (t1.log10() - t0.log10());
+        let log_t = t0.log10() + (rate.log10() - f0.log10()) / slope;
+        10f64.powf(log_t)
+    }
+
+    /// kong2008 and the same cells 30 °C hotter and colder.
+    fn distributions() -> [RetentionDistribution; 3] {
+        let d = RetentionDistribution::kong2008();
+        [d.at_temperature_delta(30.0), d.at_temperature_delta(-30.0), d]
+    }
+
+    /// Both lookups agree with the per-call formulas by `to_bits` at `t_us`
+    /// and at `rate`.
+    fn lookups_match(d: &RetentionDistribution, t_us: f64, rate: f64) -> TestCaseResult {
+        let a = d.anchors();
+        let (got, want) = (d.failure_rate(t_us), per_call_failure_rate(a, t_us));
+        prop_assert_eq!(
+            got.to_bits(),
+            want.to_bits(),
+            "failure_rate({}): {} vs {}",
+            t_us,
+            got,
+            want
+        );
+        let (got, want) =
+            (d.tolerable_retention_us(rate), per_call_tolerable_retention_us(a, rate));
+        prop_assert_eq!(got.to_bits(), want.to_bits(), "tolerable({}): {} vs {}", rate, got, want);
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The segment table changes no bit of either lookup. Piece `k`
+        /// picks a time and a rate below the first anchor (`k = 0`),
+        /// between anchors `k − 1` and `k`, or above the last anchor, at a
+        /// log-uniform position `frac` of the piece.
+        #[test]
+        fn table_lookups_equal_the_per_call_formulas(
+            which in 0usize..3,
+            piece in 0usize..8,
+            frac in 0.0f64..1.0,
+        ) {
+            let d = &distributions()[which];
+            let a = d.anchors();
+            let piece = piece.min(a.len());
+            let between = |lo: f64, hi: f64| 10f64.powf(lo.log10() + frac * (hi.log10() - lo.log10()));
+            let (t_us, rate) = if piece == 0 {
+                (between(a[0].0 * 1e-3, a[0].0), between(a[0].1 * 1e-6, a[0].1))
+            } else if piece == a.len() {
+                (between(a[piece - 1].0, a[piece - 1].0 * 1e3), a[piece - 1].1)
+            } else {
+                (between(a[piece - 1].0, a[piece].0), between(a[piece - 1].1, a[piece].1))
+            };
+            lookups_match(d, t_us, rate)?;
+        }
+    }
+
+    /// At every anchor and one ulp to either side of it, in time and in
+    /// rate, the segment table changes no bit of either lookup.
+    #[test]
+    fn table_lookups_equal_the_per_call_formulas_at_the_anchors() {
+        for d in distributions() {
+            for &(t, f) in d.anchors() {
+                for (t_us, rate) in [(t.next_down(), f.next_down()), (t, f), (t.next_up(), f)] {
+                    lookups_match(&d, t_us, rate).unwrap();
+                }
+                if f < 1.0 {
+                    lookups_match(&d, t, f.next_up()).unwrap();
+                }
+            }
+        }
+    }
 
     #[test]
     fn paper_anchor_points() {

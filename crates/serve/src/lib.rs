@@ -41,6 +41,7 @@
 //! [`rana_core::store::ScheduleStore`] — see `docs/SCHEDULE_CACHE.md`.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod engine;
 pub mod fleet;

@@ -47,6 +47,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub use rana_accel as accel;
 pub use rana_core as core;
