@@ -46,10 +46,18 @@
 //! rate. One call builds one map and every channel group's buffer shares
 //! it, as do the images of a `rana_core::execute_layer_batch` call. A
 //! single-image call fills a block (all 64 floors in one kernel) when a
-//! decayed read first needs it; a batch on eDRAM fills the blocks of one
-//! group's [`resident_words`] before its images start, split across its
-//! workers, so each block is filled about once per batch, even where the
-//! data never decays.
+//! decayed read first needs it; in a batch on eDRAM the first image on
+//! each worker fills an equal share of one group's [`resident_words`]
+//! before it runs, so each block is filled about once per batch, even
+//! where the data never decays.
+//!
+//! A refresh pulse costs the buffer what it holds: `EdramArray` stamps a
+//! pulse on the bank, not on each word, and resolves only the blocks of
+//! the bank's written words whose weakest cell may fail at the age of the
+//! bank's oldest charge. The channel groups of a call run one after
+//! another on one scratch arena, and each group's buffer is built on the
+//! storage the previous buffer dropped (cleaned over what it wrote), so a
+//! layer neither allocates nor clears a buffer per group.
 //!
 //! Scope: the resident sets must fit the buffer (no spill modeling here —
 //! use small layers or a big buffer; the analytic engines cover spills).
@@ -437,15 +445,14 @@ pub fn execute_layer_grouped_on(
     assert_eq!(weights.len(), g * w_g, "weight length mismatch");
 
     let sub = SchedLayer { groups: 1, ..layer.clone() };
-    let mut total = FunctionalResult {
-        outputs: Vec::with_capacity(g * o_g),
-        cycles: 0,
-        refresh_words: 0,
-        faults: 0,
-        reads: 0,
-    };
+    let mut outputs = vec![0; g * o_g];
+    let mut total =
+        FunctionalResult { outputs: Vec::new(), cycles: 0, refresh_words: 0, faults: 0, reads: 0 };
+    // The groups run one after another on one scratch arena, and each
+    // group's buffer takes the storage the previous one dropped.
+    let mut arena = ExecArena::default();
     for gi in 0..g {
-        let r = run_group(
+        run_group(
             cells,
             engine,
             &sub,
@@ -456,13 +463,12 @@ pub fn execute_layer_grouped_on(
             &weights[gi * w_g..(gi + 1) * w_g],
             formats,
             model,
+            &mut arena,
+            &mut outputs[gi * o_g..(gi + 1) * o_g],
+            &mut total,
         );
-        total.outputs.extend_from_slice(&r.outputs);
-        total.cycles += r.cycles;
-        total.refresh_words += r.refresh_words;
-        total.faults += r.faults;
-        total.reads += r.reads;
     }
+    total.outputs = outputs;
     total
 }
 
@@ -487,7 +493,9 @@ pub fn resident_words(layer: &SchedLayer) -> usize {
 }
 
 /// One channel group through the tile loop nest, on a buffer whose cells
-/// decay through `cells`.
+/// decay through `cells`, with scratch space from `arena`: writes the
+/// group's outputs into `outputs` and adds its cycles and statistics to
+/// `total`.
 #[allow(clippy::too_many_arguments)]
 fn run_group(
     cells: &Arc<WeakestCellMap>,
@@ -500,9 +508,12 @@ fn run_group(
     weights: &[i16],
     formats: Formats,
     model: &BufferModel,
-) -> FunctionalResult {
+    arena: &mut ExecArena,
+    outputs: &mut [i16],
+    total: &mut FunctionalResult,
+) {
     let t = tiling.clamped_to(layer);
-    let (n_words, w_words, o_words) = (inputs.len(), weights.len(), layer.m * layer.r * layer.c);
+    let (n_words, w_words) = (inputs.len(), weights.len());
     let capacity = cfg.buffer.num_banks * cfg.buffer.bank_words;
     let resident = resident_words(layer);
     assert!(
@@ -547,8 +558,6 @@ fn run_group(
     let mut input_loaded_for: Option<u64> = None;
     let mut weights_loaded_for: Option<u64> = None;
 
-    let mut outputs = vec![0i16; o_words];
-    let mut arena = ExecArena::default();
     let prod_shift = formats.prod_shift();
     // 32-bit lane plan: per-term magnitude after the rounded shift is
     // bounded by t_max, so max_terms partial sums always fit an i32 lane.
@@ -676,8 +685,8 @@ fn run_group(
                     tc_e,
                 };
                 match engine {
-                    Engine::Scalar => scalar_tile(&ctx, &mut mem, &mut outputs),
-                    Engine::Blocked => blocked_tile(&ctx, &mut mem, &mut outputs, &mut arena),
+                    Engine::Scalar => scalar_tile(&ctx, &mut mem, outputs),
+                    Engine::Blocked => blocked_tile(&ctx, &mut mem, outputs, arena),
                 }
                 clock_cycles += iter_cycles;
             }
@@ -701,13 +710,10 @@ fn run_group(
         rana_trace::count("exec.layers", 1);
         stats.trace_into("exec.buffer");
     }
-    FunctionalResult {
-        outputs,
-        cycles: clock_cycles,
-        refresh_words,
-        faults: stats.faults,
-        reads: stats.reads,
-    }
+    total.cycles += clock_cycles;
+    total.refresh_words += refresh_words;
+    total.faults += stats.faults;
+    total.reads += stats.reads;
 }
 
 /// Applies the fixed-point product shift with round-half-up, exactly as

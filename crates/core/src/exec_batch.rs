@@ -7,15 +7,18 @@
 //! (`RANA_THREADS` honored) and returns per-image
 //! [`FunctionalResult`]s in input order plus summed statistics. The
 //! images share one thing: a weakest-cell map of the layer's buffer
-//! cells, built once per call. On an eDRAM buffer the call first fills
-//! the map under one channel group's resident words, one equal range per
-//! worker, so each block is filled about once for the whole batch and
-//! the images, which run the same tile sequence in lockstep, do not race
-//! to fill one. The fill covers data that may never decay, which a
+//! cells, built once per call. On an eDRAM buffer each of the first
+//! `min(workers, images)` images fills the map under one equal share of a
+//! channel group's resident words before it runs, inside the one fan-out
+//! of the images, so each block is filled about once for the whole batch
+//! and the images, which run the same tile sequence in lockstep, rarely
+//! race to fill one. The fill covers data that may never decay, which a
 //! single-image call's lazy fill skips. Every bucket is a pure function of
-//! the cell seed and address, whoever fills it, so results are
-//! bit-identical to running each image alone on a fresh map, and
-//! `par_map` preserves order.
+//! the cell seed and address, whoever fills it and whenever, so results
+//! are bit-identical to running each image alone on a fresh map, and
+//! `par_map` preserves order. Each image's buffers are built on storage
+//! that earlier buffers dropped (see `rana_edram::bank`), so a batch
+//! allocates about one buffer per worker, not one per group and image.
 
 use crate::par;
 use rana_accel::exec::{
@@ -126,20 +129,22 @@ pub(crate) fn execute_layer_batch_on(
     model: &BufferModel,
 ) -> (Vec<FunctionalResult>, BatchSummary) {
     let cells = model.cell_map(cfg);
-    if let BufferModel::Edram { .. } = model {
-        // One fill of the resident words, one equal range per worker,
-        // before the images start; a block astride two ranges may be
-        // filled twice, to the same bytes. Clamped to the map, so that a
-        // layer too big for the buffer still fails the engine's fit
-        // assertion with its own message.
-        let resident = resident_words(layer).min(cells.capacity_words());
-        let share = resident.div_ceil(threads.max(1)).max(1);
-        let starts: Vec<_> = (0..resident).step_by(share).collect();
-        par::par_map_with(&starts, threads, |&start| {
-            cells.fill(start..(start + share).min(resident))
-        });
-    }
-    let results = par::par_map_with(images, threads, |inputs| {
+    // On eDRAM, each of the first `fillers` images fills one equal share of
+    // the resident words before it runs; a block astride two shares may be
+    // filled twice, to the same bytes. Clamped to the map, so that a layer
+    // too big for the buffer still fails the engine's fit assertion with
+    // its own message.
+    let fillers = match model {
+        BufferModel::Edram { .. } => threads.clamp(1, images.len().max(1)),
+        BufferModel::Ideal => 0,
+    };
+    let resident = resident_words(layer).min(cells.capacity_words());
+    let share = resident.div_ceil(fillers.max(1));
+    let indexed: Vec<_> = images.iter().enumerate().collect();
+    let results = par::par_map_with(&indexed, threads, |&(i, inputs)| {
+        if i < fillers {
+            cells.fill(i * share..((i + 1) * share).min(resident));
+        }
         execute_layer_grouped_on(
             &cells, engine, layer, pattern, tiling, cfg, inputs, weights, formats, model,
         )

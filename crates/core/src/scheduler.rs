@@ -7,6 +7,7 @@
 //! form the *hybrid computation pattern* `⟨OD/WD, Tm, Tn, Tr, Tc⟩`.
 
 use crate::energy::{EnergyBreakdown, EnergyModel};
+use crate::fxhash::FxBuildHasher;
 use crate::par::{self, ScheduleCache};
 use rana_accel::fingerprint::{Fingerprint, Fnv1a};
 use rana_accel::refresh::RefreshPricer;
@@ -415,7 +416,7 @@ impl Scheduler {
             .iter()
             .map(|&(s, net)| {
                 let (ctx, search_key) = (s.fingerprint(), s.search_key());
-                let mut slot_by_key: HashMap<u64, usize> = HashMap::new();
+                let mut slot_by_key: HashMap<u64, usize, FxBuildHasher> = HashMap::default();
                 let mut planned = Vec::new();
                 let slot_of = net
                     .conv_layers()
@@ -489,6 +490,23 @@ fn nameless(layer: &SchedLayer) -> SchedLayer {
     SchedLayer { name: String::new(), ..*layer }
 }
 
+/// A layer's shape without its name, `Copy`: what a search unit is keyed
+/// by next to the search key.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+struct Shape([usize; 10]);
+
+impl Shape {
+    fn of(l: &SchedLayer) -> Self {
+        Self([l.n, l.h, l.l, l.m, l.k, l.s, l.r, l.c, l.pad, l.groups])
+    }
+
+    /// The name-less layer of this shape.
+    fn layer(self) -> SchedLayer {
+        let [n, h, l, m, k, s, r, c, pad, groups] = self.0;
+        SchedLayer { name: String::new(), n, h, l, m, k, s, r, c, pad, groups }
+    }
+}
+
 /// A member's best candidate so far in a scan: its grid position and its
 /// price, with the energy total the selection predicate compares cached.
 #[derive(Debug, Clone, Copy)]
@@ -522,8 +540,9 @@ pub(crate) enum Planned {
 struct Unit<'a> {
     shape: SchedLayer,
     members: Vec<&'a Scheduler>,
-    /// Per member: its cache key and the name of the layer that planned
-    /// it (the name a cache entry carries).
+    /// Per member, when the batch stores its results in a cache: its
+    /// cache key and the name of the layer that planned it (the name the
+    /// cache entry carries).
     keys: Vec<(u64, String)>,
 }
 
@@ -532,8 +551,8 @@ struct Unit<'a> {
 pub(crate) struct SearchBatch<'a> {
     cache: Option<&'a ScheduleCache>,
     hits: Vec<LayerSchedule>,
-    planned: HashMap<u64, (usize, usize)>,
-    unit_of: HashMap<(u64, SchedLayer), usize>,
+    planned: HashMap<u64, (usize, usize), FxBuildHasher>,
+    unit_of: HashMap<(u64, Shape), usize, FxBuildHasher>,
     units: Vec<Unit<'a>>,
 }
 
@@ -542,8 +561,8 @@ impl<'a> SearchBatch<'a> {
         Self {
             cache,
             hits: Vec::new(),
-            planned: HashMap::new(),
-            unit_of: HashMap::new(),
+            planned: HashMap::default(),
+            unit_of: HashMap::default(),
             units: Vec::new(),
         }
     }
@@ -569,14 +588,16 @@ impl<'a> SearchBatch<'a> {
             return Planned::Cached(self.hits.len() - 1);
         }
         let units = &mut self.units;
-        let unit =
-            *self.unit_of.entry((search_key, nameless(layer))).or_insert_with_key(|(_, shape)| {
-                units.push(Unit { shape: shape.clone(), members: Vec::new(), keys: Vec::new() });
-                units.len() - 1
-            });
+        let unit = *self.unit_of.entry((search_key, Shape::of(layer))).or_insert_with_key(|k| {
+            let shape = k.1.layer();
+            units.push(Unit { shape, members: Vec::new(), keys: Vec::new() });
+            units.len() - 1
+        });
         let u = &mut self.units[unit];
         u.members.push(s);
-        u.keys.push((key, layer.name.clone()));
+        if self.cache.is_some() {
+            u.keys.push((key, layer.name.clone()));
+        }
         let slot = (unit, u.members.len() - 1);
         self.planned.insert(key, slot);
         Planned::Unit(slot.0, slot.1)
@@ -586,15 +607,16 @@ impl<'a> SearchBatch<'a> {
     /// `par.map` span) for `None` — and stores the results in the cache.
     pub(crate) fn run(self, threads: Option<usize>) -> Searched {
         let scan = |u: &Unit<'a>| Scheduler::search_group(&u.members, &u.shape, true);
-        let mut found = match threads {
+        let found = match threads {
             Some(threads) => par::par_map_with(&self.units, threads, scan),
             None => self.units.iter().map(scan).collect(),
         };
-        for (unit, schedules) in self.units.into_iter().zip(&mut found) {
-            for ((key, name), s) in unit.keys.into_iter().zip(schedules) {
-                s.sim.layer = name;
-                if let Some(cache) = self.cache {
-                    cache.insert(key, s.clone());
+        if let Some(cache) = self.cache {
+            for (unit, schedules) in self.units.into_iter().zip(&found) {
+                for ((key, name), s) in unit.keys.into_iter().zip(schedules) {
+                    let mut entry = s.clone();
+                    entry.sim.layer = name;
+                    cache.insert(key, entry);
                 }
             }
         }
@@ -603,7 +625,7 @@ impl<'a> SearchBatch<'a> {
 }
 
 /// The schedules a [`SearchBatch`] planned: its cache hits, and what each
-/// unit's scan found per member.
+/// unit's scan found per member (without a name).
 pub(crate) struct Searched {
     hits: Vec<LayerSchedule>,
     found: Vec<Vec<LayerSchedule>>,
@@ -616,7 +638,9 @@ impl Searched {
             Planned::Cached(hit) => self.hits[hit].clone(),
             Planned::Unit(unit, member) => self.found[unit][member].clone(),
         };
-        s.sim.layer = name.to_owned();
+        // The clone's name buffer, if it has one, takes the new name.
+        s.sim.layer.clear();
+        s.sim.layer.push_str(name);
         s
     }
 }

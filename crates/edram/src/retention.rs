@@ -377,6 +377,27 @@ mod tests {
         }
     }
 
+    /// The curve does not dip where two log-log segments meet, even by an
+    /// ulp: `EdramArray`'s refresh prices a whole bank at its oldest
+    /// charge, which is exact only if no younger word fails at a higher
+    /// rate.
+    #[test]
+    fn failure_rate_does_not_dip_at_an_anchor() {
+        for d in distributions() {
+            for &(t, _) in d.anchors() {
+                let mut ts = vec![t];
+                for _ in 0..64 {
+                    ts.insert(0, ts[0].next_down());
+                    ts.push(ts[ts.len() - 1].next_up());
+                }
+                let rates: Vec<f64> = ts.iter().map(|&t| d.failure_rate(t)).collect();
+                for (pair, w) in rates.windows(2).zip(ts.windows(2)) {
+                    assert!(pair[0] <= pair[1], "rate falls from {} to {}", w[0], w[1]);
+                }
+            }
+        }
+    }
+
     #[test]
     fn rate_and_retention_are_inverse() {
         let d = RetentionDistribution::kong2008();

@@ -13,11 +13,16 @@
 #      through its LOAD segments: the text segment's vaddr is not its
 #      file offset, so raw file offsets would blame unrelated functions.
 #   4. addr2line symbolizes the addresses, inlined frames included.
+#   5. The shim also records the process's page faults and context
+#      switches (getrusage at exit): time the kernel spends mapping fresh
+#      memory shows up in the samples only as anonymous libc time.
 #
 # Usage: scripts/profile.sh <workload> [seconds]      (default 10 s)
 #   e.g. scripts/profile.sh fleet-1024 10
 #
-# Prints two tables, each entry with its share of all samples: physical
+# Prints the sample count with the minor/major page faults and the
+# voluntary/involuntary context switches of the sampled process, then two
+# tables, each entry with its share of all samples: physical
 # functions (the function a sample's code was compiled into) and the
 # innermost inlined frames. Samples outside the executable count under
 # their library's name, e.g. [libm.so.6].
@@ -28,13 +33,14 @@ workload=${1:?usage: scripts/profile.sh <workload> [seconds]}
 seconds=${2:-10}
 out=$PWD/target/profile
 mkdir -p "$out"
-rm -f "$out"/samples.* "$out"/maps.*
+rm -f "$out"/samples.* "$out"/maps.* "$out"/rusage.*
 
 cat > "$out/shim.c" <<'EOF'
 #define _GNU_SOURCE
 #include <signal.h>
 #include <stdio.h>
 #include <string.h>
+#include <sys/resource.h>
 #include <sys/time.h>
 #include <ucontext.h>
 #include <unistd.h>
@@ -73,6 +79,13 @@ __attribute__((destructor)) static void stop(void) {
     for (size_t k; in && copy && (k = fread(buf, 1, sizeof buf, in)) > 0;) fwrite(buf, 1, k, copy);
     if (in) fclose(in);
     if (copy) fclose(copy);
+    struct rusage ru;
+    snprintf(path, sizeof path, "%s/rusage.%d", OUT_DIR, (int)getpid());
+    FILE *r = fopen(path, "w");
+    if (r && getrusage(RUSAGE_SELF, &ru) == 0)
+        fprintf(r, "%ld minor and %ld major page faults, %ld voluntary and %ld involuntary "
+                   "context switches\n", ru.ru_minflt, ru.ru_majflt, ru.ru_nvcsw, ru.ru_nivcsw);
+    if (r) fclose(r);
 }
 EOF
 cc -O2 -shared -fPIC -DOUT_DIR="\"$out\"" -o "$out/libprofshim.so" "$out/shim.c"
@@ -89,6 +102,7 @@ LD_PRELOAD=$out/libprofshim.so "$bin" --workload "$workload" --seconds "$seconds
 # runs briefly).
 samples=$(ls -S "$out"/samples.* | head -n 1)
 maps=$out/maps.${samples##*.}
+rusage=$out/rusage.${samples##*.}
 
 # Unique sample addresses with counts, mapped to "<count> 0x<vaddr>" for
 # the executable and "<count> [<library>]" elsewhere.
@@ -143,6 +157,7 @@ awk -v symbols="$out/symbols" -v physical="$out/physical" -v inner="$out/inner" 
     }' "$out/mapped"
 
 echo "$workload: $(cat "$out/physical.total") samples over ${seconds} s (target/profile/)"
+echo "$(cat "$rusage" 2>/dev/null || echo 'no resource usage recorded')"
 echo
 echo "Top physical functions:"
 sort -rn "$out/physical" | head -n 25

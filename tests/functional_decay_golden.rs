@@ -79,54 +79,75 @@ const PINS: [Pin; 9] = [
     ("slow-clock", "strided", 0x07af38b8a4bf89be, 7680, 11153, 0),
 ];
 
+/// One pinned run: layer `layer_idx` of [`layers`] under case `case_idx`
+/// of [`CASES`], through both engines (which must agree), as its [`Pin`]
+/// row.
+fn pinned_run(case_idx: usize, layer_idx: usize) -> (&'static str, String, u64, u64, u64, u64) {
+    let (case, frequency_hz, refresh) = CASES[case_idx];
+    let (layer, pattern, tiling) = layers().swap_remove(layer_idx);
+    let (inputs, weights) = operands(&layer, 17 + layer_idx as u64);
+    let cfg = machine(&layer, frequency_hz);
+    let model = BufferModel::Edram {
+        dist: RetentionDistribution::kong2008(),
+        seed: 0xD0C + layer_idx as u64,
+        refresh: refresh.map(RefreshConfig::conventional),
+    };
+    let run = |engine| {
+        execute_layer_grouped_with(
+            engine,
+            &layer,
+            pattern,
+            tiling,
+            &cfg,
+            &inputs,
+            &weights,
+            Formats::default(),
+            &model,
+        )
+    };
+    let blocked = run(Engine::Blocked);
+    assert_eq!(run(Engine::Scalar), blocked, "{case}/{}: engines diverged", layer.name);
+    let mut h = Fnv1a::new();
+    for &w in &blocked.outputs {
+        h.write_u64(w as u16 as u64);
+    }
+    (case, layer.name, h.finish(), blocked.reads, blocked.faults, blocked.refresh_words)
+}
+
+/// The pin of `(case, layer)`.
+fn pin(case: &str, layer: &str) -> (&'static str, String, u64, u64, u64, u64) {
+    let &(c, l, fnv, r, f, rw) =
+        PINS.iter().find(|p| p.0 == case && p.1 == layer).expect("every run has a pin");
+    (c, l.to_string(), fnv, r, f, rw)
+}
+
 #[test]
 fn decayed_runs_match_their_pins() {
-    let mut got = Vec::new();
-    for (case, frequency_hz, refresh) in CASES {
-        for (i, (layer, pattern, tiling)) in layers().into_iter().enumerate() {
-            let (inputs, weights) = operands(&layer, 17 + i as u64);
-            let cfg = machine(&layer, frequency_hz);
-            let model = BufferModel::Edram {
-                dist: RetentionDistribution::kong2008(),
-                seed: 0xD0C + i as u64,
-                refresh: refresh.map(RefreshConfig::conventional),
-            };
-            let run = |engine| {
-                execute_layer_grouped_with(
-                    engine,
-                    &layer,
-                    pattern,
-                    tiling,
-                    &cfg,
-                    &inputs,
-                    &weights,
-                    Formats::default(),
-                    &model,
-                )
-            };
-            let blocked = run(Engine::Blocked);
-            assert_eq!(run(Engine::Scalar), blocked, "{case}/{}: engines diverged", layer.name);
-            let mut h = Fnv1a::new();
-            for &w in &blocked.outputs {
-                h.write_u64(w as u16 as u64);
-            }
-            got.push((
-                case,
-                layer.name.clone(),
-                h.finish(),
-                blocked.reads,
-                blocked.faults,
-                blocked.refresh_words,
-            ));
-        }
-    }
+    let got: Vec<_> = (0..CASES.len())
+        .flat_map(|case| (0..layers().len()).map(move |layer| pinned_run(case, layer)))
+        .collect();
     let table: String = got
         .iter()
         .map(|(c, l, fnv, r, f, rw)| {
             format!("    (\"{c}\", \"{l}\", 0x{fnv:016x}, {r}, {f}, {rw}),\n")
         })
         .collect();
-    let want: Vec<_> =
-        PINS.iter().map(|&(c, l, fnv, r, f, rw)| (c, l.to_string(), fnv, r, f, rw)).collect();
+    let want: Vec<_> = PINS.iter().map(|&(c, l, ..)| pin(c, l)).collect();
     assert_eq!(got, want, "computed pins:\n{table}");
+}
+
+/// The same runs one after another on this thread, in an order whose
+/// buffers go big → small → big: dense (4 banks of 458 words), the six
+/// depthwise groups (4 × 131 each), strided (4 × 170) and dense again,
+/// the decayed slow-clock case first. Each buffer may be built on storage
+/// that an earlier, differently sized one wrote, decayed and dropped, and
+/// every run must still give its pin.
+#[test]
+fn big_small_big_runs_match_their_pins() {
+    for case in [2, 0, 1] {
+        for layer in [0, 1, 2, 0] {
+            let got = pinned_run(case, layer);
+            assert_eq!(got, pin(got.0, &got.1), "case {case}, layer {layer}");
+        }
+    }
 }
