@@ -18,6 +18,14 @@ cargo test -q
 echo "== workspace tests (every crate's unit and doc tests) =="
 cargo test -q --workspace
 
+echo "== engine-equivalence and buffer property tests under seeds 1-8 =="
+# The default seed alone has missed bugs that most other seeds catch.
+for seed in 1 2 3 4 5 6 7 8; do
+    echo "-- RANA_PROPTEST_SEED=$seed"
+    RANA_PROPTEST_SEED=$seed cargo test -q --test exec_kernel_equivalence
+    RANA_PROPTEST_SEED=$seed cargo test -q -p rana-edram --lib bank::
+done
+
 echo "== rustdoc (deny warnings) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 

@@ -21,11 +21,15 @@
 #   e.g. scripts/profile.sh fleet-1024 10
 #
 # Prints the sample count with the minor/major page faults and the
-# voluntary/involuntary context switches of the sampled process, then two
+# voluntary/involuntary context switches of the sampled process, then three
 # tables, each entry with its share of all samples: physical
-# functions (the function a sample's code was compiled into) and the
-# innermost inlined frames. Samples outside the executable count under
-# their library's name, e.g. [libm.so.6].
+# functions (the function a sample's code was compiled into), the
+# innermost inlined frames, and source lines (the innermost frame whose
+# file lies in this workspace, as file:line, so an inlined function splits
+# into its arithmetic, its loop control and its set-up; samples with no
+# such frame count under "(no workspace line)" and their physical
+# function). Samples outside the executable count under their library's
+# name, e.g. [libm.so.6].
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -137,22 +141,34 @@ sort "$samples" | uniq -c | awk -v bin="$bin" -v segs="$out/segments" -v maps="$
         printf "%d 0x%x\n", $1, o - seg_off[j] + seg_va[j]
     }' >"$out/mapped"
 
-# Symbolize the executable's addresses: for each, addr2line -i prints the
-# innermost inlined frame first and the physical function last.
+# Symbolize the executable's addresses: for each, addr2line -i prints
+# (function, file:line) pairs from the innermost inlined frame out to the
+# physical function. The source-line table takes the innermost pair whose
+# file lies in this workspace, so a function inlined into its caller
+# still splits into its own lines.
 grep ' 0x' "$out/mapped" | cut -d' ' -f2 | addr2line -e "$bin" -a -f -i -C >"$out/symbols"
-awk -v symbols="$out/symbols" -v physical="$out/physical" -v inner="$out/inner" '
+awk -v symbols="$out/symbols" -v physical="$out/physical" -v inner="$out/inner" \
+    -v lines="$out/lines" -v root="$PWD/" '
     BEGIN {
         while ((getline line < symbols) > 0) {
             if (line ~ /^0x[0-9a-f]+$/) { k = 0; n++; continue }
-            if (k++ % 2 == 0) { if (!(n in first)) first[n] = line; last[n] = line }
+            if (k++ % 2 == 0) { if (!(n in first)) first[n] = line; last[n] = line; continue }
+            if (!(n in src) && index(line, root) == 1) {
+                src[n] = substr(line, length(root) + 1)
+                sub(/ \(discriminator [0-9]+\)$/, "", src[n])
+            }
         }
     }
     { total += $1 }
-    $2 ~ /^\[/ { phys[$2] += $1; inl[$2] += $1; next }
-    { m++; phys[last[m]] += $1; inl[first[m]] += $1 }
+    $2 ~ /^\[/ { phys[$2] += $1; inl[$2] += $1; at[$2] += $1; next }
+    {
+        m++; phys[last[m]] += $1; inl[first[m]] += $1
+        at[m in src ? src[m] : "(no workspace line) " last[m]] += $1
+    }
     END {
         for (f in phys) printf "%6.2f%%  %s\n", 100 * phys[f] / total, f > physical
         for (f in inl) printf "%6.2f%%  %s\n", 100 * inl[f] / total, f > inner
+        for (f in at) printf "%6.2f%%  %s\n", 100 * at[f] / total, f > lines
         print total > (physical ".total")
     }' "$out/mapped"
 
@@ -164,3 +180,6 @@ sort -rn "$out/physical" | head -n 25
 echo
 echo "Top innermost inlined frames:"
 sort -rn "$out/inner" | head -n 25
+echo
+echo "Top source lines (innermost frame inside the workspace):"
+sort -rn "$out/lines" | head -n 40

@@ -5,6 +5,13 @@
 //! [`FunctionalResult`] — outputs, cycles, reads, faults and refresh
 //! words — on both the ideal buffer and a decaying eDRAM buffer with and
 //! without refresh.
+//!
+//! Besides small random shapes, three properties aim at the blocked
+//! engine's own paths: tiles of 16 output channels (the PE array's rows,
+//! and the micro-kernel's fixed width) with a partial last channel tile;
+//! output rows wider than 16 columns, where the columns are the lanes; and
+//! reductions longer than a 32-bit lane holds at small product shifts,
+//! which take the draining nest.
 
 use proptest::prelude::*;
 use rana_repro::accel::exec::{
@@ -76,6 +83,87 @@ fn models(seed: u64) -> [BufferModel; 3] {
     ]
 }
 
+/// Layer shape from its input size, kernel, stride and padding.
+#[allow(clippy::too_many_arguments)]
+fn conv(n: usize, h: usize, l: usize, m: usize, k: usize, s: usize, pad: usize) -> SchedLayer {
+    SchedLayer {
+        name: "kernel-eq".into(),
+        n,
+        h,
+        l,
+        m,
+        k,
+        s,
+        r: (h + 2 * pad - k) / s + 1,
+        c: (l + 2 * pad - k) / s + 1,
+        pad,
+        groups: 1,
+    }
+}
+
+/// Inputs and weights drawn from `-bound..=bound`: wide enough that the
+/// rounded products at the format's shift are seldom zero, narrow enough
+/// that most sums stay inside the 16-bit output.
+fn operands_within(layer: &SchedLayer, seed: u64, bound: i16) -> (Vec<i16>, Vec<i16>) {
+    let draw = |words: usize, mul: u64| -> Vec<i16> {
+        let span = 2 * bound as u64 + 1;
+        (0..words)
+            .map(|i| (((i as u64).wrapping_mul(mul | 1) >> 7) % span) as i16 - bound)
+            .collect()
+    };
+    let words = layer.groups * layer.n * layer.h * layer.l;
+    let w_words = layer.groups * layer.m * layer.n * layer.k * layer.k;
+    (draw(words, seed), draw(w_words, seed.rotate_left(17)))
+}
+
+/// Both engines on every buffer model, operands within `bound`: the whole
+/// results must agree.
+fn engines_agree(
+    layer: &SchedLayer,
+    pattern: Pattern,
+    tiling: Tiling,
+    formats: Formats,
+    seed: u64,
+    bound: i16,
+) -> Result<(), TestCaseError> {
+    let cfg = AcceleratorConfig::paper_edram();
+    let (inputs, weights) = operands_within(layer, seed, bound);
+    for model in models(seed) {
+        let scalar = execute_layer_with(
+            Engine::Scalar,
+            layer,
+            pattern,
+            tiling,
+            &cfg,
+            &inputs,
+            &weights,
+            formats,
+            &model,
+        );
+        let blocked = execute_layer_with(
+            Engine::Blocked,
+            layer,
+            pattern,
+            tiling,
+            &cfg,
+            &inputs,
+            &weights,
+            formats,
+            &model,
+        );
+        prop_assert_eq!(
+            &blocked,
+            &scalar,
+            "{} {} {:?} formats {:?}",
+            pattern,
+            tiling,
+            layer,
+            formats
+        );
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
@@ -129,5 +217,74 @@ proptest! {
                 Engine::Blocked, &layer, pattern, tiling, &cfg, &inputs, &weights, f, &model);
             prop_assert_eq!(&blocked, &scalar, "{} groups {}", pattern, groups);
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Channel tiles of 16 (the 16-lane micro-kernel) and a partial last
+    /// channel tile (`m` of 17–20, or 16 in one tile), on narrow outputs so
+    /// the channels are the lanes.
+    #[test]
+    fn blocked_engine_matches_scalar_on_pe_width_channel_tiles(
+        m in 16usize..=20,
+        n in 1usize..=3,
+        hw in 3usize..=6,
+        k in 1usize..=3,
+        s in 1usize..=2,
+        pad in 0usize..=1,
+        tn in 1usize..=3,
+        tr in 1usize..=3,
+        tc in 1usize..=4,
+        pattern_idx in 0usize..3,
+        seed in any::<u64>(),
+    ) {
+        let layer = conv(n, hw, hw, m, k.min(hw), s, pad);
+        let tiling = Tiling::new(16, tn, tr, tc);
+        engines_agree(&layer, Pattern::ALL[pattern_idx], tiling, Formats::default(), seed, 2000)?;
+    }
+
+    /// Output rows of 17–40 columns in one column tile, so the columns are
+    /// the lanes in a full 16-lane block and a partial one (strided columns
+    /// only for one output channel, as in a depthwise group).
+    #[test]
+    fn blocked_engine_matches_scalar_on_wide_column_tiles(
+        m in 1usize..=3,
+        n in 1usize..=2,
+        k in 1usize..=3,
+        extra_rows in 0usize..=1,
+        l in 17usize..=40,
+        strided in 0usize..4,
+        pad in 0usize..=1,
+        tm in 1usize..=3,
+        pattern_idx in 0usize..3,
+        seed in any::<u64>(),
+    ) {
+        let (m, s) = if strided == 0 { (1, 2) } else { (m, 1) };
+        let layer = conv(n, k + extra_rows, l, m, k, s, pad);
+        let tiling = Tiling::new(tm, n, 2, 40);
+        engines_agree(&layer, Pattern::ALL[pattern_idx], tiling, Formats::default(), seed, 2000)?;
+    }
+
+    /// At a product shift of 4 a 32-bit lane holds 31 terms, fewer than
+    /// the 36–54 steps of these 3×3 tiles: they take the draining nest
+    /// (a partial last channel tile may still fit one run).
+    #[test]
+    fn blocked_engine_matches_scalar_on_draining_reductions(
+        n in 4usize..=6,
+        hw in 3usize..=5,
+        m in 1usize..=4,
+        pad in 0usize..=1,
+        tn in 4usize..=6,
+        tm in 1usize..=4,
+        tc in 1usize..=5,
+        pattern_idx in 0usize..3,
+        seed in any::<u64>(),
+    ) {
+        let layer = conv(n, hw, hw, m, 3, 1, pad);
+        let formats = Formats { input_frac: 2, weight_frac: 2, output_frac: 0 };
+        let tiling = Tiling::new(tm, tn, 2, tc);
+        engines_agree(&layer, Pattern::ALL[pattern_idx], tiling, formats, seed, 60)?;
     }
 }
