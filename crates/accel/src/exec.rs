@@ -1,12 +1,13 @@
 //! Functional execution engine: real 16-bit data through the accelerator.
 //!
-//! Runs a CONV layer's actual arithmetic through the same tile loop nest
-//! the trace simulator walks, but with the unified buffer backed by the
-//! *charge-level* eDRAM model of `rana-edram`: every buffer word carries a
-//! write timestamp, ages with the cycle clock, and reads back corrupted
-//! bits once its cell retention is exceeded — unless a refresh pulse (or
-//! an OD accumulation rewrite, the paper's self-refresh) recharges it
-//! first.
+//! Runs a CONV layer's actual arithmetic through the tile walk the trace
+//! simulator runs too (one loop order, one set of reuse scopes and one
+//! cycle count per tile for both), but with the unified buffer backed by
+//! the *charge-level* eDRAM model of `rana-edram`: every buffer word
+//! carries a write timestamp, ages with the cycle clock, and reads back
+//! corrupted bits once its cell retention is exceeded — unless a refresh
+//! pulse (or an OD accumulation rewrite, the paper's self-refresh)
+//! recharges it first.
 //!
 //! This closes the loop the analytic models open: the refresh flags RANA
 //! generates can be *executed*, and the output feature maps show exactly
@@ -34,8 +35,11 @@
 //!   depthwise group (one channel) or a 1×1 layer on a wide map; then the
 //!   columns are the lanes. Each product is rounded before it is summed and
 //!   the sums are exact, so the summation order cannot change a bit. A
-//!   reduction too long for one 32-bit run drains into 64-bit accumulators
-//!   instead, step by step.
+//!   layer call whose longest reduction (`Tn·K²` steps) does not fit one
+//!   32-bit run at its product shift, or whose shift is off the 32-bit
+//!   path, runs every tile on the scalar engine's reference tile instead,
+//!   which by the engines' contract gives the same outputs, reads, faults
+//!   and cycles. At the default shift of 12 a run holds 8,191 steps.
 //!
 //! The geometry of a tile — how many times each operand word is read, and
 //! which kernel taps of each output fall inside the feature map — depends
@@ -75,7 +79,7 @@
 use crate::config::AcceleratorConfig;
 use crate::kernel::{self, LANES};
 use crate::layer::SchedLayer;
-use crate::pattern::{LoopDim, Pattern, TileAxis, Tiling};
+use crate::pattern::{tiles, Pattern, Tile, TileAxis, Tiling};
 use rana_edram::{EdramArray, RefreshConfig, RetentionDistribution, WeakestCellMap};
 use std::ops::Range;
 use std::sync::Arc;
@@ -119,8 +123,7 @@ impl BufferModel {
 /// Result of a functional layer execution.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FunctionalResult {
-    /// Output feature maps, `m × r × c` raw 16-bit words (times `groups`
-    /// when run through [`execute_layer_grouped`]).
+    /// Output feature maps, `groups × m × r × c` raw 16-bit words.
     pub outputs: Vec<i16>,
     /// Execution cycles.
     pub cycles: u64,
@@ -198,109 +201,14 @@ pub enum Engine {
     Blocked,
 }
 
-/// Executes one (single-group) CONV layer functionally with the default
-/// [`Engine::Blocked`].
-///
-/// `inputs` is `n × h × l` row-major, `weights` is `m × n × k × k`.
-/// Returns the `m × r × c` outputs along with execution statistics.
-///
-/// # Example
-///
-/// ```
-/// use rana_accel::exec::{execute_layer, BufferModel, Formats};
-/// use rana_accel::{AcceleratorConfig, Pattern, SchedLayer, Tiling};
-///
-/// let layer = SchedLayer {
-///     name: "tiny".into(), n: 1, h: 4, l: 4, m: 1, k: 1, s: 1,
-///     r: 4, c: 4, pad: 0, groups: 1,
-/// };
-/// let cfg = AcceleratorConfig::paper_edram();
-/// // A 1x1 identity kernel in Q3.12 (raw 4096 = 1.0) copies the input.
-/// let inputs: Vec<i16> = (0..16).collect();
-/// let f = Formats { input_frac: 8, weight_frac: 12, output_frac: 8 };
-/// let r = execute_layer(&layer, Pattern::Od, Tiling::new(16, 16, 1, 16),
-///     &cfg, &inputs, &[4096], f, &BufferModel::Ideal);
-/// assert_eq!(r.outputs, inputs);
-/// ```
-///
-/// # Panics
-///
-/// Panics if the operand lengths do not match the layer shape, if
-/// `layer.groups != 1`, if the resident sets overflow the buffer, if a
-/// [`Formats`] field exceeds the 15 fractional bits of a 16-bit word, or if
-/// the model's refresh interval is not finite and positive.
-#[allow(clippy::too_many_arguments)] // mirrors the hardware interface: layer, mapping, machine, operands
-pub fn execute_layer(
-    layer: &SchedLayer,
-    pattern: Pattern,
-    tiling: Tiling,
-    cfg: &AcceleratorConfig,
-    inputs: &[i16],
-    weights: &[i16],
-    formats: Formats,
-    model: &BufferModel,
-) -> FunctionalResult {
-    execute_layer_with(
-        Engine::default(),
-        layer,
-        pattern,
-        tiling,
-        cfg,
-        inputs,
-        weights,
-        formats,
-        model,
-    )
-}
-
-/// [`execute_layer`] with an explicit tile-compute [`Engine`].
-///
-/// ```
-/// use rana_accel::exec::{execute_layer_with, BufferModel, Engine, Formats};
-/// use rana_accel::{AcceleratorConfig, Pattern, SchedLayer, Tiling};
-///
-/// let layer = SchedLayer {
-///     name: "tiny".into(), n: 1, h: 4, l: 4, m: 1, k: 1, s: 1,
-///     r: 4, c: 4, pad: 0, groups: 1,
-/// };
-/// let cfg = AcceleratorConfig::paper_edram();
-/// let inputs: Vec<i16> = (0..16).collect();
-/// let f = Formats::default();
-/// let args = (&layer, Pattern::Wd, Tiling::new(4, 4, 2, 2), &cfg);
-/// let scalar = execute_layer_with(Engine::Scalar, args.0, args.1, args.2, args.3,
-///     &inputs, &[4096], f, &BufferModel::Ideal);
-/// let blocked = execute_layer_with(Engine::Blocked, args.0, args.1, args.2, args.3,
-///     &inputs, &[4096], f, &BufferModel::Ideal);
-/// assert_eq!(scalar, blocked);
-/// ```
-///
-/// # Panics
-///
-/// Same contract as [`execute_layer`].
-#[allow(clippy::too_many_arguments)]
-pub fn execute_layer_with(
-    engine: Engine,
-    layer: &SchedLayer,
-    pattern: Pattern,
-    tiling: Tiling,
-    cfg: &AcceleratorConfig,
-    inputs: &[i16],
-    weights: &[i16],
-    formats: Formats,
-    model: &BufferModel,
-) -> FunctionalResult {
-    assert_eq!(layer.groups, 1, "the functional engine runs one channel group");
-    execute_layer_grouped_with(engine, layer, pattern, tiling, cfg, inputs, weights, formats, model)
-}
-
-/// Executes a CONV layer functionally, handling grouped convolutions.
+/// Executes a CONV layer functionally on `engine`.
 ///
 /// Channel groups are independent sub-convolutions (AlexNet conv2/4/5,
 /// depthwise layers): each group runs the tile loop on a buffer of its
 /// own (the groups share one weakest-cell map, see
 /// [`execute_layer_grouped_on`]), outputs are concatenated in group
-/// order, and cycles/statistics sum across groups. With
-/// `layer.groups == 1` this is exactly [`execute_layer`].
+/// order, and cycles/statistics sum across groups. A layer of one group
+/// is a plain convolution.
 ///
 /// `inputs` is `groups × n × h × l` row-major, `weights` is
 /// `groups × m × n × k × k` (per-group channel counts, as
@@ -309,7 +217,7 @@ pub fn execute_layer_with(
 /// # Example
 ///
 /// ```
-/// use rana_accel::exec::{execute_layer_grouped, BufferModel, Formats};
+/// use rana_accel::exec::{execute_layer_grouped_with, BufferModel, Engine, Formats};
 /// use rana_accel::{AcceleratorConfig, Pattern, SchedLayer, Tiling};
 ///
 /// let layer = SchedLayer {
@@ -319,9 +227,13 @@ pub fn execute_layer_with(
 /// let cfg = AcceleratorConfig::paper_edram();
 /// let inputs: Vec<i16> = (0..8).collect(); // two groups of 1x2x2
 /// // Group 0 multiplies by 1.0 (Q3.12 raw 4096), group 1 by 2.0.
-/// let r = execute_layer_grouped(&layer, Pattern::Od, Tiling::new(16, 16, 1, 16),
-///     &cfg, &inputs, &[4096, 8192], Formats::default(), &BufferModel::Ideal);
+/// let run = |engine| {
+///     execute_layer_grouped_with(engine, &layer, Pattern::Od, Tiling::new(16, 16, 1, 16),
+///         &cfg, &inputs, &[4096, 8192], Formats::default(), &BufferModel::Ideal)
+/// };
+/// let r = run(Engine::Blocked);
 /// assert_eq!(r.outputs, vec![0, 1, 2, 3, 8, 10, 12, 14]);
+/// assert_eq!(run(Engine::Scalar), r);
 /// ```
 ///
 /// # Panics
@@ -330,36 +242,7 @@ pub fn execute_layer_with(
 /// a group's resident set overflows the buffer, if a [`Formats`] field
 /// exceeds the 15 fractional bits of a 16-bit word, or if the model's
 /// refresh interval is not finite and positive.
-#[allow(clippy::too_many_arguments)]
-pub fn execute_layer_grouped(
-    layer: &SchedLayer,
-    pattern: Pattern,
-    tiling: Tiling,
-    cfg: &AcceleratorConfig,
-    inputs: &[i16],
-    weights: &[i16],
-    formats: Formats,
-    model: &BufferModel,
-) -> FunctionalResult {
-    execute_layer_grouped_with(
-        Engine::default(),
-        layer,
-        pattern,
-        tiling,
-        cfg,
-        inputs,
-        weights,
-        formats,
-        model,
-    )
-}
-
-/// [`execute_layer_grouped`] with an explicit tile-compute [`Engine`].
-///
-/// # Panics
-///
-/// Same contract as [`execute_layer_grouped`].
-#[allow(clippy::too_many_arguments)]
+#[allow(clippy::too_many_arguments)] // mirrors the hardware interface: layer, mapping, machine, operands
 pub fn execute_layer_grouped_with(
     engine: Engine,
     layer: &SchedLayer,
@@ -425,7 +308,7 @@ pub fn execute_layer_grouped_with(
 ///
 /// # Panics
 ///
-/// Same contract as [`execute_layer_grouped`]; also panics if `cells` is
+/// Same contract as [`execute_layer_grouped_with`]; also panics if `cells` is
 /// on another cell seed than the model or covers fewer words than the
 /// buffer holds.
 #[allow(clippy::too_many_arguments)]
@@ -480,10 +363,16 @@ pub fn execute_layer_grouped_on(
     // takes the storage the previous one dropped.
     let plans = TilePlans::new(&sub, tiling);
     let mut arena = ExecArena::default();
+    // The blocked nests hold a whole reduction in one 32-bit run; a call
+    // whose longest reduction does not fit one runs the reference tile.
+    let lanes = match engine {
+        Engine::Blocked => I32Path::for_steps(formats.prod_shift(), tiling.tn * sub.k * sub.k),
+        Engine::Scalar => None,
+    };
     for gi in 0..g {
         run_group(
             cells,
-            engine,
+            lanes,
             &sub,
             pattern,
             tiling,
@@ -522,14 +411,16 @@ pub fn resident_words(layer: &SchedLayer) -> usize {
         + layer.m * layer.r * layer.c
 }
 
-/// One channel group through the tile loop nest of the clamped tiling
-/// `t`, on a buffer whose cells decay through `cells`, with tile geometry
-/// from `plans` and scratch space from `arena`: writes the group's outputs
-/// into `outputs` and adds its cycles and statistics to `total`.
+/// One channel group through the tile walk of the clamped tiling `t`, on
+/// a buffer whose cells decay through `cells`, with tile geometry from
+/// `plans` and scratch space from `arena`: the blocked tile on `lanes`'
+/// arithmetic, or the reference tile where there is none. Writes the
+/// group's outputs into `outputs` and adds its cycles and statistics to
+/// `total`.
 #[allow(clippy::too_many_arguments)]
 fn run_group(
     cells: &Arc<WeakestCellMap>,
-    engine: Engine,
+    lanes: Option<I32Path>,
     layer: &SchedLayer,
     pattern: Pattern,
     t: Tiling,
@@ -572,158 +463,75 @@ fn run_group(
     let mut clock_cycles = 0u64;
     let us = |c: u64| cfg.cycles_to_us(c);
     let k = layer.k;
-    let k2 = (k * k) as u64;
-
-    // Tile axes, walked in the pattern's loop order exactly like trace.rs
-    // (arithmetic decomposition; the RC axis flattens rows × columns with
-    // the column tile innermost).
-    let m_axis = TileAxis::new(layer.m, t.tm);
-    let n_axis = TileAxis::new(layer.n, t.tn);
-    let r_axis = TileAxis::new(layer.r, t.tr);
-    let c_axis = TileAxis::new(layer.c, t.tc);
-
-    // Residency keys for lazy loads: inputs/weights are (re)written to the
-    // buffer when their tile first appears (fresh from DRAM, which does
-    // not decay).
-    let mut input_loaded_for: Option<u64> = None;
-    let mut weights_loaded_for: Option<u64> = None;
-
     let prod_shift = formats.prod_shift();
-    // 32-bit lane plan: per-term magnitude after the rounded shift is
-    // bounded by t_max, so max_terms partial sums always fit an i32 lane.
-    // Shifts outside 1..=30 (or too few safe terms to be worth draining)
-    // fall back to the shared i64 product path.
-    let i32_path = if (1..=30).contains(&prod_shift) {
-        let half = 1i32 << (prod_shift - 1);
-        let t_max = ((1i64 << 30) + i64::from(half)) >> prod_shift;
-        let max_terms = (i64::from(i32::MAX) / t_max) as usize;
-        (max_terms >= 16).then_some(I32Path { shift: prod_shift as u32, half, max_terms })
-    } else {
-        None
-    };
 
-    let order = pattern.loop_order();
-    let axis_len = |d: LoopDim| match d {
-        LoopDim::M => m_axis.len(),
-        LoopDim::N => n_axis.len(),
-        LoopDim::Rc => r_axis.len() * c_axis.len(),
-    };
-    for i3 in 0..axis_len(order[0]) {
-        for i2 in 0..axis_len(order[1]) {
-            for i1 in 0..axis_len(order[2]) {
-                let mut mi = 0;
-                let mut ni = 0;
-                let mut rci = 0;
-                for (dim, idx) in order.iter().zip([i3, i2, i1]) {
-                    match dim {
-                        LoopDim::M => mi = idx,
-                        LoopDim::N => ni = idx,
-                        LoopDim::Rc => rci = idx,
-                    }
-                }
-                let (m0, tm_e) = m_axis.get(mi);
-                let (n0, tn_e) = n_axis.get(ni);
-                let (r0, tr_e) = r_axis.get(rci / c_axis.len());
-                let (c0, tc_e) = c_axis.get(rci % c_axis.len());
-                let now = us(clock_cycles);
-
-                // Lazy DRAM -> buffer loads at residency boundaries,
-                // following each pattern's reuse scope: ID keeps all
-                // inputs resident for the whole layer, OD streams an
-                // n-tile's channels per residency, WD restreams the input
-                // set at every rc-tile (fresh data arrives recharged; the
-                // region's lifetime restarts, exactly the lifetime
-                // analysis' assumption).
-                let input_key = match pattern {
-                    Pattern::Id => 0,
-                    Pattern::Od => 1 + ni as u64,
-                    Pattern::Wd => 1 + rci as u64,
-                };
-                if input_loaded_for != Some(input_key) {
-                    input_loaded_for = Some(input_key);
-                    let (lo, hi) = match pattern {
-                        Pattern::Od => (n0, n0 + tn_e),
-                        Pattern::Id | Pattern::Wd => (0, layer.n),
-                    };
-                    for ch in lo..hi {
-                        let off = ch * layer.h * layer.l;
-                        mem.write_slice(in_base + off, &inputs[off..off + layer.h * layer.l], now);
-                    }
-                }
-                // Weights: ID holds an m-tile's weights across its RC
-                // sweep, OD a (m, n) tile across RC, WD everything for the
-                // whole layer.
-                let weight_key = match pattern {
-                    Pattern::Id => 1 + mi as u64,
-                    Pattern::Od => 1 + (mi * n_axis.len() + ni) as u64,
-                    Pattern::Wd => 0,
-                };
-                if weights_loaded_for != Some(weight_key) {
-                    weights_loaded_for = Some(weight_key);
-                    let (nlo, nhi, mlo, mhi) = match pattern {
-                        Pattern::Id => (0, layer.n, m0, m0 + tm_e),
-                        Pattern::Od => (n0, n0 + tn_e, m0, m0 + tm_e),
-                        Pattern::Wd => (0, layer.n, 0, layer.m),
-                    };
-                    for m in mlo..mhi {
-                        let off = (m * layer.n + nlo) * k * k;
-                        mem.write_slice(
-                            w_base + off,
-                            &weights[off..off + (nhi - nlo) * k * k],
-                            now,
-                        );
-                    }
-                }
-
-                // Core compute for this tile: accumulate in 32 bits, read
-                // operands from the (possibly decayed) buffer.
-                let iter_cycles = iteration_cycles(cfg, tn_e, k2, tm_e, tr_e, tc_e);
-                let end = us(clock_cycles + iter_cycles);
-
-                // Refresh runs concurrently with compute: issue every pulse
-                // due by the end of this iteration before its reads resolve.
-                if let Some(rc) = refresh {
-                    // `end` and the interval are non-negative, so the
-                    // truncating cast is the floor.
-                    let due = (end / rc.interval_us) as i64;
-                    while last_pulse_idx < due {
-                        last_pulse_idx += 1;
-                        let pulse_t = last_pulse_idx as f64 * rc.interval_us;
-                        for bank in 0..mem.num_banks() {
-                            if rc.pattern.refreshes(bank) {
-                                refresh_words += mem.refresh_bank(bank, pulse_t) as u64;
-                            }
-                        }
-                    }
-                }
-                let ctx = TileCtx {
-                    layer,
-                    pattern,
-                    prod_shift,
-                    i32_path,
-                    in_base,
-                    w_base,
-                    o_base,
-                    last_n: ni == n_axis.len() - 1,
-                    first_n: ni == 0,
-                    end,
-                    m0,
-                    tm_e,
-                    n0,
-                    tn_e,
-                    r0,
-                    tr_e,
-                    c0,
-                    tc_e,
-                    plan: plans.get(rci / c_axis.len(), rci % c_axis.len()),
-                };
-                match engine {
-                    Engine::Scalar => scalar_tile(&ctx, &mut mem, outputs),
-                    Engine::Blocked => blocked_tile(&ctx, &mut mem, outputs, arena),
-                }
-                clock_cycles += iter_cycles;
+    // The reuse scopes whose operands the buffer holds. A tile opening a
+    // new scope (re)writes them, fresh from DRAM, which does not decay: the
+    // data arrives recharged and its lifetime restarts, exactly the
+    // lifetime analysis' assumption.
+    let (mut input_scope, mut weight_scope) = (None, None);
+    for tile in tiles(layer, pattern, t, cfg) {
+        let ((m0, tm_e), (n0, tn_e)) = (tile.m, tile.n);
+        let now = us(clock_cycles);
+        if input_scope != Some(tile.input_scope) {
+            input_scope = Some(tile.input_scope);
+            let (lo, hi) = match pattern {
+                Pattern::Od => (n0, n0 + tn_e),
+                Pattern::Id | Pattern::Wd => (0, layer.n),
+            };
+            for ch in lo..hi {
+                let off = ch * layer.h * layer.l;
+                mem.write_slice(in_base + off, &inputs[off..off + layer.h * layer.l], now);
             }
         }
+        if weight_scope != Some(tile.weight_scope) {
+            weight_scope = Some(tile.weight_scope);
+            let (nlo, nhi, mlo, mhi) = match pattern {
+                Pattern::Id => (0, layer.n, m0, m0 + tm_e),
+                Pattern::Od => (n0, n0 + tn_e, m0, m0 + tm_e),
+                Pattern::Wd => (0, layer.n, 0, layer.m),
+            };
+            for m in mlo..mhi {
+                let off = (m * layer.n + nlo) * k * k;
+                mem.write_slice(w_base + off, &weights[off..off + (nhi - nlo) * k * k], now);
+            }
+        }
+
+        // All of the tile's accesses resolve when its compute ends.
+        let end = us(clock_cycles + tile.cycles);
+
+        // Refresh runs concurrently with compute: issue every pulse due by
+        // the end of this iteration before its reads resolve.
+        if let Some(rc) = refresh {
+            // `end` and the interval are non-negative, so the truncating
+            // cast is the floor.
+            let due = (end / rc.interval_us) as i64;
+            while last_pulse_idx < due {
+                last_pulse_idx += 1;
+                let pulse_t = last_pulse_idx as f64 * rc.interval_us;
+                for bank in 0..mem.num_banks() {
+                    if rc.pattern.refreshes(bank) {
+                        refresh_words += mem.refresh_bank(bank, pulse_t) as u64;
+                    }
+                }
+            }
+        }
+        let ctx = TileCtx {
+            layer,
+            pattern,
+            prod_shift,
+            in_base,
+            w_base,
+            o_base,
+            end,
+            tile,
+            plan: plans.get(tile.rci),
+        };
+        match lanes {
+            Some(p) => blocked_tile(&ctx, p, &mut mem, outputs, arena),
+            None => scalar_tile(&ctx, &mut mem, outputs),
+        }
+        clock_cycles += tile.cycles;
     }
 
     // Fault/read accounting comes from the memory model itself: reads are
@@ -762,12 +570,29 @@ fn shift_product(prod: i64, prod_shift: i32) -> i64 {
     }
 }
 
-/// Parameters of the 32-bit lane accumulation (None = i64 fallback).
+/// The 32-bit lane arithmetic of the blocked nests: each rounded product
+/// is `(x·w + half) >> shift`.
 #[derive(Debug, Clone, Copy)]
 struct I32Path {
     shift: u32,
     half: i32,
-    max_terms: usize,
+}
+
+impl I32Path {
+    /// The lane arithmetic for reductions of up to `steps` products at
+    /// `prod_shift`, if one 32-bit run holds them. A rounded product is at
+    /// most `t_max = (2³⁰ + half) >> shift` in magnitude, so `i32::MAX /
+    /// t_max` of them always fit; shifts outside 1..=30 have no lane
+    /// arithmetic.
+    fn for_steps(prod_shift: i32, steps: usize) -> Option<Self> {
+        if !(1..=30).contains(&prod_shift) {
+            return None;
+        }
+        let half = 1i32 << (prod_shift - 1);
+        let t_max = ((1i64 << 30) + i64::from(half)) >> prod_shift;
+        let max_terms = (i64::from(i32::MAX) / t_max) as usize;
+        (steps <= max_terms).then_some(Self { shift: prod_shift as u32, half })
+    }
 }
 
 /// Everything a tile compute needs besides the buffer and outputs.
@@ -775,24 +600,13 @@ struct TileCtx<'a> {
     layer: &'a SchedLayer,
     pattern: Pattern,
     prod_shift: i32,
-    i32_path: Option<I32Path>,
     in_base: usize,
     w_base: usize,
     o_base: usize,
-    /// This is the last n-tile: outputs are final.
-    last_n: bool,
-    /// This is the first n-tile: accumulators start from zero.
-    first_n: bool,
     /// Timestamp (µs) at which all of this tile's accesses resolve.
     end: f64,
-    m0: usize,
-    tm_e: usize,
-    n0: usize,
-    tn_e: usize,
-    r0: usize,
-    tr_e: usize,
-    c0: usize,
-    tc_e: usize,
+    /// The tile's extents and place in the loop nest.
+    tile: Tile,
     /// The tile's geometry (the blocked engine reads it; the scalar engine
     /// works everything out per access).
     plan: TilePlan<'a>,
@@ -927,9 +741,11 @@ impl TilePlans {
         Self { rows, row_of, cols, col_of, mults }
     }
 
-    /// The plan of the tile in row tile `ri` and column tile `ci`.
-    fn get(&self, ri: usize, ci: usize) -> TilePlan<'_> {
-        let (r, c) = (self.row_of[ri], self.col_of[ci]);
+    /// The plan of the tile at index `rci` on the RC axis (row tile major,
+    /// column tile minor).
+    fn get(&self, rci: usize) -> TilePlan<'_> {
+        let col_tiles = self.col_of.len();
+        let (r, c) = (self.row_of[rci / col_tiles], self.col_of[rci % col_tiles]);
         let (in_mult, w_mult) = &self.mults[r * self.cols.len() + c];
         TilePlan { rows: &self.rows[r], cols: &self.cols[c], in_mult, w_mult }
     }
@@ -959,11 +775,6 @@ struct ExecArena {
     /// The weights transposed: one row of `tm_e` output channels per
     /// (input channel, u, v) step.
     w_cols: Vec<i16>,
-    /// 32-bit accumulator lanes of one output row for the draining nest:
-    /// output column-major, output channel-minor.
-    acc32: Vec<i32>,
-    /// 64-bit accumulators the lanes drain into (same layout).
-    acc64: Vec<i64>,
     /// Output partials of the tile (channel, row, column).
     part: Vec<i16>,
     /// Clamped writeback values of the tile (same layout).
@@ -1008,15 +819,16 @@ fn scalar_tile(ctx: &TileCtx<'_>, mem: &mut EdramArray, outputs: &mut [i16]) {
     let ly = ctx.layer;
     let k = ly.k;
     let end = ctx.end;
-    for m in ctx.m0..ctx.m0 + ctx.tm_e {
-        for oi in ctx.r0..ctx.r0 + ctx.tr_e {
-            for oj in ctx.c0..ctx.c0 + ctx.tc_e {
+    let Tile { m: (m0, tm_e), n: (n0, tn_e), r: (r0, tr_e), c: (c0, tc_e), .. } = ctx.tile;
+    for m in m0..m0 + tm_e {
+        for oi in r0..r0 + tr_e {
+            for oj in c0..c0 + tc_e {
                 let out_addr = (m * ly.r + oi) * ly.c + oj;
                 // Running partial: OD reads it back from the buffer (the
                 // self-refreshing reread); ID/WD keep it in the PE
                 // accumulators across their innermost N loop — modeled by
                 // the stash in `outputs` (16-bit writeback granularity).
-                let mut acc: i64 = if ctx.first_n {
+                let mut acc: i64 = if ctx.tile.ni == 0 {
                     0
                 } else {
                     match ctx.pattern {
@@ -1024,7 +836,7 @@ fn scalar_tile(ctx: &TileCtx<'_>, mem: &mut EdramArray, outputs: &mut [i16]) {
                         Pattern::Id | Pattern::Wd => i64::from(outputs[out_addr]),
                     }
                 };
-                for ch in ctx.n0..ctx.n0 + ctx.tn_e {
+                for ch in n0..n0 + tn_e {
                     for u in 0..k {
                         let iy = (oi * ly.s + u) as isize - ly.pad as isize;
                         if iy < 0 || iy >= ly.h as isize {
@@ -1049,12 +861,12 @@ fn scalar_tile(ctx: &TileCtx<'_>, mem: &mut EdramArray, outputs: &mut [i16]) {
                         // Partial written back every pass (the
                         // accumulation that self-refreshes).
                         mem.write(ctx.o_base + out_addr, clamped, end);
-                        if ctx.last_n {
+                        if ctx.tile.last_n {
                             outputs[out_addr] = mem.read(ctx.o_base + out_addr, end);
                         }
                     }
                     Pattern::Id | Pattern::Wd => {
-                        if ctx.last_n {
+                        if ctx.tile.last_n {
                             mem.write(ctx.o_base + out_addr, clamped, end);
                         }
                         outputs[out_addr] = clamped;
@@ -1092,11 +904,11 @@ fn scalar_tile(ctx: &TileCtx<'_>, mem: &mut EdramArray, outputs: &mut [i16]) {
 /// weight times a row of input values per step. Full blocks of 16 lanes
 /// (the PE array's rows) run the fixed-width micro-kernel, narrower ones
 /// and strided columns the generic one; the axis and the body come from
-/// the tile's shape alone. A reduction of more than `max_terms` steps could
-/// overflow a 32-bit lane, so such a tile (and any format off the 32-bit
-/// path) takes the draining nest instead.
+/// the tile's shape alone. The caller passes the lane arithmetic `p` only
+/// when its longest reduction fits one 32-bit run.
 fn blocked_tile(
     ctx: &TileCtx<'_>,
+    p: I32Path,
     mem: &mut EdramArray,
     outputs: &mut [i16],
     arena: &mut ExecArena,
@@ -1104,27 +916,27 @@ fn blocked_tile(
     let ly = ctx.layer;
     let k2 = ly.k * ly.k;
     let end = ctx.end;
-    let (tm_e, tn_e, tr_e, tc_e) = (ctx.tm_e, ctx.tn_e, ctx.tr_e, ctx.tc_e);
+    let Tile { m: (m0, tm_e), n: (n0, tn_e), r: (r0, tr_e), c: (c0, tc_e), .. } = ctx.tile;
     let TilePlan { rows, cols, in_mult, w_mult } = ctx.plan;
     // The map's part of the footprint: rows.len rows of cols.len columns
     // from (iy_lo, ix_lo).
     let first = |o0: usize, skip: usize| ((o0 * ly.s + skip) as isize - ly.pad as isize).max(0);
-    let (iy_lo, ix_lo) = (first(ctx.r0, rows.skip) as usize, first(ctx.c0, cols.skip) as usize);
-    let ExecArena { in_box, w_box, w_cols, acc32, acc64, part, clamp } = arena;
+    let (iy_lo, ix_lo) = (first(r0, rows.skip) as usize, first(c0, cols.skip) as usize);
+    let ExecArena { in_box, w_box, w_cols, part, clamp } = arena;
 
     // Resolve the tile's input footprint and weights once each, with the
     // plan's multiplicities charged to the access statistics. (Stride-gap
     // rows no output reads carry multiplicity 0: resolved, not counted.)
     let plane = rows.len * cols.len;
     let in_box = grown(in_box, tn_e * plane);
-    let in_spans = box_spans([ly.h, ly.l], [ctx.n0, iy_lo, ix_lo], [tn_e, rows.len, cols.len]);
+    let in_spans = box_spans([ly.h, ly.l], [n0, iy_lo, ix_lo], [tn_e, rows.len, cols.len]);
     for (addr, words) in in_spans {
         // The multiplicities repeat every plane.
         let mult = &in_mult[words.start % plane..][..words.len()];
         mem.read_row_weighted(ctx.in_base + addr, end, &mut in_box[words], mult, tm_e as u64);
     }
     let w_box = grown(w_box, tm_e * tn_e * k2);
-    for (addr, words) in box_spans([ly.n, k2], [ctx.m0, ctx.n0, 0], [tm_e, tn_e, k2]) {
+    for (addr, words) in box_spans([ly.n, k2], [m0, n0, 0], [tm_e, tn_e, k2]) {
         let mult = &w_mult[..words.len()];
         mem.read_row_weighted(ctx.w_base + addr, end, &mut w_box[words], mult, 1);
     }
@@ -1132,10 +944,10 @@ fn blocked_tile(
     // Running partials: OD reads them back from the buffer (the
     // self-refreshing reread), ID/WD from the stash in `outputs`; the
     // first n-tile starts from zero.
-    let out_spans = || box_spans([ly.r, ly.c], [ctx.m0, ctx.r0, ctx.c0], [tm_e, tr_e, tc_e]);
+    let out_spans = || box_spans([ly.r, ly.c], [m0, r0, c0], [tm_e, tr_e, tc_e]);
     let tile_words = tm_e * tr_e * tc_e;
     let part = grown(part, tile_words);
-    if ctx.first_n {
+    if ctx.tile.ni == 0 {
         part.fill(0);
     } else {
         for (addr, words) in out_spans() {
@@ -1153,10 +965,9 @@ fn blocked_tile(
     // which do not vectorize, never beat two or more channels.
     let blocks = |lanes: usize, other: usize| lanes.div_ceil(LANES) * other;
     let column_lanes = tm_e == 1 || (ly.s == 1 && blocks(tc_e, tm_e) < blocks(tm_e, tc_e));
-    let one_run = ctx.i32_path.filter(|p| tn_e * k2 <= p.max_terms);
     // Transposed, step (ci, u, v) owns one row of tm_e lanes, gathered
     // with the 16-lane rows unrolled.
-    let w_cols = grown(w_cols, if column_lanes && one_run.is_some() { 0 } else { w_box.len() });
+    let w_cols = grown(w_cols, if column_lanes { 0 } else { w_box.len() });
     let gather = |lanes: &mut [i16], step: usize| {
         for (mi, w) in lanes.iter_mut().enumerate() {
             *w = w_box[mi * tn_e * k2 + step];
@@ -1170,10 +981,10 @@ fn blocked_tile(
     }
     let ops = Operands { inputs: in_box, weights: w_box, w_cols, part };
     let clamp = grown(clamp, tile_words);
-    match one_run {
-        Some(p) if column_lanes => column_lane_nest(ctx, p, &ops, clamp),
-        Some(p) => channel_lane_nest(ctx, p, &ops, clamp),
-        None => draining_nest(ctx, column_lanes, &ops, acc32, acc64, clamp),
+    if column_lanes {
+        column_lane_nest(ctx, p, &ops, clamp);
+    } else {
+        channel_lane_nest(ctx, p, &ops, clamp);
     }
 
     for (addr, words) in out_spans() {
@@ -1183,12 +994,12 @@ fn blocked_tile(
                 // Partials written back every pass (the accumulation that
                 // self-refreshes).
                 mem.write_slice(ctx.o_base + addr, clamped, end);
-                if ctx.last_n {
+                if ctx.tile.last_n {
                     mem.read_row_into(ctx.o_base + addr, end, out);
                 }
             }
             Pattern::Id | Pattern::Wd => {
-                if ctx.last_n {
+                if ctx.tile.last_n {
                     mem.write_slice(ctx.o_base + addr, clamped, end);
                 }
                 out.copy_from_slice(clamped);
@@ -1204,7 +1015,7 @@ struct Operands<'a> {
     /// Weights (output channel, input channel, u, v).
     weights: &'a [i16],
     /// The weights transposed: one row of `tm_e` output channels per
-    /// (input channel, u, v) step (empty where no nest reads it).
+    /// (input channel, u, v) step (empty on output-column lanes).
     w_cols: &'a [i16],
     /// Running partials (output channel, row, column).
     part: &'a [i16],
@@ -1220,7 +1031,8 @@ fn saturate(partial: i16, sum: i64) -> i16 {
 /// tile's input channels, on local blocks of 16 channels.
 fn channel_lane_nest(ctx: &TileCtx<'_>, p: I32Path, ops: &Operands<'_>, clamp: &mut [i16]) {
     let TilePlan { rows, cols, .. } = ctx.plan;
-    let (k, tm_e, tn_e, tr_e, tc_e) = (ctx.layer.k, ctx.tm_e, ctx.tn_e, ctx.tr_e, ctx.tc_e);
+    let Tile { m: (_, tm_e), n: (_, tn_e), r: (_, tr_e), c: (_, tc_e), .. } = ctx.tile;
+    let k = ctx.layer.k;
     // A tap's steps (its input channels) lie k²·tm_e transposed weights and
     // one footprint plane apart.
     let (w_step, x_step) = (k * k * tm_e, rows.len * cols.len);
@@ -1261,8 +1073,8 @@ fn channel_lane_nest(ctx: &TileCtx<'_>, p: I32Path, ops: &Operands<'_>, clamp: &
 /// tile's input channels, on local blocks of 16 columns.
 fn column_lane_nest(ctx: &TileCtx<'_>, p: I32Path, ops: &Operands<'_>, clamp: &mut [i16]) {
     let TilePlan { rows, cols, .. } = ctx.plan;
+    let Tile { m: (_, tm_e), n: (_, tn_e), r: (_, tr_e), c: (_, tc_e), .. } = ctx.tile;
     let (k, s) = (ctx.layer.k, ctx.layer.s);
-    let (tm_e, tn_e, tr_e, tc_e) = (ctx.tm_e, ctx.tn_e, ctx.tr_e, ctx.tc_e);
     // A tap's steps (its input channels) lie one footprint plane and k²
     // weights apart.
     let (x_step, w_step) = (rows.len * cols.len, k * k);
@@ -1299,122 +1111,6 @@ fn column_lane_nest(ctx: &TileCtx<'_>, p: I32Path, ops: &Operands<'_>, clamp: &m
                     clamp[at + c + j] = saturate(ops.part[at + c + j], i64::from(sum));
                 }
             }
-        }
-    }
-}
-
-/// The nest for reductions a 32-bit lane cannot hold in one run: each
-/// (input channel, u, v) step is one rank-1 update of an output row's lanes
-/// in memory, drained into 64-bit accumulators every `max_terms` steps; off
-/// the 32-bit path, every product goes through the shared i64 arithmetic.
-fn draining_nest(
-    ctx: &TileCtx<'_>,
-    column_lanes: bool,
-    ops: &Operands<'_>,
-    acc32: &mut Vec<i32>,
-    acc64: &mut Vec<i64>,
-    clamp: &mut [i16],
-) {
-    let TilePlan { rows, cols, .. } = ctx.plan;
-    let (k, s) = (ctx.layer.k, ctx.layer.s);
-    let (tm_e, tn_e, tr_e, tc_e) = (ctx.tm_e, ctx.tn_e, ctx.tr_e, ctx.tc_e);
-    let row_w = cols.len;
-    // Accumulator (oj, mi) sits at oj·col_step + mi·ch_step, so each lane
-    // row is contiguous.
-    let (col_step, ch_step) = if column_lanes { (1, tc_e) } else { (tm_e, 1) };
-    let acc32 = grown(acc32, tc_e * tm_e);
-    let acc64 = grown(acc64, tc_e * tm_e);
-    for (oi_, &(u_lo, u_hi, fy)) in rows.outs.iter().enumerate() {
-        // Dense (channel, row, column) index of (mi, oi, column 0).
-        let at = |mi: usize| (mi * tr_e + oi_) * tc_e;
-        for mi in 0..tm_e {
-            for (oj, &p) in ops.part[at(mi)..at(mi) + tc_e].iter().enumerate() {
-                acc64[oj * col_step + mi * ch_step] = i64::from(p);
-            }
-        }
-        acc32.fill(0);
-        let mut terms = 0usize;
-        for ci in 0..tn_e {
-            for u in u_lo..u_hi {
-                let x_row = &ops.inputs[(ci * rows.len + fy + u - u_lo) * row_w..][..row_w];
-                for (v, &(lo, hi, off)) in cols.lanes.iter().enumerate() {
-                    if lo == hi {
-                        continue;
-                    }
-                    let ws = &ops.w_cols[((ci * k + u) * k + v) * tm_e..][..tm_e];
-                    match ctx.i32_path {
-                        Some(p) => {
-                            // One step of the generic micro-kernel per lane
-                            // row.
-                            let step = |lanes: &mut [i32], row: &[i16], stride, x: &i16| {
-                                let x = std::slice::from_ref(x);
-                                kernel::mac_lanes(lanes, row, stride, 0, x, 0, 1, p.shift, p.half);
-                            };
-                            if !column_lanes {
-                                for j in 0..hi - lo {
-                                    let lanes = &mut acc32[(lo + j) * tm_e..][..tm_e];
-                                    step(lanes, ws, 1, &x_row[off + j * s]);
-                                }
-                            } else {
-                                for (mi, w) in ws.iter().enumerate() {
-                                    let lanes = &mut acc32[mi * tc_e + lo..mi * tc_e + hi];
-                                    step(lanes, &x_row[off..], s, w);
-                                }
-                            }
-                            // Lanes gain at most one term per step: drain
-                            // before an i32 could overflow.
-                            terms += 1;
-                            if terms == p.max_terms {
-                                terms = 0;
-                                drain(acc64, acc32);
-                            }
-                        }
-                        None => {
-                            for j in lo..hi {
-                                let x = i64::from(x_row[off + (j - lo) * s]);
-                                for (mi, &w) in ws.iter().enumerate() {
-                                    acc64[j * col_step + mi * ch_step] +=
-                                        shift_product(x * i64::from(w), ctx.prod_shift);
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        drain(acc64, acc32);
-        for mi in 0..tm_e {
-            for oj in 0..tc_e {
-                clamp[at(mi) + oj] = saturate(0, acc64[oj * col_step + mi * ch_step]);
-            }
-        }
-    }
-}
-
-/// Adds the 32-bit lanes into their 64-bit accumulators and clears them.
-fn drain(acc64: &mut [i64], acc32: &mut [i32]) {
-    for (a64, a32) in acc64.iter_mut().zip(acc32.iter_mut()) {
-        *a64 += i64::from(*a32);
-        *a32 = 0;
-    }
-}
-
-fn iteration_cycles(
-    cfg: &AcceleratorConfig,
-    tn_e: usize,
-    k2: u64,
-    tm_e: usize,
-    tr_e: usize,
-    tc_e: usize,
-) -> u64 {
-    use crate::config::PeOrganization;
-    let rows = (tm_e.div_ceil(cfg.pe_rows)) as u64;
-    match cfg.organization {
-        PeOrganization::PixelColumns => {
-            tn_e as u64 * k2 * rows * ((tr_e * tc_e).div_ceil(cfg.pe_cols)) as u64
-        }
-        PeOrganization::ChannelColumns => {
-            (tn_e.div_ceil(cfg.pe_cols)) as u64 * k2 * rows * (tr_e * tc_e) as u64
         }
     }
 }
@@ -1499,7 +1195,8 @@ mod tests {
         let golden = reference_conv(&layer, &inputs, &weights, f);
         for pattern in Pattern::ALL {
             for tiling in [Tiling::new(16, 16, 1, 16), Tiling::new(4, 2, 3, 5)] {
-                let r = execute_layer(
+                let r = execute_layer_grouped_with(
+                    Engine::Blocked,
                     &layer,
                     pattern,
                     tiling,
@@ -1539,7 +1236,7 @@ mod tests {
         for model in &models {
             for pattern in Pattern::ALL {
                 for tiling in [Tiling::new(16, 16, 1, 16), Tiling::new(4, 2, 3, 5)] {
-                    let scalar = execute_layer_with(
+                    let scalar = execute_layer_grouped_with(
                         Engine::Scalar,
                         &layer,
                         pattern,
@@ -1550,7 +1247,7 @@ mod tests {
                         f,
                         model,
                     );
-                    let blocked = execute_layer_with(
+                    let blocked = execute_layer_grouped_with(
                         Engine::Blocked,
                         &layer,
                         pattern,
@@ -1589,7 +1286,7 @@ mod tests {
         let cfg = AcceleratorConfig::paper_edram();
         let f = Formats::default();
         for pattern in Pattern::ALL {
-            let scalar = execute_layer_with(
+            let scalar = execute_layer_grouped_with(
                 Engine::Scalar,
                 &layer,
                 pattern,
@@ -1600,7 +1297,7 @@ mod tests {
                 f,
                 &BufferModel::Ideal,
             );
-            let blocked = execute_layer_with(
+            let blocked = execute_layer_grouped_with(
                 Engine::Blocked,
                 &layer,
                 pattern,
@@ -1617,8 +1314,8 @@ mod tests {
 
     #[test]
     fn engines_agree_on_i64_fallback_formats() {
-        // prod_shift = 0 and negative shifts bypass the i32 lane path;
-        // the fallback must still match the scalar engine exactly.
+        // prod_shift = 0 and negative shifts are off the i32 lane path: the
+        // blocked engine runs such calls on the reference tile.
         let (layer, inputs, weights) = small_layer();
         let cfg = AcceleratorConfig::paper_edram();
         for f in [
@@ -1628,7 +1325,7 @@ mod tests {
             // Small operands keep the unshifted accumulation in range.
             let small_in: Vec<i16> = inputs.iter().map(|&x| x % 8).collect();
             let small_w: Vec<i16> = weights.iter().map(|&x| x % 4).collect();
-            let scalar = execute_layer_with(
+            let scalar = execute_layer_grouped_with(
                 Engine::Scalar,
                 &layer,
                 Pattern::Od,
@@ -1639,7 +1336,7 @@ mod tests {
                 f,
                 &BufferModel::Ideal,
             );
-            let blocked = execute_layer_with(
+            let blocked = execute_layer_grouped_with(
                 Engine::Blocked,
                 &layer,
                 Pattern::Od,
@@ -1665,7 +1362,8 @@ mod tests {
         weights2.extend(weights.iter().rev());
         let cfg = AcceleratorConfig::paper_edram();
         let f = Formats::default();
-        let r = execute_layer_grouped(
+        let r = execute_layer_grouped_with(
+            Engine::Blocked,
             &layer,
             Pattern::Od,
             Tiling::new(4, 2, 3, 5),
@@ -1680,7 +1378,8 @@ mod tests {
         let mut want = Vec::new();
         let mut cycles = 0;
         for gi in 0..g {
-            let rg = execute_layer(
+            let rg = execute_layer_grouped_with(
+                Engine::Blocked,
                 &sub,
                 Pattern::Od,
                 Tiling::new(4, 2, 3, 5),
@@ -1695,28 +1394,6 @@ mod tests {
         }
         assert_eq!(r.outputs, want);
         assert_eq!(r.cycles, cycles);
-        // groups == 1 passes straight through.
-        let direct = execute_layer(
-            &sub,
-            Pattern::Od,
-            Tiling::new(4, 2, 3, 5),
-            &cfg,
-            &inputs,
-            &weights,
-            f,
-            &BufferModel::Ideal,
-        );
-        let via_grouped = execute_layer_grouped(
-            &sub,
-            Pattern::Od,
-            Tiling::new(4, 2, 3, 5),
-            &cfg,
-            &inputs,
-            &weights,
-            f,
-            &BufferModel::Ideal,
-        );
-        assert_eq!(direct, via_grouped);
     }
 
     #[test]
@@ -1725,7 +1402,8 @@ mod tests {
         let cfg = AcceleratorConfig::paper_edram();
         for pattern in Pattern::ALL {
             let tiling = Tiling::new(4, 2, 2, 4);
-            let r = execute_layer(
+            let r = execute_layer_grouped_with(
+                Engine::Blocked,
                 &layer,
                 pattern,
                 tiling,
@@ -1751,7 +1429,8 @@ mod tests {
             seed: 7,
             refresh: Some(RefreshConfig::conventional(45.0)),
         };
-        let r = execute_layer(
+        let r = execute_layer_grouped_with(
+            Engine::Blocked,
             &layer,
             Pattern::Od,
             Tiling::new(16, 16, 1, 16),
@@ -1774,7 +1453,8 @@ mod tests {
         let golden = reference_conv(&layer, &inputs, &weights, f);
         let model =
             BufferModel::Edram { dist: RetentionDistribution::kong2008(), seed: 7, refresh: None };
-        let r = execute_layer(
+        let r = execute_layer_grouped_with(
+            Engine::Blocked,
             &layer,
             Pattern::Od,
             Tiling::new(16, 16, 1, 16),
@@ -1818,7 +1498,8 @@ mod tests {
         let f = Formats::default();
         let golden = reference_conv(&layer, &inputs, &weights, f);
         let model = BufferModel::Edram { dist: sharp_dist(), seed: 7, refresh: None };
-        let r = execute_layer(
+        let r = execute_layer_grouped_with(
+            Engine::Blocked,
             &layer,
             Pattern::Id,
             Tiling::new(4, 4, 2, 2),
@@ -1839,7 +1520,8 @@ mod tests {
             seed: 7,
             refresh: Some(RefreshConfig::conventional(45.0)),
         };
-        let r = execute_layer(
+        let r = execute_layer_grouped_with(
+            Engine::Blocked,
             &layer,
             Pattern::Id,
             Tiling::new(4, 4, 2, 2),
@@ -1868,7 +1550,8 @@ mod tests {
         let golden = reference_conv(&layer, &inputs, &weights, f);
 
         let model = BufferModel::Edram { dist: dist.clone(), seed: 7, refresh: None };
-        let od = execute_layer(
+        let od = execute_layer_grouped_with(
+            Engine::Blocked,
             &layer,
             Pattern::Od,
             Tiling::new(6, 1, 8, 8),
@@ -1883,7 +1566,8 @@ mod tests {
         assert_eq!(od.refresh_words, 0);
 
         let model = BufferModel::Edram { dist, seed: 7, refresh: None };
-        let id = execute_layer(
+        let id = execute_layer_grouped_with(
+            Engine::Blocked,
             &layer,
             Pattern::Id,
             Tiling::new(6, 1, 8, 8),
@@ -1904,7 +1588,8 @@ mod tests {
             seed: 7,
             refresh: Some(RefreshConfig::conventional(interval_us)),
         };
-        execute_layer(
+        execute_layer_grouped_with(
+            Engine::Blocked,
             &layer,
             Pattern::Od,
             Tiling::new(16, 16, 1, 16),
@@ -1952,7 +1637,7 @@ mod tests {
             pad: 0,
             groups: 1,
         };
-        execute_layer_with(
+        execute_layer_grouped_with(
             engine,
             &layer,
             Pattern::Od,
@@ -2006,6 +1691,55 @@ mod tests {
     }
 
     #[test]
+    fn one_run_bound_holds_at_its_edge() {
+        // At shift 4 every rounded product of i16::MIN operands is 2²⁶, and
+        // a 32-bit run holds 31 of them (2,080,374,784), not 32. Reductions
+        // of 31 steps run the blocked nests, of 32 the reference tile; with
+        // a bound one larger, the 32-step lanes would overflow.
+        let f = Formats { input_frac: 2, weight_frac: 2, output_frac: 0 };
+        assert!(I32Path::for_steps(f.prod_shift(), 31).is_some());
+        assert!(I32Path::for_steps(f.prod_shift(), 32).is_none());
+        assert!(I32Path::for_steps(Formats::default().prod_shift(), 8_191).is_some());
+        assert!(I32Path::for_steps(Formats::default().prod_shift(), 8_192).is_none());
+        for n in [31, 32] {
+            // Full 16-lane blocks of channels and of columns, and a generic
+            // block of three channels.
+            for (m, hw) in [(16, 1), (1, 16), (3, 2)] {
+                let layer = SchedLayer {
+                    name: "edge".into(),
+                    n,
+                    h: hw,
+                    l: hw,
+                    m,
+                    k: 1,
+                    s: 1,
+                    r: hw,
+                    c: hw,
+                    pad: 0,
+                    groups: 1,
+                };
+                let (inputs, weights) = (vec![i16::MIN; n * hw * hw], vec![i16::MIN; m * n]);
+                let run = |engine| {
+                    execute_layer_grouped_with(
+                        engine,
+                        &layer,
+                        Pattern::Od,
+                        Tiling::new(16, n, 16, 16),
+                        &AcceleratorConfig::paper_edram(),
+                        &inputs,
+                        &weights,
+                        f,
+                        &BufferModel::Ideal,
+                    )
+                };
+                let scalar = run(Engine::Scalar);
+                assert!(scalar.outputs.iter().all(|&o| o == i16::MAX), "n {n} m {m} hw {hw}");
+                assert_eq!(run(Engine::Blocked), scalar, "n {n} m {m} hw {hw}");
+            }
+        }
+    }
+
+    #[test]
     fn grouped_run_on_one_map_equals_groups_on_fresh_maps() {
         // The slow clock ages the buffer past the sharp knee, so faults
         // occur both on reads and at the 400 µs refresh pulses: the shared
@@ -2026,7 +1760,8 @@ mod tests {
         };
         let tiling = Tiling::new(4, 2, 3, 5);
         for pattern in Pattern::ALL {
-            let grouped = execute_layer_grouped(
+            let grouped = execute_layer_grouped_with(
+                Engine::Blocked,
                 &layer,
                 pattern,
                 tiling,
@@ -2046,7 +1781,8 @@ mod tests {
                 reads: 0,
             };
             for gi in 0..g {
-                let r = execute_layer(
+                let r = execute_layer_grouped_with(
+                    Engine::Blocked,
                     &sub,
                     pattern,
                     tiling,

@@ -13,9 +13,10 @@
 //! accumulators the caller keeps in a local array, so the lanes stay in
 //! registers for a whole reduction instead of being loaded and stored at
 //! every step. [`mac_lanes16`] is the 16-lane body (the PE array's rows);
-//! [`mac_lanes`] takes any width and a lane stride, and with `n = 1` is
-//! the one-step update of the draining path, whose reductions are too long
-//! for one 32-bit run.
+//! [`mac_lanes`] takes any width and a lane stride, for narrower blocks
+//! and strided columns. A whole reduction must fit one 32-bit run: a layer
+//! call whose reductions are longer runs the scalar engine's reference
+//! tile instead of these kernels.
 
 /// Lanes of the fixed-width micro-kernel.
 pub(crate) const LANES: usize = 16;

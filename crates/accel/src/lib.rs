@@ -52,7 +52,7 @@ pub mod trace;
 
 pub use analysis::{analyze, LayerSim, Lifetimes, Storage, TilingGrid, Traffic};
 pub use config::{AcceleratorConfig, BufferConfig};
-pub use exec::{execute_layer, execute_layer_grouped, Engine};
+pub use exec::Engine;
 pub use fingerprint::{Fingerprint, Fnv1a};
 pub use layer::SchedLayer;
 pub use pattern::{Pattern, TileAxis, Tiling};

@@ -11,7 +11,7 @@
 //! | WD      | `RC`        | `M` | `N`         | all weights    |
 
 use crate::analysis::TilingGrid;
-use crate::config::AcceleratorConfig;
+use crate::config::{AcceleratorConfig, PeOrganization};
 use crate::layer::SchedLayer;
 use std::fmt;
 
@@ -199,6 +199,95 @@ impl TileAxis {
     pub fn iter(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
         (0..self.len()).map(move |i| self.get(i))
     }
+}
+
+/// One tile iteration of a channel group's loop nest, as [`tiles`] yields
+/// it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Tile {
+    /// Tile index on the `M` axis.
+    pub mi: usize,
+    /// Tile index on the `N` axis.
+    pub ni: usize,
+    /// Tile index on the `RC` axis, which flattens rows × columns with the
+    /// column tile innermost.
+    pub rci: usize,
+    /// `(start, extent)` on the output channels.
+    pub m: (usize, usize),
+    /// `(start, extent)` on the input channels.
+    pub n: (usize, usize),
+    /// `(start, extent)` on the output rows.
+    pub r: (usize, usize),
+    /// `(start, extent)` on the output columns.
+    pub c: (usize, usize),
+    /// This is the last n-tile: the tile's outputs are final.
+    pub last_n: bool,
+    /// The input reuse scope: consecutive tiles with one key share a
+    /// resident input set. ID keeps every input for the whole layer, OD an
+    /// n-tile's channels, and WD restreams the inputs at every rc-tile.
+    pub input_scope: usize,
+    /// The weight reuse scope: ID holds an m-tile's weights across its RC
+    /// sweep, OD an (m, n) tile's across RC, and WD every weight for the
+    /// whole layer.
+    pub weight_scope: usize,
+    /// PE-array cycles of the tile's core computation.
+    pub cycles: u64,
+}
+
+/// The tiles of one channel group of `layer` under the clamped tiling `t`,
+/// in `pattern`'s loop order on `cfg`'s PE array: the walk both the trace
+/// simulator and the functional engine run.
+pub(crate) fn tiles(
+    layer: &SchedLayer,
+    pattern: Pattern,
+    t: Tiling,
+    cfg: &AcceleratorConfig,
+) -> impl Iterator<Item = Tile> {
+    let [m, n, r, c] = [(layer.m, t.tm), (layer.n, t.tn), (layer.r, t.tr), (layer.c, t.tc)]
+        .map(|(dim, t)| TileAxis::new(dim, t));
+    let order = pattern.loop_order();
+    let [outer, mid, inner] = order.map(|d| match d {
+        LoopDim::M => m.len(),
+        LoopDim::N => n.len(),
+        LoopDim::Rc => r.len() * c.len(),
+    });
+    let k2 = (layer.k * layer.k) as u64;
+    let (pe_rows, pe_cols, organization) = (cfg.pe_rows, cfg.pe_cols, cfg.organization);
+    (0..outer * mid * inner).map(move |i| {
+        let (mut mi, mut ni, mut rci) = (0, 0, 0);
+        for (d, idx) in order.into_iter().zip([i / (mid * inner), i / inner % mid, i % inner]) {
+            *match d {
+                LoopDim::M => &mut mi,
+                LoopDim::N => &mut ni,
+                LoopDim::Rc => &mut rci,
+            } = idx;
+        }
+        let (tile_m, tile_n) = (m.get(mi), n.get(ni));
+        let (tile_r, tile_c) = (r.get(rci / c.len()), c.get(rci % c.len()));
+        let (input_scope, weight_scope) = match pattern {
+            Pattern::Id => (0, mi),
+            Pattern::Od => (ni, mi * n.len() + ni),
+            Pattern::Wd => (rci, 0),
+        };
+        let (tn_e, pixels) = (tile_n.1, tile_r.1 * tile_c.1);
+        let steps = match organization {
+            PeOrganization::PixelColumns => tn_e as u64 * pixels.div_ceil(pe_cols) as u64,
+            PeOrganization::ChannelColumns => tn_e.div_ceil(pe_cols) as u64 * pixels as u64,
+        };
+        Tile {
+            mi,
+            ni,
+            rci,
+            m: tile_m,
+            n: tile_n,
+            r: tile_r,
+            c: tile_c,
+            last_n: ni == n.len() - 1,
+            input_scope,
+            weight_scope,
+            cycles: steps * k2 * tile_m.1.div_ceil(pe_rows) as u64,
+        }
+    })
 }
 
 #[cfg(test)]

@@ -15,13 +15,15 @@
 //! writing any files. Its layers cover both lane axes of the blocked
 //! engine: plain, grouped and strided layers, depthwise layers (one
 //! channel per group, so output-column lanes) with stride 1 and 2, a 1×1
-//! pointwise layer on a 1×1 map (one column, output-channel lanes) and a
-//! layer wider than the column tile (several channels on column lanes).
+//! pointwise layer on a 1×1 map (one column, output-channel lanes), a
+//! layer wider than the column tile (several channels on column lanes),
+//! and a layer at product shift 4 whose 36-step reductions are longer than
+//! one 32-bit run, which the blocked engine hands to the reference tile.
 //! Each also runs as a two-image batch whose image 0 must equal the
 //! single run.
 
 use rana_accel::exec::{
-    execute_layer_grouped_with, BufferModel, Engine, Formats, FunctionalResult,
+    execute_layer_grouped_with, resident_words, BufferModel, Engine, Formats, FunctionalResult,
 };
 use rana_accel::{AcceleratorConfig, Fnv1a, Pattern, SchedLayer, Tiling};
 use rana_bench::{banner, seed_from_env, threads_from_env, write_result};
@@ -61,9 +63,8 @@ fn mix(seed: u64, i: u64, modulus: u64) -> i16 {
 /// per-group resident set (the functional engine requires all three
 /// regions resident; zoo layers exceed the paper's 1.45 MB buffer).
 fn cfg_for(ly: &SchedLayer) -> AcceleratorConfig {
-    let resident = ly.n * ly.h * ly.l + ly.m * ly.n * ly.k * ly.k + ly.m * ly.r * ly.c;
     let mut cfg = AcceleratorConfig::paper_edram();
-    cfg.buffer.bank_words = resident.div_ceil(cfg.buffer.num_banks);
+    cfg.buffer.bank_words = resident_words(ly).div_ceil(cfg.buffer.num_banks);
     cfg
 }
 
@@ -242,17 +243,21 @@ fn mini(
 /// Mini-net identity check for `--smoke`: every mini layer through both
 /// engines on the decayed buffer, and through a two-image batch.
 fn smoke(seed: u64) {
+    // At product shift 4 a 32-bit run holds 31 rounded products, fewer than
+    // a 4-channel 3×3 reduction's 36.
+    let shift4 = Formats { input_frac: 2, weight_frac: 2, output_frac: 0 };
     let mini = [
-        mini("plain3x3", (4, 10, 6, 3, 1, 1, 1)),
-        mini("grouped", (2, 8, 2, 3, 1, 1, 2)),
-        mini("strided5x5", (3, 11, 4, 5, 2, 2, 1)),
-        mini("depthwise", (1, 9, 1, 3, 1, 1, 4)),
-        mini("depthwise_s2", (1, 11, 1, 3, 2, 1, 3)),
-        mini("pointwise1x1", (24, 1, 20, 1, 1, 0, 1)),
-        mini("wide", (2, 40, 3, 3, 1, 1, 1)),
+        (mini("plain3x3", (4, 10, 6, 3, 1, 1, 1)), Formats::default()),
+        (mini("grouped", (2, 8, 2, 3, 1, 1, 2)), Formats::default()),
+        (mini("strided5x5", (3, 11, 4, 5, 2, 2, 1)), Formats::default()),
+        (mini("depthwise", (1, 9, 1, 3, 1, 1, 4)), Formats::default()),
+        (mini("depthwise_s2", (1, 11, 1, 3, 2, 1, 3)), Formats::default()),
+        (mini("pointwise1x1", (24, 1, 20, 1, 1, 0, 1)), Formats::default()),
+        (mini("wide", (2, 40, 3, 3, 1, 1, 1)), Formats::default()),
+        (mini("shift4_3x3", (4, 6, 3, 3, 1, 1, 1)), shift4),
     ];
-    assert!(mini[6].c > tiling().tc, "the wide layer must span several column tiles");
-    for (idx, ly) in mini.iter().enumerate() {
+    assert!(mini[6].0.c > tiling().tc, "the wide layer must span several column tiles");
+    for (idx, (ly, formats)) in mini.iter().enumerate() {
         let layer_seed = seed.wrapping_add(idx as u64);
         let images: Vec<Vec<i16>> = (0..2).map(|b| layer_operands(ly, layer_seed, b).0).collect();
         let weights = layer_operands(ly, layer_seed, 0).1;
@@ -267,7 +272,7 @@ fn smoke(seed: u64) {
                 &cfg,
                 &images[0],
                 &weights,
-                Formats::default(),
+                *formats,
                 &model,
             )
         };
@@ -282,10 +287,10 @@ fn smoke(seed: u64) {
             &cfg,
             &images,
             &weights,
-            Formats::default(),
+            *formats,
             &model,
         );
-        assert_eq!(batch[0], scalar, "{}: batch image 0 diverged", ly.name);
+        assert_eq!(batch[0], blocked, "{}: batch image 0 diverged from the single run", ly.name);
         println!(
             "  {:<12} identical: outputs {} words, reads {}, faults {}",
             ly.name,

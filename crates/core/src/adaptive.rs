@@ -44,7 +44,7 @@ use crate::operating::{
 };
 use crate::par::ScheduleCache;
 use crate::scheduler::{LayerSchedule, NetworkSchedule, Scheduler, SearchBatch};
-use rana_accel::exec::{execute_layer, BufferModel, Formats};
+use rana_accel::exec::{execute_layer_grouped_with, BufferModel, Engine, Formats};
 use rana_accel::{
     layer_refresh_words, AcceleratorConfig, Fnv1a, Pattern, RefreshModel, SchedLayer, Tiling,
 };
@@ -962,7 +962,8 @@ pub fn run_probes(
             seed: h.finish(),
             refresh: spec.refresh_interval_us.map(RefreshConfig::conventional),
         };
-        let r = execute_layer(
+        let r = execute_layer_grouped_with(
+            Engine::Blocked,
             &layer,
             Pattern::Id,
             tiling,

@@ -74,43 +74,23 @@ pub enum RefreshPattern {
     ConventionalAll,
     /// RANA's optimized controller: only banks whose flag is set.
     Flagged(Vec<bool>),
-    /// Retention binning (see [`crate::binning`]): each bank has its own
-    /// interval as a multiple of the base pulse period; bank `b` is
-    /// refreshed at pulse `k` iff `k % multiple[b] == 0`. A multiple of 0
-    /// disables the bank.
-    BinnedMultiples(Vec<u32>),
 }
 
 impl RefreshPattern {
-    /// Whether `bank` is refreshed at pulse index `pulse` (1-based).
-    pub fn refreshes_at(&self, bank: usize, pulse: u64) -> bool {
+    /// Whether `bank` is refreshed at each pulse (banks beyond the flags
+    /// are not).
+    pub fn refreshes(&self, bank: usize) -> bool {
         match self {
             RefreshPattern::ConventionalAll => true,
             RefreshPattern::Flagged(flags) => flags.get(bank).copied().unwrap_or(false),
-            RefreshPattern::BinnedMultiples(m) => match m.get(bank).copied().unwrap_or(0) {
-                0 => false,
-                mult => pulse.is_multiple_of(u64::from(mult)),
-            },
         }
     }
 
-    /// Whether `bank` is ever refreshed (at the first pulse it qualifies
-    /// for; used by pulse-index-agnostic accounting).
-    pub fn refreshes(&self, bank: usize) -> bool {
-        match self {
-            RefreshPattern::BinnedMultiples(m) => m.get(bank).copied().unwrap_or(0) != 0,
-            _ => self.refreshes_at(bank, 1),
-        }
-    }
-
-    /// Average banks refreshed per base pulse, given `num_banks` total.
+    /// Banks refreshed per pulse, given `num_banks` total.
     pub fn banks_per_pulse(&self, num_banks: usize) -> usize {
         match self {
             RefreshPattern::ConventionalAll => num_banks,
             RefreshPattern::Flagged(flags) => flags.iter().take(num_banks).filter(|&&f| f).count(),
-            RefreshPattern::BinnedMultiples(m) => {
-                (0..num_banks).filter(|&b| m.get(b).copied().unwrap_or(0) == 1).count()
-            }
         }
     }
 }
@@ -194,7 +174,7 @@ pub struct RefreshIssuer {
     /// Time of the most recent pulse (0 before any — data written at t=0 is
     /// first due one interval later, matching the global-grid behavior).
     last_pulse_us: f64,
-    /// Pulses issued so far (the 1-based index binned patterns consult).
+    /// Pulses issued so far.
     pulse_seq: u64,
 }
 
@@ -230,8 +210,8 @@ impl RefreshIssuer {
         self.config.pattern = RefreshPattern::Flagged(flags);
     }
 
-    /// Replaces the bank pattern wholesale (strategies programming a
-    /// conventional or binned pattern instead of flags).
+    /// Replaces the bank pattern wholesale (strategies programming the
+    /// conventional pattern instead of flags).
     pub fn load_pattern(&mut self, pattern: RefreshPattern) {
         self.config.pattern = pattern;
     }
@@ -251,13 +231,13 @@ impl RefreshIssuer {
         self.config.interval_us = interval_us;
     }
 
-    /// Advances time to `to_us`, refreshing eligible banks at every pulse
-    /// (binned banks only on their own multiples). Pulses fire one interval
-    /// after the previous pulse; a pulse already overdue at the current
-    /// time (possible right after shortening the period with
-    /// [`retune`](Self::retune)) is issued once at the current time and the
-    /// phase re-anchors there — the recharge happens *now*, so the next one
-    /// is due an interval from now, not a burst of grid catch-ups.
+    /// Advances time to `to_us`, refreshing eligible banks at every pulse.
+    /// Pulses fire one interval after the previous pulse; a pulse already
+    /// overdue at the current time (possible right after shortening the
+    /// period with [`retune`](Self::retune)) is issued once at the current
+    /// time and the phase re-anchors there — the recharge happens *now*,
+    /// so the next one is due an interval from now, not a burst of grid
+    /// catch-ups.
     ///
     /// # Panics
     ///
@@ -269,7 +249,7 @@ impl RefreshIssuer {
             let pulse_t = due.max(self.now_us);
             self.pulse_seq += 1;
             for bank in 0..mem.num_banks() {
-                if self.config.pattern.refreshes_at(bank, self.pulse_seq) {
+                if self.config.pattern.refreshes(bank) {
                     self.issued_words += mem.refresh_bank(bank, pulse_t) as u64;
                 }
             }
@@ -356,41 +336,6 @@ mod tests {
         let intact_b1 = (0..512).filter(|&i| mem.read(512 + i, horizon) == 0x2E2E).count();
         assert_eq!(intact_b0, 512, "refreshed bank must be intact");
         assert!(intact_b1 < 10, "unrefreshed bank should be garbage, {intact_b1} intact");
-    }
-
-    #[test]
-    fn binned_pattern_spaces_out_strong_banks() {
-        let p = RefreshPattern::BinnedMultiples(vec![1, 2, 4, 0]);
-        // Bank 0: every pulse; bank 1: even pulses; bank 2: every 4th;
-        // bank 3: never.
-        assert!(p.refreshes_at(0, 1) && p.refreshes_at(0, 2));
-        assert!(!p.refreshes_at(1, 1) && p.refreshes_at(1, 2));
-        assert!(!p.refreshes_at(2, 2) && p.refreshes_at(2, 4));
-        assert!(!p.refreshes_at(3, 4));
-        assert!(p.refreshes(2) && !p.refreshes(3));
-        assert_eq!(p.banks_per_pulse(4), 1);
-    }
-
-    #[test]
-    fn binned_issuer_keeps_strong_banks_alive_with_fewer_refreshes() {
-        // Bank 1's cells are strong enough for a 2x interval: refresh it
-        // on even pulses only and the data still survives.
-        let dist = RetentionDistribution::from_anchors(vec![(100.0, 1e-7), (1000.0, 1.0)]).unwrap();
-        let mut mem = EdramArray::new(2, 64, dist, 21);
-        mem.write(0, 111, 0.0);
-        mem.write(64, 222, 0.0);
-        let mut issuer = RefreshIssuer::new(RefreshConfig {
-            interval_us: 45.0,
-            pattern: RefreshPattern::BinnedMultiples(vec![1, 2]),
-        });
-        issuer.advance(&mut mem, 5000.0);
-        assert_eq!(mem.read(0, 5000.0), 111);
-        assert_eq!(mem.read(64, 5000.0), 222, "90 us effective interval < 100 us retention");
-        // Bank 1 was refreshed about half as often as bank 0.
-        let total = issuer.issued_words();
-        let pulses = (5000.0f64 / 45.0).floor() as u64;
-        assert!(total < pulses * 128, "binning must save refreshes: {total}");
-        assert!(total > pulses * 64, "bank 0 alone accounts for {}", pulses * 64);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //!
 //! Run with: `cargo run --release --example accelerator_inference`
 
-use rana_repro::accel::exec::{execute_layer, BufferModel, Formats};
+use rana_repro::accel::exec::{execute_layer_grouped_with, BufferModel, Engine, Formats};
 use rana_repro::accel::{AcceleratorConfig, Pattern, SchedLayer, Tiling};
 use rana_repro::edram::{RefreshConfig, RetentionDistribution};
 use rana_repro::fixq::QFormat;
@@ -166,7 +166,8 @@ fn accel_conv(
         weight_frac: w_q.frac_bits(),
         output_frac: out_q.frac_bits(),
     };
-    let r = execute_layer(
+    let r = execute_layer_grouped_with(
+        Engine::Blocked,
         &layer,
         Pattern::Od,
         Tiling::new(16, 16, 1, 16),

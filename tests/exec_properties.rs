@@ -4,7 +4,7 @@
 //! equal the trace simulator's.
 
 use proptest::prelude::*;
-use rana_repro::accel::exec::{execute_layer, BufferModel, Formats};
+use rana_repro::accel::exec::{execute_layer_grouped_with, BufferModel, Engine, Formats};
 use rana_repro::accel::{trace::trace, AcceleratorConfig, Pattern, SchedLayer, Tiling};
 
 fn arb_layer() -> impl Strategy<Value = SchedLayer> {
@@ -90,7 +90,8 @@ proptest! {
             .collect();
 
         let golden = reference_conv(&layer, &inputs, &weights, f);
-        let run = execute_layer(&layer, pattern, tiling, &cfg, &inputs, &weights, f, &BufferModel::Ideal);
+        let run = execute_layer_grouped_with(
+            Engine::Blocked, &layer, pattern, tiling, &cfg, &inputs, &weights, f, &BufferModel::Ideal);
         prop_assert_eq!(&run.outputs, &golden, "{} {}", pattern, tiling);
         prop_assert_eq!(run.faults, 0);
 

@@ -5,7 +5,7 @@
 //! (lifetime < retention), corrupted on an artificially slowed clock, and
 //! rescued by the conventional controller.
 
-use rana_repro::accel::exec::{execute_layer, BufferModel, Formats};
+use rana_repro::accel::exec::{execute_layer_grouped_with, BufferModel, Engine, Formats};
 use rana_repro::accel::{AcceleratorConfig, Pattern, SchedLayer, Tiling};
 use rana_repro::edram::{RefreshConfig, RetentionDistribution};
 use rana_repro::fixq::QFormat;
@@ -108,7 +108,8 @@ fn conv_on_accelerator(
         weight_frac: w_q.frac_bits(),
         output_frac: out_q.frac_bits(),
     };
-    let result = execute_layer(
+    let result = execute_layer_grouped_with(
+        Engine::Blocked,
         &layer,
         Pattern::Od,
         Tiling::new(16, 16, 1, 16),
