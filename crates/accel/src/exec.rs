@@ -65,6 +65,12 @@
 //! before it runs, so each block is filled about once per batch, even
 //! where the data never decays.
 //!
+//! Refresh comes from the one pulse driver, `rana-edram`'s
+//! `RefreshIssuer`: each channel group's buffer gets a fresh issuer at
+//! time zero, which fires pulse `k` at `k·interval` and is advanced to the
+//! end of every tile before the tile's reads resolve, so a group refreshes
+//! `⌊t / interval⌋` times by time `t`.
+//!
 //! A refresh pulse costs the buffer what it holds: `EdramArray` stamps a
 //! pulse on the bank, not on each word, and resolves only the blocks of
 //! the bank's written words whose weakest cell may fail at the age of the
@@ -80,6 +86,7 @@ use crate::config::AcceleratorConfig;
 use crate::kernel::{self, LANES};
 use crate::layer::SchedLayer;
 use crate::pattern::{tiles, Pattern, Tile, TileAxis, Tiling};
+use rana_edram::controller::RefreshIssuer;
 use rana_edram::{EdramArray, RefreshConfig, RetentionDistribution, WeakestCellMap};
 use std::ops::Range;
 use std::sync::Arc;
@@ -324,15 +331,12 @@ pub fn execute_layer_grouped_on(
     formats: Formats,
     model: &BufferModel,
 ) -> FunctionalResult {
-    if let BufferModel::Edram { refresh: Some(rc), .. } = model {
-        // A zero interval would never finish issuing pulses, and a
-        // negative or NaN one would silently issue none.
-        assert!(
-            rc.interval_us.is_finite() && rc.interval_us > 0.0,
-            "refresh interval must be finite and positive, got {} us",
-            rc.interval_us
-        );
-    }
+    // Each channel group's buffer starts at time zero under a fresh copy
+    // of this issuer.
+    let issuer = match model {
+        BufferModel::Edram { refresh: Some(rc), .. } => Some(RefreshIssuer::new(rc.clone())),
+        _ => None,
+    };
     // A 16-bit word has 15 fractional bits at most, which keeps the
     // product shift in −15..=30, inside both engines' shift arithmetic.
     for (operand, frac) in [
@@ -372,6 +376,7 @@ pub fn execute_layer_grouped_on(
     for gi in 0..g {
         run_group(
             cells,
+            issuer.clone(),
             lanes,
             &sub,
             pattern,
@@ -412,14 +417,15 @@ pub fn resident_words(layer: &SchedLayer) -> usize {
 }
 
 /// One channel group through the tile walk of the clamped tiling `t`, on
-/// a buffer whose cells decay through `cells`, with tile geometry from
-/// `plans` and scratch space from `arena`: the blocked tile on `lanes`'
-/// arithmetic, or the reference tile where there is none. Writes the
-/// group's outputs into `outputs` and adds its cycles and statistics to
-/// `total`.
+/// a buffer whose cells decay through `cells` and which `issuer` (if any)
+/// refreshes, with tile geometry from `plans` and scratch space from
+/// `arena`: the blocked tile on `lanes`' arithmetic, or the reference tile
+/// where there is none. Writes the group's outputs into `outputs` and adds
+/// its cycles and statistics to `total`.
 #[allow(clippy::too_many_arguments)]
 fn run_group(
     cells: &Arc<WeakestCellMap>,
+    mut issuer: Option<RefreshIssuer>,
     lanes: Option<I32Path>,
     layer: &SchedLayer,
     pattern: Pattern,
@@ -447,9 +453,9 @@ fn run_group(
     let w_base = n_words;
     let o_base = n_words + w_words;
 
-    let (dist, refresh) = match model {
-        BufferModel::Ideal => (ideal_distribution(), None),
-        BufferModel::Edram { dist, refresh, .. } => (dist.clone(), refresh.as_ref()),
+    let dist = match model {
+        BufferModel::Ideal => ideal_distribution(),
+        BufferModel::Edram { dist, .. } => dist.clone(),
     };
     let mut mem = EdramArray::with_cells(
         cfg.buffer.num_banks,
@@ -457,8 +463,6 @@ fn run_group(
         dist,
         Arc::clone(cells),
     );
-    let mut refresh_words = 0u64;
-    let mut last_pulse_idx: i64 = 0;
 
     let mut clock_cycles = 0u64;
     let us = |c: u64| cfg.cycles_to_us(c);
@@ -502,19 +506,8 @@ fn run_group(
 
         // Refresh runs concurrently with compute: issue every pulse due by
         // the end of this iteration before its reads resolve.
-        if let Some(rc) = refresh {
-            // `end` and the interval are non-negative, so the truncating
-            // cast is the floor.
-            let due = (end / rc.interval_us) as i64;
-            while last_pulse_idx < due {
-                last_pulse_idx += 1;
-                let pulse_t = last_pulse_idx as f64 * rc.interval_us;
-                for bank in 0..mem.num_banks() {
-                    if rc.pattern.refreshes(bank) {
-                        refresh_words += mem.refresh_bank(bank, pulse_t) as u64;
-                    }
-                }
-            }
+        if let Some(issuer) = &mut issuer {
+            issuer.advance(&mut mem, end);
         }
         let ctx = TileCtx {
             layer,
@@ -540,6 +533,7 @@ fn run_group(
     // resolves them, each read again and a late refresh once, so
     // `faults / (reads × 16)` is a per-bit rate of end-to-end corruption.
     let stats = mem.stats();
+    let refresh_words = issuer.map_or(0, |issuer| issuer.issued_words());
     if rana_trace::enabled() {
         rana_trace::emit(|| rana_trace::Event::ExecCompleted {
             layer: layer.name.clone(),

@@ -65,8 +65,7 @@ impl ClockDivider {
 
 /// Which banks a refresh pulse touches — the *pulse distribution*, not
 /// the refresh *strategy*. Strategies (RANA flags, access-triggered RTC,
-/// EDEN error budgets) live in `rana-policy` and compile down to a
-/// pattern plus a divider setting for this controller.
+/// EDEN error budgets) live in `rana-policy`.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RefreshPattern {
     /// Conventional eDRAM: every bank refreshed at every pulse, whether it
@@ -83,14 +82,6 @@ impl RefreshPattern {
         match self {
             RefreshPattern::ConventionalAll => true,
             RefreshPattern::Flagged(flags) => flags.get(bank).copied().unwrap_or(false),
-        }
-    }
-
-    /// Banks refreshed per pulse, given `num_banks` total.
-    pub fn banks_per_pulse(&self, num_banks: usize) -> usize {
-        match self {
-            RefreshPattern::ConventionalAll => num_banks,
-            RefreshPattern::Flagged(flags) => flags.iter().take(num_banks).filter(|&&f| f).count(),
         }
     }
 }
@@ -114,39 +105,15 @@ impl RefreshConfig {
     pub fn flagged(interval_us: f64, flags: Vec<bool>) -> Self {
         Self { interval_us, pattern: RefreshPattern::Flagged(flags) }
     }
-
-    /// Pulse times in `(from_us, to_us]` on the global pulse grid
-    /// (pulses at integer multiples of the interval).
-    pub fn pulses_between(&self, from_us: f64, to_us: f64) -> impl Iterator<Item = f64> + '_ {
-        let interval = self.interval_us;
-        let first = (from_us / interval).floor() as i64 + 1;
-        let last = (to_us / interval).floor() as i64;
-        (first..=last).map(move |k| k as f64 * interval)
-    }
-
-    /// Number of pulses in `(from_us, to_us]`.
-    pub fn pulse_count(&self, from_us: f64, to_us: f64) -> u64 {
-        let first = (from_us / self.interval_us).floor() as i64 + 1;
-        let last = (to_us / self.interval_us).floor() as i64;
-        (last - first + 1).max(0) as u64
-    }
-
-    /// Analytic refresh-word count over a window: pulses × flagged banks ×
-    /// bank words.
-    pub fn refresh_words_between(
-        &self,
-        from_us: f64,
-        to_us: f64,
-        num_banks: usize,
-        bank_words: usize,
-    ) -> u64 {
-        self.pulse_count(from_us, to_us)
-            * self.pattern.banks_per_pulse(num_banks) as u64
-            * bank_words as u64
-    }
 }
 
 /// Drives an [`EdramArray`] through time, issuing refreshes at each pulse.
+///
+/// Pulses sit on a global grid: pulse `k` (counting from 1) fires at
+/// `k·interval`, so by time `t` the issuer has fired `⌊t / interval⌋`
+/// pulses, the count the analytic refresh model prices. Each pulse time is
+/// one product, never a running sum, so no rounding accumulates along the
+/// grid.
 ///
 /// # Example
 ///
@@ -158,30 +125,32 @@ impl RefreshConfig {
 /// let mut issuer = RefreshIssuer::new(RefreshConfig::conventional(45.0));
 /// issuer.advance(&mut mem, 1000.0); // data survives 1 ms under refresh
 /// assert_eq!(mem.read(0, 1000.0), 42);
+/// assert_eq!(issuer.pulses_issued(), 22);
 /// ```
-/// Pulse timing is *phase-based*: the issuer remembers the time of the
-/// last pulse and fires the next one `interval` later, rather than on a
-/// global grid of interval multiples. The two are identical while the
-/// interval never changes (pulses at `k·interval`), but phase tracking is
-/// what makes [`retune`](RefreshIssuer::retune) sound: a divider change
-/// mid-pass re-derives the next due time from the last actual recharge, so
-/// no pulse is skipped or double-issued across the change.
 #[derive(Debug, Clone)]
 pub struct RefreshIssuer {
     config: RefreshConfig,
     now_us: f64,
     issued_words: u64,
-    /// Time of the most recent pulse (0 before any — data written at t=0 is
-    /// first due one interval later, matching the global-grid behavior).
-    last_pulse_us: f64,
-    /// Pulses issued so far.
-    pulse_seq: u64,
+    /// Pulses issued so far; the last one fired at `pulses · interval`.
+    pulses: u64,
 }
 
 impl RefreshIssuer {
     /// Creates an issuer at time zero.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the interval is finite and positive: a zero interval
+    /// would never finish issuing pulses, and a negative or NaN one would
+    /// silently issue none.
     pub fn new(config: RefreshConfig) -> Self {
-        Self { config, now_us: 0.0, issued_words: 0, last_pulse_us: 0.0, pulse_seq: 0 }
+        assert!(
+            config.interval_us.is_finite() && config.interval_us > 0.0,
+            "refresh interval must be finite and positive, got {} us",
+            config.interval_us
+        );
+        Self { config, now_us: 0.0, issued_words: 0, pulses: 0 }
     }
 
     /// Current time in µs.
@@ -196,12 +165,7 @@ impl RefreshIssuer {
 
     /// Total pulses issued so far.
     pub fn pulses_issued(&self) -> u64 {
-        self.pulse_seq
-    }
-
-    /// Current pulse period in µs.
-    pub fn interval_us(&self) -> f64 {
-        self.config.interval_us
+        self.pulses
     }
 
     /// Replaces the per-bank flags (loaded between layers from the layerwise
@@ -210,51 +174,25 @@ impl RefreshIssuer {
         self.config.pattern = RefreshPattern::Flagged(flags);
     }
 
-    /// Replaces the bank pattern wholesale (strategies programming the
-    /// conventional pattern instead of flags).
-    pub fn load_pattern(&mut self, pattern: RefreshPattern) {
-        self.config.pattern = pattern;
-    }
-
-    /// Changes the pulse period mid-run (the adaptive runtime reprogramming
-    /// the clock divider). The next pulse falls due `interval_us` after the
-    /// *last issued pulse* — never later than the data's new retention
-    /// budget allows, and never re-covering time a pulse already covered —
-    /// so shortening the period cannot skip a due refresh and lengthening
-    /// it cannot double-issue one.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `interval_us` is positive.
-    pub fn retune(&mut self, interval_us: f64) {
-        assert!(interval_us > 0.0, "pulse period must be positive, got {interval_us}");
-        self.config.interval_us = interval_us;
-    }
-
-    /// Advances time to `to_us`, refreshing eligible banks at every pulse.
-    /// Pulses fire one interval after the previous pulse; a pulse already
-    /// overdue at the current time (possible right after shortening the
-    /// period with [`retune`](Self::retune)) is issued once at the current
-    /// time and the phase re-anchors there — the recharge happens *now*,
-    /// so the next one is due an interval from now, not a burst of grid
-    /// catch-ups.
+    /// Advances time to `to_us`, firing every grid pulse due by then and
+    /// refreshing the pattern's banks at each.
     ///
     /// # Panics
     ///
     /// Panics if time would run backwards.
     pub fn advance(&mut self, mem: &mut EdramArray, to_us: f64) {
         assert!(to_us >= self.now_us, "time must be monotone");
-        while self.last_pulse_us + self.config.interval_us <= to_us {
-            let due = self.last_pulse_us + self.config.interval_us;
-            let pulse_t = due.max(self.now_us);
-            self.pulse_seq += 1;
+        // Time starts at zero and the interval is positive, so the
+        // truncating cast is the floor.
+        let due = (to_us / self.config.interval_us) as u64;
+        while self.pulses < due {
+            self.pulses += 1;
+            let pulse_t = self.pulses as f64 * self.config.interval_us;
             for bank in 0..mem.num_banks() {
                 if self.config.pattern.refreshes(bank) {
                     self.issued_words += mem.refresh_bank(bank, pulse_t) as u64;
                 }
             }
-            self.last_pulse_us = pulse_t;
-            self.now_us = self.now_us.max(pulse_t);
         }
         self.now_us = to_us;
     }
@@ -273,37 +211,11 @@ mod tests {
     }
 
     #[test]
-    fn pulse_counting() {
-        let c = RefreshConfig::conventional(45.0);
-        assert_eq!(c.pulse_count(0.0, 45.0), 1);
-        assert_eq!(c.pulse_count(0.0, 44.9), 0);
-        assert_eq!(c.pulse_count(0.0, 450.0), 10);
-        assert_eq!(c.pulse_count(45.0, 90.0), 1);
-        assert_eq!(c.pulse_count(10.0, 10.0), 0);
-    }
-
-    #[test]
-    fn pulses_land_on_grid() {
-        let c = RefreshConfig::conventional(100.0);
-        let pulses: Vec<f64> = c.pulses_between(50.0, 350.0).collect();
-        assert_eq!(pulses, vec![100.0, 200.0, 300.0]);
-    }
-
-    #[test]
     fn flagged_pattern_counts() {
         let p = RefreshPattern::Flagged(vec![true, false, true, false]);
-        assert_eq!(p.banks_per_pulse(4), 2);
         assert!(p.refreshes(0));
         assert!(!p.refreshes(1));
         assert!(!p.refreshes(7), "missing flags default to disabled");
-        assert_eq!(RefreshPattern::ConventionalAll.banks_per_pulse(4), 4);
-    }
-
-    #[test]
-    fn refresh_words_analytic() {
-        let c = RefreshConfig::flagged(45.0, vec![true, true, false]);
-        // 10 pulses x 2 banks x 100 words.
-        assert_eq!(c.refresh_words_between(0.0, 450.0, 3, 100), 2000);
     }
 
     #[test]
@@ -360,8 +272,8 @@ mod tests {
         assert!(d.pulse_period_us(333_333.0) <= 45.0);
     }
 
-    /// Pulses issued so far, measured through a 1-bank fully-written
-    /// memory: every pulse refreshes exactly `bank_words` words.
+    /// A 1-bank fully-written memory: every pulse refreshes exactly its
+    /// `bank_words` words.
     fn pulse_probe() -> (EdramArray, usize) {
         let words = 32;
         let mut mem = EdramArray::new(1, words, RetentionDistribution::kong2008(), 3);
@@ -372,92 +284,35 @@ mod tests {
     }
 
     #[test]
-    fn retune_longer_does_not_double_issue() {
-        let (mut mem, words) = pulse_probe();
-        let mut issuer = RefreshIssuer::new(RefreshConfig::conventional(50.0));
-        issuer.advance(&mut mem, 120.0); // pulses at 50, 100
-        assert_eq!(issuer.pulses_issued(), 2);
-        issuer.retune(200.0);
-        // Next pulse due 200 µs after the last one (t=100), i.e. at 300 —
-        // not re-issued at 200 (the new grid) or at 250 (now + interval).
-        issuer.advance(&mut mem, 299.0);
-        assert_eq!(issuer.pulses_issued(), 2, "no pulse may fire before 300");
-        issuer.advance(&mut mem, 300.0);
-        assert_eq!(issuer.pulses_issued(), 3);
-        assert_eq!(issuer.issued_words(), 3 * words as u64);
-    }
-
-    #[test]
-    fn retune_shorter_does_not_skip_a_due_pulse() {
-        let (mut mem, _) = pulse_probe();
-        let mut issuer = RefreshIssuer::new(RefreshConfig::conventional(100.0));
-        issuer.advance(&mut mem, 250.0); // pulses at 100, 200
-        assert_eq!(issuer.pulses_issued(), 2);
-        issuer.retune(50.0);
-        // Data last recharged at t=200 must be covered again by t=250:
-        // the pulse fires exactly once, at the retune-adjusted due time.
-        issuer.advance(&mut mem, 260.0);
-        assert_eq!(issuer.pulses_issued(), 3);
-        issuer.advance(&mut mem, 310.0); // next at 300 (250 + 50)
-        assert_eq!(issuer.pulses_issued(), 4);
-    }
-
-    #[test]
-    fn retune_overdue_pulse_fires_once_and_reanchors() {
-        let (mut mem, _) = pulse_probe();
-        let mut issuer = RefreshIssuer::new(RefreshConfig::conventional(1000.0));
-        issuer.advance(&mut mem, 500.0); // no pulses yet
-        assert_eq!(issuer.pulses_issued(), 0);
-        issuer.retune(100.0);
-        // Nominal due time (0 + 100) is long past: exactly one catch-up
-        // pulse at now, then the phase re-anchors — pulses at 500 (clamped),
-        // 600, 700, 800. A grid-based issuer would burst 100..500 at once.
-        issuer.advance(&mut mem, 550.0);
-        assert_eq!(issuer.pulses_issued(), 1);
-        issuer.advance(&mut mem, 800.0);
-        assert_eq!(issuer.pulses_issued(), 4);
-    }
-
-    #[test]
-    fn retune_mid_pass_keeps_data_alive() {
-        // Sharp knee at 100 µs: a 45 µs issuer retuned to 90 µs mid-run
-        // must leave no gap > 100 µs between recharges.
-        let dist =
-            RetentionDistribution::from_anchors(vec![(100.0, 1e-7), (150.0, 1e-2), (1000.0, 1.0)])
-                .unwrap();
-        let mut mem = EdramArray::new(1, 64, dist, 17);
-        for i in 0..64 {
-            mem.write(i, 0x5A5A, 0.0);
-        }
-        let mut issuer = RefreshIssuer::new(RefreshConfig::conventional(45.0));
-        issuer.advance(&mut mem, 400.0);
-        issuer.retune(90.0);
-        issuer.advance(&mut mem, 2000.0);
-        for i in 0..64 {
-            assert_eq!(mem.read(i, 2000.0), 0x5A5A, "word {i} decayed across the retune");
-        }
-        // And the retune actually slowed the pulse rate: 8 pulses in the
-        // first 400 µs, then one per 90 µs.
-        let expected = 8 + ((2000.0 - 360.0) / 90.0) as u64;
-        assert_eq!(issuer.pulses_issued(), expected);
-    }
-
-    #[test]
     fn unretuned_phase_matches_global_grid() {
-        // Split advances at awkward points: pulse count must equal the
-        // old global-grid behavior (floor(to/interval) pulses by `to`).
-        let (mut mem, _) = pulse_probe();
+        // Split advances at awkward points: by `to` the issuer has fired
+        // floor(to/interval) pulses, each refreshing the whole bank.
+        let (mut mem, words) = pulse_probe();
         let mut issuer = RefreshIssuer::new(RefreshConfig::conventional(45.0));
         for to in [10.0, 44.9, 45.0, 46.0, 200.0, 203.3, 1000.0] {
             issuer.advance(&mut mem, to);
-            assert_eq!(issuer.pulses_issued(), (to / 45.0).floor() as u64, "at {to}");
+            let pulses = (to / 45.0).floor() as u64;
+            assert_eq!(issuer.pulses_issued(), pulses, "at {to}");
+            assert_eq!(issuer.issued_words(), pulses * words as u64, "at {to}");
         }
     }
 
     #[test]
-    #[should_panic(expected = "positive")]
-    fn retune_rejects_nonpositive_interval() {
-        RefreshIssuer::new(RefreshConfig::conventional(45.0)).retune(0.0);
+    #[should_panic(expected = "refresh interval must be finite and positive, got 0 us")]
+    fn zero_interval_is_rejected() {
+        RefreshIssuer::new(RefreshConfig::conventional(0.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "refresh interval must be finite and positive, got -1 us")]
+    fn negative_interval_is_rejected() {
+        RefreshIssuer::new(RefreshConfig::conventional(-1.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "refresh interval must be finite and positive, got NaN us")]
+    fn nan_interval_is_rejected() {
+        RefreshIssuer::new(RefreshConfig::conventional(f64::NAN));
     }
 
     #[test]

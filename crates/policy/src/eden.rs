@@ -13,7 +13,7 @@
 
 use crate::{exposure_rate, refresh_flags_for, LayerCtx, LayerDecision, RefreshStrategy};
 use rana_accel::{layer_refresh_words, ControllerKind, RefreshModel};
-use rana_edram::{RefreshPattern, RetentionDistribution};
+use rana_edram::RetentionDistribution;
 use rana_fixq::BitErrorModel;
 
 /// The EDEN-style strategy: refresh as rarely as the budget allows.
@@ -100,7 +100,6 @@ impl RefreshStrategy for ErrorBudget {
         LayerDecision {
             skipped_words: ctx.conventional_words().saturating_sub(refresh_words),
             refresh_words,
-            pattern: RefreshPattern::Flagged(refresh_flags.clone()),
             refresh_flags,
             interval_multiple: multiple,
             failure_rate: exposure_rate(ctx, eff),

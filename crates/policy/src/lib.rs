@@ -60,9 +60,8 @@ pub use rtc::{AccessKind, AccessOp, AccessTrace, AccessTriggered};
 use rana_accel::analysis::LayerSim;
 use rana_accel::config::AcceleratorConfig;
 use rana_accel::{layer_refresh_words, ControllerKind, RefreshModel};
-use rana_edram::controller::RefreshIssuer;
 use rana_edram::stats::MemoryStats;
-use rana_edram::{DataType, RefreshPattern, RetentionDistribution, UnifiedBuffer};
+use rana_edram::{DataType, RetentionDistribution, UnifiedBuffer};
 
 /// Everything a strategy may consult when deciding one layer's refresh:
 /// the layer's lifetime/storage analysis, the accelerator it runs on, the
@@ -107,8 +106,6 @@ pub struct LayerDecision {
     /// count these even for the conventional strategy, whose controller
     /// ignores them and refreshes everything.
     pub refresh_flags: Vec<bool>,
-    /// The bank pattern the controller is actually programmed with.
-    pub pattern: RefreshPattern,
     /// Effective pulse period as a multiple of the base interval (1 for
     /// exact-interval strategies; >1 when an error budget stretches the
     /// divider).
@@ -127,17 +124,6 @@ impl LayerDecision {
     /// Banks the config-gen flags select (0 = refresh-free layer).
     pub fn flagged_banks(&self) -> usize {
         self.refresh_flags.iter().filter(|&&f| f).count()
-    }
-
-    /// Programs a [`RefreshIssuer`] with this decision: loads the bank
-    /// pattern and retunes the divider to the effective pulse period
-    /// `base_interval_us × interval_multiple`.
-    pub fn program(&self, issuer: &mut RefreshIssuer, base_interval_us: f64) {
-        match &self.pattern {
-            RefreshPattern::Flagged(flags) => issuer.load_flags(flags.clone()),
-            pattern => issuer.load_pattern(pattern.clone()),
-        }
-        issuer.retune(base_interval_us * f64::from(self.interval_multiple));
     }
 
     /// Folds the decision's refresh traffic into memory counters.
@@ -258,10 +244,6 @@ fn classic(ctx: &LayerCtx<'_>, kind: ControllerKind) -> LayerDecision {
     let model = RefreshModel { interval_us: ctx.interval_us, kind };
     let refresh_words = layer_refresh_words(ctx.sim, ctx.cfg, &model);
     let refresh_flags = refresh_flags_for(ctx.sim, ctx.cfg, ctx.interval_us);
-    let pattern = match kind {
-        ControllerKind::Conventional => RefreshPattern::ConventionalAll,
-        ControllerKind::RefreshOptimized => RefreshPattern::Flagged(refresh_flags.clone()),
-    };
     let reason = if refresh_words == 0 {
         "refresh-free"
     } else {
@@ -274,7 +256,6 @@ fn classic(ctx: &LayerCtx<'_>, kind: ControllerKind) -> LayerDecision {
         skipped_words: ctx.conventional_words().saturating_sub(refresh_words),
         refresh_words,
         refresh_flags,
-        pattern,
         interval_multiple: 1,
         failure_rate: exposure_rate(ctx, ctx.interval_us),
         reason,

@@ -16,7 +16,6 @@
 
 use crate::{exposure_rate, refresh_flags_for, LayerCtx, LayerDecision, RefreshStrategy};
 use rana_edram::energy::BufferTech;
-use rana_edram::RefreshPattern;
 
 /// The RTC layer-level strategy.
 ///
@@ -59,7 +58,6 @@ impl RefreshStrategy for AccessTriggered {
         LayerDecision {
             skipped_words: ctx.conventional_words().saturating_sub(refresh_words),
             refresh_words,
-            pattern: RefreshPattern::Flagged(refresh_flags.clone()),
             refresh_flags,
             interval_multiple: 1,
             failure_rate: exposure_rate(ctx, ctx.interval_us),

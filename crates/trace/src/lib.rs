@@ -42,7 +42,7 @@
 //! ```
 //! use rana_trace::{Event, EnergyLedger, Session, TraceConfig};
 //!
-//! let session = Session::start(TraceConfig::Ring { capacity: 64 });
+//! let session = Session::start(TraceConfig::CountersOnly);
 //! // ... run a workload; instrumented crates emit events ...
 //! rana_trace::emit(|| Event::ThermalSample {
 //!     at: "layer0".into(),
@@ -320,7 +320,7 @@ mod tests {
 
     #[test]
     fn session_collects_events_counters_and_ledger() {
-        let session = Session::start(TraceConfig::Ring { capacity: 4 });
+        let session = Session::start(TraceConfig::CountersOnly);
         emit(|| Event::CacheLookup { cache: "schedule".into(), fingerprint: 1, hit: true });
         emit(|| Event::CacheLookup { cache: "schedule".into(), fingerprint: 2, hit: false });
         count("cache.schedule.hit", 1);
@@ -375,7 +375,7 @@ mod tests {
 
     #[test]
     fn ring_overflow_surfaces_in_report() {
-        let session = Session::start(TraceConfig::Ring { capacity: 2 });
+        let session = Session::start(TraceConfig::Custom(Box::new(SharedRing::new(2).sink())));
         for k in 0..5 {
             emit(|| Event::CacheLookup { cache: "c".into(), fingerprint: k, hit: false });
         }

@@ -209,11 +209,6 @@ pub enum TraceConfig {
     /// is folded into; the serving loop also records into it directly
     /// ([`metrics::record`](crate::metrics::record)).
     Metrics,
-    /// Keep the most recent `capacity` events in memory.
-    Ring {
-        /// Ring capacity in events.
-        capacity: usize,
-    },
     /// Stream events to a JSONL file at `path`.
     Jsonl {
         /// Output file path (created/truncated at session start).
@@ -230,7 +225,6 @@ impl TraceConfig {
     pub fn into_sink(self) -> Box<dyn Sink> {
         match self {
             TraceConfig::CountersOnly | TraceConfig::Metrics => Box::new(NullSink),
-            TraceConfig::Ring { capacity } => Box::new(RingSink::new(capacity)),
             TraceConfig::Jsonl { path } => match JsonlSink::create(&path) {
                 Ok(sink) => Box::new(sink),
                 Err(_) => Box::new(NullSink),

@@ -1,7 +1,8 @@
 //! Golden pin of decayed functional runs: a few small CONV layers run
 //! through `execute_layer_grouped_with` on the kong2008 eDRAM buffer, with
-//! conventional 45 µs refresh, without refresh, and on a clock slowed
-//! until faults are plentiful. Each run's output checksum, read count,
+//! conventional 45 µs refresh, without refresh, on a clock slowed until
+//! faults are plentiful, and on that slow clock under refresh at a
+//! non-integer interval. Each run's output checksum, read count,
 //! fault count and refreshed words are pinned to absolute values, so any
 //! change to the decay model, its fast paths or their accounting shows
 //! up here — not only as a disagreement between two engines that share
@@ -59,15 +60,22 @@ fn machine(layer: &SchedLayer, frequency_hz: f64) -> AcceleratorConfig {
 /// One pinned run: `(case, layer, outputs FNV, reads, faults, refresh_words)`.
 type Pin = (&'static str, &'static str, u64, u64, u64, u64);
 
-/// The three decay cases: clock frequency and refresh configuration.
-const CASES: [(&str, f64, Option<f64>); 3] =
-    [("refresh45", 2e6, Some(45.0)), ("unrefreshed", 2e6, None), ("slow-clock", 2e4, None)];
+/// The four decay cases: clock frequency and refresh configuration.
+const CASES: [(&str, f64, Option<f64>); 4] = [
+    ("refresh45", 2e6, Some(45.0)),
+    ("unrefreshed", 2e6, None),
+    ("slow-clock", 2e4, None),
+    ("refresh-rung", 2e4, Some(617.215)),
+];
 
 /// Recorded from the per-bit decay model: at 2 MHz the layers run
 /// 243–432 µs, so 45 µs refresh pulses fire and, unrefreshed, only the
 /// dense layer reads decayed bits; at 20 kHz they run 24–43 ms, long
-/// enough for the bulk of the cells to fail.
-const PINS: [Pin; 9] = [
+/// enough for the bulk of the cells to fail. The 617.215 µs interval is a
+/// divider-quantized quarter-octave rung below 734 µs at 200 MHz, where
+/// pulse `k` at `k·interval` and pulse times accumulated one interval at
+/// a time part by an ULP: these rows pin the `k·interval` grid.
+const PINS: [Pin; 12] = [
     ("refresh45", "dense", 0x7501636cb8119725, 77664, 0, 16488),
     ("refresh45", "depthwise", 0x6e431751526de325, 25392, 0, 3144),
     ("refresh45", "strided", 0x78e7f76b5c14a3a5, 7680, 0, 3400),
@@ -77,6 +85,9 @@ const PINS: [Pin; 9] = [
     ("slow-clock", "dense", 0x394a8906d302d294, 77664, 32515, 0),
     ("slow-clock", "depthwise", 0xfb0ebce078823e67, 25392, 643, 0),
     ("slow-clock", "strided", 0x07af38b8a4bf89be, 7680, 11153, 0),
+    ("refresh-rung", "dense", 0xe05219d5040f7d3a, 77664, 65, 126408),
+    ("refresh-rung", "depthwise", 0x6e431751526de325, 25392, 0, 34584),
+    ("refresh-rung", "strided", 0x78e7f76b5c14a3a5, 7680, 0, 26520),
 ];
 
 /// One pinned run: layer `layer_idx` of [`layers`] under case `case_idx`

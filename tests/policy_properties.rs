@@ -1,19 +1,16 @@
 //! Property-based tests of the refresh-strategy lab: the trait path is
-//! bit-identical to the legacy enum path (accounting and the issued
-//! pulse stream), and the RTC controller never refreshes fewer words
-//! than the just-in-time oracle demands.
+//! bit-identical to the legacy enum path's refresh-word accounting, and
+//! the RTC controller never refreshes fewer words than the just-in-time
+//! oracle demands.
 
 use proptest::prelude::*;
 use rana_repro::accel::refresh::layer_refresh_words;
 use rana_repro::accel::{
     analyze, AcceleratorConfig, ControllerKind, Pattern, RefreshModel, SchedLayer, Tiling,
 };
-use rana_repro::edram::controller::RefreshIssuer;
-use rana_repro::edram::{EdramArray, RefreshConfig, RefreshPattern, RetentionDistribution};
+use rana_repro::edram::RetentionDistribution;
 use rana_repro::policy::Strategy as Policy;
-use rana_repro::policy::{
-    AccessKind, AccessOp, AccessTrace, LayerCtx, LayerDecision, RefreshStrategy,
-};
+use rana_repro::policy::{AccessKind, AccessOp, AccessTrace, LayerCtx, RefreshStrategy};
 
 fn arb_layer() -> impl Strategy<Value = SchedLayer> {
     (1usize..=64, 6usize..=28, 1usize..=64, prop_oneof![Just(1usize), Just(3)], 1usize..=2)
@@ -90,51 +87,6 @@ proptest! {
         let rtc = Policy::AccessTriggered.decide(&ctx).refresh_words;
         prop_assert!(rana <= conv, "rana {rana} > conv {conv}");
         prop_assert!(rtc <= rana, "rtc {rtc} > rana {rana}");
-    }
-
-    /// Programming an issuer through `LayerDecision::program` drives the
-    /// exact pulse stream the legacy `load_flags` + `retune` path drives:
-    /// same issued words, same pulse count, for any flag vector, interval
-    /// and retune sequence over twin arrays.
-    #[test]
-    fn programmed_issuer_matches_the_legacy_path(
-        flags in proptest::collection::vec(any::<bool>(), 1..12),
-        interval in 20.0f64..400.0,
-        retunes in proptest::collection::vec((20.0f64..400.0, 50.0f64..500.0), 0..4),
-        seed in 0u64..1000,
-    ) {
-        let dist = RetentionDistribution::kong2008();
-        let banks = flags.len();
-        let mut mem_a = EdramArray::new(banks, 64, dist.clone(), seed);
-        let mut mem_b = mem_a.clone();
-
-        let mut legacy = RefreshIssuer::new(RefreshConfig::flagged(interval, flags.clone()));
-        let mut traited = RefreshIssuer::new(RefreshConfig::conventional(1e9));
-        let decision = LayerDecision {
-            refresh_words: 0,
-            refresh_flags: flags.clone(),
-            pattern: RefreshPattern::Flagged(flags.clone()),
-            interval_multiple: 1,
-            failure_rate: 0.0,
-            skipped_words: 0,
-            reason: "flagged",
-        };
-        decision.program(&mut traited, interval);
-
-        let mut t = 0.0;
-        for &(new_interval, dwell) in &retunes {
-            t += dwell;
-            legacy.advance(&mut mem_a, t);
-            traited.advance(&mut mem_b, t);
-            legacy.retune(new_interval);
-            traited.retune(new_interval);
-        }
-        t += 500.0;
-        legacy.advance(&mut mem_a, t);
-        traited.advance(&mut mem_b, t);
-
-        prop_assert_eq!(legacy.pulses_issued(), traited.pulses_issued());
-        prop_assert_eq!(legacy.issued_words(), traited.issued_words());
     }
 
     /// The RTC controller pulsing at any interval within the retention

@@ -209,7 +209,7 @@ fn energy_ledger_reconciles_with_evaluator_on_all_networks() {
 fn adaptive_runtime_emits_thermal_and_refresh_events() {
     use rana_core::adaptive::{AdaptiveConfig, AdaptiveRuntime, FallbackPolicy};
     use rana_edram::thermal::ThermalModel;
-    let session = Session::start(TraceConfig::Ring { capacity: 4096 });
+    let session = Session::start(TraceConfig::CountersOnly);
     let eval = Evaluator::paper_platform();
     let net = rana_zoo::alexnet();
     let design = Design::RanaStarE5;
